@@ -3,16 +3,22 @@
 Wrapper data lives in comma-separated files with a header row naming the
 attributes. Joins compare raw string values. A single walk is evaluated with
 bag semantics; the union across walks removes duplicate rows.
+
+The walks of one union share their work: a query reads each bound file once,
+builds each hash table once, and each walk restarts from the longest join
+prefix it shares with the walk before it. The rewriter emits walks sorted by
+wrapper names, so consecutive walks tend to share long prefixes.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
-from .errors import MalformedRow, MissingColumn, NoWalks, UnboundWrapper
+from .errors import InvalidWalk, MalformedRow, MissingColumn, NoWalks, UnboundWrapper
 from .sources import JoinEnd, Ucq, Walk, WrapperSchema
 
 
@@ -40,108 +46,146 @@ class WrapperBinding:
 
     wrapper: WrapperSchema
     data_path: str | Path
-    column_map: dict[str, int] | None = None
 
 
 def load_relation(binding: WrapperBinding) -> Relation:
     """Read a wrapper's data file into a relation with schema-derived roles."""
     schema = binding.wrapper
     path = Path(binding.data_path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty file, header expected") from None
-        header = [h.strip() for h in header]
-        if binding.column_map is not None:
-            column_map = dict(binding.column_map)
-        else:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MissingColumn(f"{path}: empty file, header expected") from None
+            header = [h.strip() for h in header]
             column_map = {}
             for attr in schema.attrs:
                 if attr not in header:
                     raise MissingColumn(f"{path}: header lacks attribute column {attr}")
                 column_map[attr] = header.index(attr)
-        if len(set(column_map.values())) != len(column_map):
-            raise MissingColumn(f"{path}: two attributes share one column")
-        columns = [(attr, "ID" if attr in schema.id_attrs else "non-ID") for attr in schema.attrs]
-        rows = []
-        for lineno, raw in enumerate(reader, 2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise MalformedRow(f"{path}:{lineno}: expected {len(header)} values, found {len(raw)}")
-            rows.append(tuple(raw[column_map[attr]].strip() for attr in schema.attrs))
+            columns = [(attr, "ID" if attr in schema.id_attrs else "non-ID") for attr in schema.attrs]
+            rows = []
+            for lineno, raw in enumerate(reader, 2):
+                if not raw:
+                    continue
+                if len(raw) != len(header):
+                    raise MalformedRow(f"{path}:{lineno}: expected {len(header)} values, found {len(raw)}")
+                rows.append(tuple(raw[column_map[attr]].strip() for attr in schema.attrs))
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text: {exc.reason}") from None
     return Relation(columns=columns, rows=rows)
+
+
+# One join step: the wrapper joined, its join conditions oriented as (prefix
+# endpoint, new-wrapper endpoint), and the wrapper attributes it keeps.
+Step = tuple[str, tuple[tuple[JoinEnd, JoinEnd], ...], tuple[str, ...]]
+
+
+class _SharedBindings(Mapping[str, WrapperBinding]):
+    """Wrapper bindings plus the work the walks of one union share.
+
+    Holds each loaded relation, each right-side hash table, and the join
+    results of the last walk evaluated, one per step, from its first
+    wrapper on.
+    """
+
+    def __init__(self, bindings: Mapping[str, WrapperBinding]):
+        self._bindings = bindings
+        self.relations: dict[str, Relation] = {}
+        # (wrapper, kept attributes, key attributes) -> key -> kept rows
+        self.tables: dict[tuple, dict[tuple, list[tuple[str, ...]]]] = {}
+        self.prefixes: list[tuple[Step, list[tuple[str, str]], list[tuple[str, ...]]]] = []
+
+    def __getitem__(self, name: str) -> WrapperBinding:
+        return self._bindings[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._bindings)
+
+    def __len__(self) -> int:
+        return len(self._bindings)
+
+    def hash_table(self, name: str, keep: tuple[str, ...],
+                   key_attrs: tuple[str, ...]) -> dict[tuple, list[tuple[str, ...]]]:
+        """Rows of ``name`` projected to ``keep``, grouped by ``key_attrs``.
+
+        Keys come from the same ``itemgetter`` shape as the probe side: a bare
+        value for one key attribute, a tuple for several.
+        """
+        table = self.tables.get((name, keep, key_attrs))
+        if table is None:
+            rel = self.relations[name]
+            idx = [rel.column_index(a) for a in keep]
+            key = itemgetter(*(keep.index(a) for a in key_attrs))
+            table = {}
+            for row in rel.rows:
+                slim = tuple(row[i] for i in idx)
+                table.setdefault(key(slim), []).append(slim)
+            self.tables[(name, keep, key_attrs)] = table
+        return table
 
 
 def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding]) -> Relation:
     """Equi-join the walk's wrappers, then project to the walk's attributes.
 
     Identifier columns are always retained. The result uses qualified column
-    names ("wrapper.attribute") and bag semantics.
+    names ("wrapper.attribute") and bag semantics. A walk whose join graph is
+    disconnected raises ``InvalidWalk``.
     """
-    relations: dict[str, Relation] = {}
-    for name in w.wrapper_names():
+    shared = bindings if isinstance(bindings, _SharedBindings) else _SharedBindings(bindings)
+    relations = shared.relations
+    names = w.wrapper_names()
+    for name in names:
         if name not in bindings:
             raise UnboundWrapper(f"wrapper {name} has no data binding")
-        relations[name] = load_relation(bindings[name])
+        if name not in relations:
+            relations[name] = load_relation(bindings[name])
 
+    # Plan the hash joins: each step adds the first remaining wrapper that
+    # joins the prefix.
     projections = w.projections()
-    keep: dict[str, list[str]] = {}
-    for name in w.wrapper_names():
-        schema = bindings[name].wrapper
-        wanted = set(projections.get(name, ())) | set(schema.id_attrs)
-        keep[name] = [attr for attr, _ in relations[name].columns if attr in wanted]
 
-    # Hash-join wrappers one at a time along the walk's join graph.
-    order = list(w.wrapper_names())
-    first = order[0]
-    columns: list[tuple[str, str]] = [
-        (f"{first}.{attr}", role)
-        for attr, role in relations[first].columns if attr in keep[first]
-    ]
-    idx = [relations[first].column_index(a) for a in keep[first]]
-    tuples = [tuple(row[i] for i in idx) for row in relations[first].rows]
-    joined = {first}
+    def kept(name: str) -> tuple[str, ...]:
+        wanted = set(projections.get(name, ())) | set(bindings[name].wrapper.id_attrs)
+        return tuple(attr for attr, _ in relations[name].columns if attr in wanted)
 
-    remaining = order[1:]
+    steps: list[Step] = [(names[0], (), kept(names[0]))]
+    joined = {names[0]}
+    remaining = list(names[1:])
     while remaining:
-        # Pick the next wrapper connected to the joined prefix.
-        pick = None
         for name in remaining:
             conds = _join_conds(w, joined, name)
-            if conds or len(order) == 1:
-                pick = (name, conds)
+            if conds:
                 break
-        if pick is None:
-            # Disconnected walks are rejected upstream; guard anyway.
-            name = remaining[0]
-            pick = (name, [])
-        name, conds = pick
+        else:
+            raise InvalidWalk(f"walk is disconnected: no join reaches {', '.join(remaining)}")
         remaining.remove(name)
-        rel = relations[name]
-        r_idx = [rel.column_index(a) for a in keep[name]]
-        col_names = [c for c, _ in columns]
-        left_keys = [col_names.index(f"{lw}.{la}") for (lw, la), _ in conds]
-        right_keys = [keep[name].index(ra) for _, (rw, ra) in conds]
-
-        table: dict[tuple, list[tuple]] = {}
-        for row in rel.rows:
-            slim = tuple(row[i] for i in r_idx)
-            key = tuple(slim[i] for i in right_keys)
-            table.setdefault(key, []).append(slim)
-        out = []
-        for row in tuples:
-            key = tuple(row[i] for i in left_keys)
-            for other in table.get(key, []) if conds else [r for rs in table.values() for r in rs]:
-                out.append(row + other)
-        tuples = out
-        columns = columns + [
-            (f"{name}.{attr}", role)
-            for attr, role in rel.columns if attr in keep[name]
-        ]
         joined.add(name)
+        steps.append((name, tuple(conds), kept(name)))
+
+    # Restart at the longest prefix shared with the previous walk.
+    stack = shared.prefixes
+    depth = 0
+    while depth < min(len(stack), len(steps)) and stack[depth][0] == steps[depth]:
+        depth += 1
+    del stack[depth:]
+    for step in steps[depth:]:
+        name, conds, keep = step
+        rel = relations[name]
+        new_columns = [(f"{name}.{attr}", role) for attr, role in rel.columns if attr in keep]
+        if not stack:
+            idx = [rel.column_index(a) for a in keep]
+            stack.append((step, new_columns, [tuple(row[i] for i in idx) for row in rel.rows]))
+            continue
+        _, columns, tuples = stack[-1]
+        table = shared.hash_table(name, keep, tuple(ra for _, (_, ra) in conds))
+        col_names = [c for c, _ in columns]
+        left_key = itemgetter(*(col_names.index(f"{lw}.{la}") for (lw, la), _ in conds))
+        out = [row + other for row in tuples for other in table.get(left_key(row), ())]
+        stack.append((step, columns + new_columns, out))
+    _, columns, tuples = stack[-1]
     return Relation(columns=columns, rows=tuples)
 
 
@@ -160,15 +204,17 @@ def eval_ucq(u: Ucq, bindings: Mapping[str, WrapperBinding]) -> Relation:
     """Evaluate each walk, project to the output features, and union.
 
     Duplicates within one walk are kept; identical rows contributed by
-    different walks are collapsed.
+    different walks are collapsed, in first-seen order. The walks share
+    loaded relations, hash tables and join prefixes.
     """
     if not u.walks:
         raise NoWalks("the union has no conjuncts to evaluate")
     out_cols = [str(f).rsplit("/", 1)[-1] for f in u.output_features]
+    shared = _SharedBindings(bindings)
     rows: list[tuple[str, ...]] = []
     seen: set[tuple[str, ...]] = set()
     for walk, binding in zip(u.walks, u.bindings):
-        rel = eval_walk(walk, bindings)
+        rel = eval_walk(walk, shared)
         idx = []
         for f in u.output_features:
             wrapper, attr = binding[f]

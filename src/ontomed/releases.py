@@ -134,8 +134,8 @@ def apply_release(ds: Dataset, r: Release) -> tuple[Dataset, GrowthStats]:
 
 def load_release(path: str | Path, ds: Dataset) -> Release:
     """Read a JSON release descriptor, resolving prefixed names against ``ds``."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         w = raw["wrapper"]
         wrapper = WrapperSchema(
             name=w["name"],

@@ -51,7 +51,14 @@ class Workspace:
         bindings_path = root / BINDINGS_FILE
         data_files = {}
         if bindings_path.exists():
-            data_files = json.loads(bindings_path.read_text(encoding="utf-8"))
+            try:
+                data_files = json.loads(bindings_path.read_text(encoding="utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise WorkspaceError(f"{bindings_path}: malformed bindings file: {exc}") from None
+            if not (isinstance(data_files, dict)
+                    and all(isinstance(v, str) for v in data_files.values())):
+                raise WorkspaceError(
+                    f"{bindings_path}: expected an object mapping wrapper names to data files")
         return cls(root=root, dataset=ds, data_files=data_files)
 
     def save(self) -> None:

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomed.bench import run_growth_bench, run_walk_bench, synthetic_release_stream
-from ontomed.errors import CyclicPattern, NoIdentifier
+from ontomed.errors import (
+    CyclicPattern,
+    MissingIdAttribute,
+    NoIdentifier,
+    NoJoinPath,
+    NoWrapperForConcept,
+)
 from ontomed.executor import eval_ucq
 from ontomed.queries import parse_omq, render_omq, well_formed_rewrite
 from ontomed.quadstore import Dataset, Quad
@@ -179,7 +185,7 @@ def test_criterion_7_randomized_oracle_equivalence():
         expected = brute_force_walk_keys(ds, wf.phi)
         try:
             got = {w.key() for w in rewrite(query, ds).walks}
-        except Exception:
+        except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
             got = set()
         assert got == expected
         checked += 1

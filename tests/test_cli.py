@@ -110,6 +110,35 @@ class TestExitCodes:
         assert main(["-w", str(loaded_ws), "query", str(loaded_ws / "absent.rq")]) == 4
 
 
+def one_line_error(capsys) -> str:
+    """The single ``error:`` line a failing command prints, with no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+class TestMalformedInputs:
+    def test_non_utf8_wrapper_csv(self, loaded_ws, capsys):
+        (loaded_ws / "data" / "w1.csv").write_bytes(b"VoDmonitorId,lagRatio\n12,\xff\xfe\n")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        assert "w1.csv" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"W1": 5}'])
+    def test_malformed_bindings_file(self, loaded_ws, capsys, text):
+        (loaded_ws / "bindings.json").write_text(text, encoding="utf-8")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_release_descriptor(self, ws, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["-w", str(ws), "release", str(bad)]) == 2
+        one_line_error(capsys)
+
+
 class TestBench:
     def test_walk_bench_header_and_counts(self, capsys):
         assert main(["bench", "walks", "--concepts", "2", "--wrappers", "3"]) == 0

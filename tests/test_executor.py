@@ -1,13 +1,17 @@
 """Executor: relation loading, walk joins, union semantics."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from ontomed.errors import MalformedRow, MissingColumn, NoWalks, UnboundWrapper
+from ontomed import executor
+from ontomed.errors import InvalidWalk, MalformedRow, MissingColumn, NoWalks, UnboundWrapper
 from ontomed.executor import WrapperBinding, eval_ucq, eval_walk, load_relation
 from ontomed.rewriter import rewrite
-from ontomed.sources import Ucq, Walk
+from ontomed.sources import SourceId, Ucq, Walk, WrapperSchema
+from ontomed.terms import Iri
 
 from conftest import MONITOR_QUERY, W1_ROWS, write_csv
 from oracles import nested_loop_join
@@ -74,6 +78,11 @@ class TestEvalWalk:
         with pytest.raises(UnboundWrapper):
             eval_walk(joined_walk(), bindings)
 
+    def test_disconnected_walk_rejected(self, demo_bindings):
+        w = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["TargetApp"]))
+        with pytest.raises(InvalidWalk):
+            eval_walk(w, demo_bindings)
+
     def test_matches_nested_loop_oracle(self, tmp_path, releases):
         rng = random.Random(20240818)
         for trial in range(40):
@@ -133,3 +142,92 @@ class TestEvalUcq:
         empty = Ucq(walks=[], output_features=(), bindings=[])
         with pytest.raises(NoWalks):
             eval_ucq(empty, demo_bindings)
+
+
+# Three concepts with two wrappers each. B and C wrappers carry both
+# identifiers, so walks are A⋈B or A⋈B⋈C, with C joined on either identifier,
+# and consecutive walks share join prefixes.
+CHAIN_SCHEMAS = {
+    name: WrapperSchema(name, SourceId(f"S{name}"), ids, (value,))
+    for concept, ids, value in (("A", ("aid",), "x"), ("B", ("aid", "bid"), "y"),
+                                ("C", ("aid", "bid"), "z"))
+    for name in (f"{concept}1", f"{concept}2")
+}
+FX, FY = Iri("http://example.org/fx"), Iri("http://example.org/fy")
+
+
+def chain_walk(a, b, c=None, via="bid", project_z=False):
+    w = Walk.single(a, ["x"]).merge(Walk.single(b, ["y"]))
+    w = w.with_join((a, "aid"), (b, "aid"))
+    if c is not None:
+        w = w.merge(Walk.single(c, ["z"] if project_z else []))
+        w = w.with_join((a if via == "aid" else b, via), (c, via))
+    return w
+
+
+def chain_tables(rng):
+    """Random rows per wrapper over a small value pool, so keys repeat."""
+    pool = ["0", "1", "2"]
+    return {name: [tuple(rng.choice(pool) for _ in schema.attrs)
+                   for _ in range(rng.randint(0, 6))]
+            for name, schema in CHAIN_SCHEMAS.items()}
+
+
+def chain_bindings(tmp_path, tables):
+    bindings = {}
+    for name, rows in tables.items():
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, list(CHAIN_SCHEMAS[name].attrs), rows)
+        bindings[name] = WrapperBinding(CHAIN_SCHEMAS[name], path)
+    return bindings
+
+
+def random_chain_ucq(rng):
+    walks = [chain_walk(a, b) for a, b in product(["A1", "A2"], ["B1", "B2"])]
+    walks += [chain_walk(a, b, c, via, z) for a, b, c, via, z in
+              product(["A1", "A2"], ["B1", "B2"], ["C1", "C2"], ["aid", "bid"], [False, True])]
+    walks = rng.sample(walks, rng.randint(1, len(walks)))
+    if rng.random() < 0.7:
+        walks.sort(key=lambda w: (w.steps, sorted(w.joins)))   # the rewriter's order
+    bindings = [{FX: (w.wrapper_names()[0], "x"), FY: (w.wrapper_names()[1], "y")}
+                for w in walks]
+    return Ucq(walks=walks, output_features=(FX, FY), bindings=bindings)
+
+
+def reference_union(ucq, tables):
+    """Per-walk nested-loop joins, then bag within a walk, first-seen across walks."""
+    rows, seen = [], set()
+    for walk in ucq.walks:
+        names = walk.wrapper_names()
+        joins = [((names.index(lw), la), (names.index(rw), ra)) for (lw, la), (rw, ra) in walk.joins]
+        cols, joined = nested_loop_join(
+            [(list(CHAIN_SCHEMAS[n].attrs), tables[n]) for n in names], joins)
+        pick = [cols.index("0.x"), cols.index("1.y")]
+        walk_rows = [tuple(r[i] for i in pick) for r in joined]
+        rows += [r for r in walk_rows if r not in seen]
+        seen.update(walk_rows)
+    return rows
+
+
+class TestSharedUnion:
+    def test_matches_per_walk_oracle_and_order(self, tmp_path):
+        rng = random.Random(20261018)
+        for trial in range(60):
+            tables = chain_tables(rng)
+            ucq = random_chain_ucq(rng)
+            rel = eval_ucq(ucq, chain_bindings(tmp_path, tables))
+            assert rel.rows == reference_union(ucq, tables), f"trial {trial}"
+
+    def test_each_wrapper_loaded_once(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        bindings = chain_bindings(tmp_path, chain_tables(rng))
+        loads = Counter()
+
+        def counting(binding):
+            loads[binding.wrapper.name] += 1
+            return load_relation(binding)
+        monkeypatch.setattr(executor, "load_relation", counting)
+        ucq = random_chain_ucq(rng)
+        eval_ucq(ucq, bindings)
+        used = {name for w in ucq.walks for name in w.wrapper_names()}
+        assert loads == Counter(used)
