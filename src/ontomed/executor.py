@@ -219,7 +219,12 @@ def eval_ucq(u: Ucq, bindings: Mapping[str, WrapperBinding]) -> Relation:
         for f in u.output_features:
             wrapper, attr = binding[f]
             idx.append(rel.column_index(f"{wrapper}.{attr}"))
-        walk_rows = [tuple(row[i] for i in idx) for row in rel.rows]
+        # itemgetter of one index yields a bare value, not a 1-tuple.
+        pick = itemgetter(*idx)
+        if len(idx) == 1:
+            walk_rows = [(pick(row),) for row in rel.rows]
+        else:
+            walk_rows = list(map(pick, rel.rows))
         for row in walk_rows:
             if row not in seen:
                 rows.append(row)

@@ -186,7 +186,11 @@ class Dataset:
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
         ds = cls()
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidIri(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -148,13 +148,16 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
             (expand(s), expand(p), expand(o)) for s, p, o in raw["subgraph"]
         )
         feature_map = {a: expand(f) for a, f in raw.get("feature_map", {}).items()}
+        data_file = w.get("data_file")
+        if data_file is not None and not isinstance(data_file, str):
+            raise TypeError(f"wrapper.data_file must be a string, not {data_file!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidRelease(f"{path}: malformed release descriptor: {exc}") from exc
     return Release(
         wrapper=wrapper,
         subgraph=subgraph,
         feature_map=feature_map,
-        data_file=w.get("data_file"),
+        data_file=data_file,
     )
 
 

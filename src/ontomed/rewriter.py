@@ -5,6 +5,12 @@ Phase 2 produces single-wrapper partial walks per concept. Phase 3 stitches
 partial walks across concepts, discovering equi-joins through the mapping
 graphs. The result is filtered to covering, minimal walks and projected back
 to the analyst's requested features.
+
+On a chain the union holds W^C walks, so the per-walk work is kept to
+lookups in facts computed once per wrapper: phase 3 builds a join candidate
+only for a provider that can connect the two walks and finds each walk's
+identifier holder once; the filter compares per-wrapper bitmasks; and output
+binding memoises each step's feature-to-attribute map.
 """
 
 from __future__ import annotations
@@ -128,8 +134,8 @@ def _wrapper_name(wrapper: Iri) -> str:
     return wrapper.value.rsplit("/", 1)[-1]
 
 
-def _wrapper_attr_for_feature(ds: Dataset, wrapper: Iri, feature: Iri) -> str | None:
-    """The wrapper's attribute name mapped (sameAs) to the feature, if any."""
+def _feature_attrs(ds: Dataset, feature: Iri) -> dict[Iri, str]:
+    """Per wrapper, the least attribute name mapped (sameAs) to the feature."""
     def build():
         per_wrapper: dict[Iri, str] = {}
         for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS, object=feature):
@@ -140,7 +146,7 @@ def _wrapper_attr_for_feature(ds: Dataset, wrapper: Iri, feature: Iri) -> str | 
                     per_wrapper[owner.subject] = attr_name
         return per_wrapper
 
-    return ds.derived(("feature_attr_index", feature), build).get(wrapper)
+    return ds.derived(("feature_attr_index", feature), build)
 
 
 def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
@@ -157,8 +163,9 @@ def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
         projections: dict[str, set[str]] = {}
         if features:
             for f in features:
+                attrs = _feature_attrs(ds, f)
                 for wrapper in _graphs_with_triple(ds, (c, G_HAS_FEATURE, f)):
-                    attr = _wrapper_attr_for_feature(ds, wrapper, f)
+                    attr = attrs.get(wrapper)
                     if attr is None:
                         continue
                     projections.setdefault(_wrapper_name(wrapper), set()).add(attr)
@@ -218,15 +225,23 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
     For each consecutive pair without a shared wrapper, the join is discovered
     through the wrappers materializing the connecting pattern edge: the join
     identifier is taken from the edge's head concept, falling back to the tail
-    concept when the head carries no identifier feature.
+    concept when the head carries no identifier feature. Each walk's holder
+    of an identifier is looked up once.
     """
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
+    holders: dict[tuple[Walk, Iri], JoinEnd | None] = {}
 
     def valid(walk: Walk) -> bool:
         sources = [catalog[n].source for n in walk.wrapper_names()]
         return len(sources) == len(set(sources)) and walk.is_connected()
+
+    def holder(walk: Walk, f_id: Iri) -> JoinEnd | None:
+        key = (walk, f_id)
+        if key not in holders:
+            holders[key] = _find_wrapper_with_id(ds, walk, f_id)
+        return holders[key]
 
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
@@ -241,7 +256,8 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                 candidates = [merged] if valid(merged) else []
             else:
                 try:
-                    candidates = _discover_joins(ds, merged, left, right, concept, edge, valid, trace)
+                    candidates = _discover_joins(ds, merged, left, right, concept, edge,
+                                                 valid, holder, trace)
                 except (NoJoinPath, MissingIdAttribute) as exc:
                     window_error = window_error or exc
                     candidates = []
@@ -260,7 +276,13 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
 
 
 def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept: Iri,
-                    edge: Triple | None, valid, trace: RewriteTrace | None) -> list[Walk]:
+                    edge: Triple | None, valid, holder, trace: RewriteTrace | None) -> list[Walk]:
+    """Join candidates for two walks that share no wrapper.
+
+    Neither walk has a join into the other, so a candidate is connected only
+    when its provider of the edge lies in the walk opposite the identifier's
+    holder; no candidate is built for any other provider.
+    """
     if edge is None:
         raise NoJoinPath(f"no pattern edge connects <{concept}> to the processed prefix")
     providers = _graphs_with_triple(ds, edge)
@@ -273,24 +295,28 @@ def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept:
         ids = identifier_features(ds, target)
         if not ids:
             continue
-        side = right if target == concept else left
+        side, other = (right, left) if target == concept else (left, right)
+        reachable = set(other.wrapper_names())
         candidates: list[Walk] = []
         for f_id in ids:
-            holder = _find_wrapper_with_id(ds, side, f_id)
-            if holder is None:
+            held = holder(side, f_id)
+            if held is None:
                 continue
-            holder_name, holder_attr = holder
+            holder_name, holder_attr = held
+            attrs = _feature_attrs(ds, f_id)
             for wrapper in providers:
                 name = _wrapper_name(wrapper)
                 if name == holder_name:
                     continue
-                attr = _wrapper_attr_for_feature(ds, wrapper, f_id)
+                attr = attrs.get(wrapper)
                 if attr is None:
                     missing = missing or MissingIdAttribute(
                         f"wrapper {name} provides the edge but no attribute for <{f_id}>"
                     )
                     continue
-                cand = merged.add_wrapper(name).with_join((name, attr), (holder_name, holder_attr))
+                if name not in reachable:
+                    continue
+                cand = merged.add_wrapper(name).with_join((name, attr), held)
                 if valid(cand):
                     candidates.append(cand)
                     if trace is not None:
@@ -309,8 +335,9 @@ def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept:
 def _find_wrapper_with_id(ds: Dataset, walk: Walk, f_id: Iri) -> JoinEnd | None:
     """Lexicographically first wrapper in the walk holding an attribute for
     the identifier feature."""
+    attrs = _feature_attrs(ds, f_id)
     for name in sorted(walk.wrapper_names()):
-        attr = _wrapper_attr_for_feature(ds, wrapper_iri(name), f_id)
+        attr = attrs.get(wrapper_iri(name))
         if attr is not None:
             return (name, attr)
     return None
@@ -351,7 +378,8 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
         by_key[k] = by_key[k].merge(w) if k in by_key else w
     final = sorted(by_key.values(), key=lambda w: (w.steps, sorted(w.joins)))
 
-    bindings = [_bind_features(ds, w, wf.pi) for w in final]
+    step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]] = {}
+    bindings = [_bind_features(ds, w, wf.pi, step_bindings) for w in final]
     id_features = frozenset(set(_features_of(expanded.query.phi)) - set(wf.pi))
     return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings,
                id_features=id_features)
@@ -361,15 +389,25 @@ def _features_of(phi) -> list[Iri]:
     return [o for _, p, o in phi if p == G_HAS_FEATURE]
 
 
-def _bind_features(ds: Dataset, walk: Walk, features: tuple[Iri, ...]) -> dict[Iri, JoinEnd]:
+def _bind_features(ds: Dataset, walk: Walk, features: tuple[Iri, ...],
+                   step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]],
+                   ) -> dict[Iri, JoinEnd]:
+    """Bind each feature to the least (wrapper, attribute) of the walk mapped
+    to it. ``step_bindings`` memoises, per step, each feature's least end."""
+    per_step = []
+    for step in walk.steps:
+        bound = step_bindings.get(step)
+        if bound is None:
+            name, attrs = step
+            prefix = _wrapper_source_prefix(ds, name)
+            bound = {}
+            for attr in sorted(attrs):
+                bound.setdefault(attr_feature(ds, Iri(prefix + attr)), (name, attr))
+            step_bindings[step] = bound
+        per_step.append(bound)
     binding: dict[Iri, JoinEnd] = {}
     for f in features:
-        candidates = []
-        for name, attrs in walk.steps:
-            prefix = _wrapper_source_prefix(ds, name)
-            for attr in attrs:
-                if attr_feature(ds, Iri(prefix + attr)) == f:
-                    candidates.append((name, attr))
-        if candidates:
-            binding[f] = min(candidates)
+        ends = [bound[f] for bound in per_step if f in bound]
+        if ends:
+            binding[f] = min(ends)
     return binding

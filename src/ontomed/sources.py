@@ -4,11 +4,16 @@ A walk is a select-project-join expression over wrappers: restricted
 projection (identifier attributes are never dropped) and restricted
 equi-joins (identifier attributes only), with pairwise-distinct sources.
 Walks are stored canonically so that equivalence is a plain equality test.
+Coverage and minimality number the query's pattern triples once and hold
+each wrapper's LAV graph as an integer bitmask over them, so both tests are
+ORs of a few integers per walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import InvalidWalk, MissingMapping, NotCovering
@@ -269,27 +274,36 @@ def wrapper_lav_triples(ds: Dataset, wrapper_name: str) -> frozenset[Triple]:
 
 # --- coverage and minimality -------------------------------------------------
 
+def _lav_masks(walk: Walk, q, ds: Dataset) -> tuple[list[int], int]:
+    """Each of the walk's wrappers' LAV graph as a bitmask over the query's
+    pattern triples, numbered once per pattern, plus the mask of all of them."""
+    def build():
+        bits = {t: 1 << i for i, t in enumerate(sorted(q.phi))}
+        return bits, {}
+
+    bits, by_wrapper = ds.derived(("lav_masks", q.phi), build)
+    masks = []
+    for name in walk.wrapper_names():
+        mask = by_wrapper.get(name)
+        if mask is None:
+            mask = sum(bits[t] for t in wrapper_lav_triples(ds, name) if t in bits)
+            by_wrapper[name] = mask
+        masks.append(mask)
+    return masks, (1 << len(bits)) - 1
+
+
 def coverage(walk: Walk, q, ds: Dataset) -> bool:
     """True iff the union of the walk's LAV graphs contains every pattern triple."""
-    union: set[Triple] = set()
-    for name in walk.wrapper_names():
-        union |= wrapper_lav_triples(ds, name)
-    return set(q.phi) <= union
+    masks, full = _lav_masks(walk, q, ds)
+    return reduce(or_, masks, 0) == full
 
 
 def minimality(walk: Walk, q, ds: Dataset) -> bool:
     """True iff dropping any wrapper breaks coverage. Requires a covering walk."""
-    if not coverage(walk, q, ds):
+    masks, full = _lav_masks(walk, q, ds)
+    if reduce(or_, masks, 0) != full:
         raise NotCovering("minimality asked for a non-covering walk")
-    lav = {name: wrapper_lav_triples(ds, name) for name in walk.wrapper_names()}
-    for removed in walk.wrapper_names():
-        union: set[Triple] = set()
-        for name, triples in lav.items():
-            if name != removed:
-                union |= triples
-        if set(q.phi) <= union:
-            return False
-    return True
+    return all(reduce(or_, masks[:i] + masks[i + 1:], 0) != full for i in range(len(masks)))
 
 
 # --- the rewriter's final form ----------------------------------------------

@@ -75,6 +75,24 @@ def brute_force_walk_keys(ds: Dataset, phi, max_wrappers: int = 4) -> set[WalkKe
     return keys
 
 
+def brute_force_binding(ds: Dataset, walk, features) -> dict:
+    """Per feature, the least (wrapper, attribute) among the walk's projected
+    attributes whose attribute maps (owl:sameAs) to that feature."""
+    catalog = wrapper_schemas(ds)
+    binding = {}
+    for f in features:
+        ends = [
+            (name, attr)
+            for name, attrs in walk.steps
+            for attr in attrs
+            if ds.match(MAPPINGS_GRAPH, subject=catalog[name].attr_iri(attr),
+                        predicate=OWL_SAME_AS, object=f)
+        ]
+        if ends:
+            binding[f] = min(ends)
+    return binding
+
+
 def _spans(subset, joins) -> bool:
     adjacency = {n: set() for n in subset}
     for (wl, _), (wr, _) in joins:

@@ -25,7 +25,7 @@ from ontomed.queries import parse_omq, render_omq, well_formed_rewrite
 from ontomed.quadstore import Dataset, Quad
 from ontomed.releases import apply_release
 from ontomed.rewriter import RewriteTrace, rewrite
-from ontomed.sources import Walk
+from ontomed.sources import Ucq, Walk
 from ontomed.terms import (
     G_HAS_FEATURE,
     GLOBAL_GRAPH,
@@ -46,7 +46,7 @@ from conftest import (
     make_releases,
 )
 from generators import make_instance
-from oracles import brute_force_walk_keys
+from oracles import brute_force_binding, brute_force_walk_keys
 
 JOIN_13 = frozenset({(("W1", "VoDmonitorId"), ("W3", "MonitorId"))})
 JOIN_34 = frozenset({(("W3", "MonitorId"), ("W4", "VoDmonitorId"))})
@@ -184,10 +184,12 @@ def test_criterion_7_randomized_oracle_equivalence():
         wf = well_formed_rewrite(ds, parse_omq(query, ds))
         expected = brute_force_walk_keys(ds, wf.phi)
         try:
-            got = {w.key() for w in rewrite(query, ds).walks}
+            ucq = rewrite(query, ds)
         except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
-            got = set()
-        assert got == expected
+            ucq = Ucq(walks=[], output_features=wf.pi, bindings=[])
+        assert {w.key() for w in ucq.walks} == expected
+        for w, binding in zip(ucq.walks, ucq.bindings):
+            assert binding == brute_force_binding(ds, w, ucq.output_features)
         checked += 1
     assert checked == 200
     print("criterion 7: pass — rewriter agrees with brute-force enumeration "

@@ -1,5 +1,6 @@
 """Command-line interface: workflows over the bundled demo, exit codes."""
 
+import json
 import shutil
 from pathlib import Path
 
@@ -137,6 +138,22 @@ class TestMalformedInputs:
         bad.write_text(text, encoding="utf-8")
         assert main(["-w", str(ws), "release", str(bad)]) == 2
         one_line_error(capsys)
+
+    def test_non_string_data_file_refused(self, ws, tmp_path, capsys):
+        doc = json.loads((DEMO / "releases" / "w1.json").read_text(encoding="utf-8"))
+        doc["wrapper"]["data_file"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
+        assert main(["-w", str(ws), "release", str(bad)]) == 2
+        assert "data_file" in one_line_error(capsys)
+        assert {name: (ws / name).read_bytes() for name in before} == before
+
+    def test_non_utf8_quad_file(self, ws, capsys):
+        with open(ws / "ontology.quads", "ab") as f:
+            f.write(b"\xff\xfe\n")
+        assert main(["-w", str(ws), "stats"]) == 4
+        assert "ontology.quads" in one_line_error(capsys)
 
 
 class TestBench:

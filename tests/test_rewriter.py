@@ -1,25 +1,28 @@
 """Rewriter phases against the worked streaming-platform outputs, plus
 randomized equivalence with a brute-force oracle."""
 
+import hashlib
 import random
 
 import pytest
 
-from ontomed.errors import NoJoinPath, NoWrapperForConcept, OntomedError
+from ontomed.bench import build_chain_instance, chain_query
+from ontomed.errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
 from ontomed.rewriter import (
     RewriteTrace,
+    _bind_features,
     inter_concept_generation,
     intra_concept_generation,
     query_expansion,
     rewrite,
 )
-from ontomed.sources import SourceId, Walk, WrapperSchema, coverage, minimality
+from ontomed.sources import SourceId, Ucq, Walk, WrapperSchema, coverage, minimality
 
 from conftest import MONITOR_QUERY, MONITOR_SUBGRAPH, iri
 from generators import make_instance
-from oracles import brute_force_walk_keys
+from oracles import brute_force_binding, brute_force_walk_keys
 
 
 @pytest.fixture
@@ -106,6 +109,25 @@ class TestInterConcept:
             names = set(w.wrapper_names())
             assert not {"W1", "W4"} <= names
 
+    def test_builds_only_connectable_candidates(self, monkeypatch):
+        # On a chain of 4 concepts with 3 wrappers each, every (left, right)
+        # pair has exactly one provider that can connect it: 3·3 + 9·3 + 27·3
+        # candidates. Building one per provider of the edge would make 585.
+        built = []
+        add_wrapper = Walk.add_wrapper
+
+        def counted(walk, name):
+            built.append(name)
+            return add_wrapper(walk, name)
+
+        ds = build_chain_instance(4, 3)
+        monkeypatch.setattr(Walk, "add_wrapper", counted)
+        ucq = rewrite(chain_query(4), ds)
+        assert len(built) == 117
+        assert len(ucq.walks) == 81
+        digest = hashlib.sha1(ucq.render().encode("utf-8")).hexdigest()
+        assert digest == "49bee4bc5e536e7bf9632b8800d22c293b9d0516"
+
     def test_no_join_path(self, global_ds):
         # Wrappers cover both concepts but none materializes the edge
         # between them, so the join cannot be discovered.
@@ -187,6 +209,22 @@ class TestRewrite:
         ucq = rewrite(MONITOR_QUERY, pre_evolution_ds)
         assert ucq.output_features == (iri("sup:applicationId"), iri("sup:lagRatio"))
 
+    def test_binding_memo_follows_each_steps_projection(self, pre_evolution_ds):
+        # The same wrapper projects different attributes in the two walks, so
+        # a memo shared across walks must key on the whole step.
+        features = (iri("sup:applicationId"), iri("sup:lagRatio"))
+        join = frozenset({(("W1", "VoDmonitorId"), ("W3", "MonitorId"))})
+        walks = [
+            Walk(steps=(("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("MonitorId", "TargetApp"))),
+                 joins=join),
+            Walk(steps=(("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("MonitorId",))),
+                 joins=join),
+        ]
+        memo = {}
+        for w in walks:
+            assert (_bind_features(pre_evolution_ds, w, features, memo)
+                    == brute_force_binding(pre_evolution_ds, w, features))
+
     def test_trace_phases_recorded(self, pre_evolution_ds):
         trace = RewriteTrace()
         rewrite(MONITOR_QUERY, pre_evolution_ds, trace)
@@ -205,9 +243,11 @@ class TestOracleEquivalence:
             wf = well_formed_rewrite(ds, parse_omq(query, ds))
             expected = brute_force_walk_keys(ds, wf.phi)
             try:
-                got = {w.key() for w in rewrite(query, ds).walks}
-            except OntomedError:
-                got = set()
-            assert got == expected
+                ucq = rewrite(query, ds)
+            except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
+                ucq = Ucq(walks=[], output_features=wf.pi, bindings=[])
+            assert {w.key() for w in ucq.walks} == expected
+            for w, binding in zip(ucq.walks, ucq.bindings):
+                assert binding == brute_force_binding(ds, w, ucq.output_features)
             agreements += 1
         assert agreements == 60
