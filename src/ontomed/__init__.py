@@ -1,43 +1,11 @@
 """Ontology-mediated data integration over evolving wrapper schemas."""
 
-from .errors import OntomedError
-from .executor import Relation, WrapperBinding, eval_ucq, eval_walk, load_relation
-from .quadstore import Dataset, Quad, insert_quad, match_pattern, quad
-from .queries import OmqQuery, parse_omq, render_omq, well_formed_rewrite
-from .releases import GrowthStats, Release, apply_release, load_release, save_release
-from .rewriter import (
-    ExpandedQuery,
-    PartialWalkSet,
-    RewriteTrace,
-    inter_concept_generation,
-    intra_concept_generation,
-    query_expansion,
-    rewrite,
-)
-from .sources import (
-    SourceId,
-    Ucq,
-    Walk,
-    WrapperSchema,
-    coverage,
-    minimality,
-    walk_equivalent,
-    wrapper_schemas,
-)
-from .terms import Iri, PrefixTable
-from .vocab import ValidationReport, Violation, validate_ontology
-from .workspace import Workspace
+from .executor import eval_ucq
+from .quadstore import Dataset
+from .releases import apply_release
+from .rewriter import rewrite
+from .vocab import validate_ontology
 
-__all__ = [
-    "Dataset", "ExpandedQuery", "GrowthStats", "Iri", "OmqQuery",
-    "OntomedError", "PartialWalkSet", "PrefixTable", "Quad", "Relation", "Release",
-    "RewriteTrace", "SourceId", "Ucq", "ValidationReport", "Violation", "Walk",
-    "Workspace", "WrapperBinding", "WrapperSchema", "apply_release", "coverage",
-    "eval_ucq", "eval_walk", "insert_quad", "inter_concept_generation",
-    "intra_concept_generation", "load_relation", "load_release", "match_pattern",
-    "minimality", "parse_omq", "quad", "query_expansion", "render_omq", "rewrite",
-    "save_release", "validate_ontology", "walk_equivalent", "well_formed_rewrite",
-    "wrapper_schemas",
-]
+__all__ = ["Dataset", "apply_release", "eval_ucq", "rewrite", "validate_ontology"]
 
 __version__ = "0.1.0"

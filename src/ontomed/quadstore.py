@@ -43,7 +43,6 @@ class Dataset:
         self._by_o: dict[Iri, set[Quad]] = defaultdict(set)
         self._by_po: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
         self._by_sp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
-        self._subclass_cache: dict[Iri, frozenset[Iri]] = {}
         self._derived_cache: dict = {}
 
     # --- container protocol ------------------------------------------------
@@ -73,7 +72,6 @@ class Dataset:
         self._by_o[q.object].add(q)
         self._by_po[(q.predicate, q.object)].add(q)
         self._by_sp[(q.subject, q.predicate)].add(q)
-        self._subclass_cache.clear()
         self._derived_cache.clear()
         return True
 
@@ -96,7 +94,11 @@ class Dataset:
         predicate: Iri | None = None,
         object: Iri | None = None,
     ) -> set[Quad]:
-        """All quads matching the bound positions; unbound positions are wildcards."""
+        """All quads matching the bound positions; unbound positions are wildcards.
+
+        Every bound position contributes an index set that holds exactly the
+        quads agreeing on it, so the intersection needs no re-filtering.
+        """
         candidates: list[set[Quad]] = []
         if subject is not None and predicate is not None:
             candidates.append(self._by_sp.get((subject, predicate), set()))
@@ -117,14 +119,6 @@ class Dataset:
         result = set(candidates[0])
         for other in candidates[1:]:
             result &= other
-        if graph is not None:
-            result = {q for q in result if q.graph == graph}
-        if subject is not None:
-            result = {q for q in result if q.subject == subject}
-        if predicate is not None:
-            result = {q for q in result if q.predicate == predicate}
-        if object is not None:
-            result = {q for q in result if q.object == object}
         return result
 
     def derived(self, key, builder):
@@ -153,20 +147,18 @@ class Dataset:
 
     def superclasses(self, sub: Iri) -> frozenset[Iri]:
         """Reflexive-transitive subClassOf closure of ``sub`` within the global graph."""
-        cached = self._subclass_cache.get(sub)
-        if cached is not None:
-            return cached
-        seen: set[Iri] = {sub}
-        frontier = [sub]
-        while frontier:
-            node = frontier.pop()
-            for q in self.match(GLOBAL_GRAPH, subject=node, predicate=RDFS_SUBCLASS_OF):
-                if q.object not in seen:
-                    seen.add(q.object)
-                    frontier.append(q.object)
-        result = frozenset(seen)
-        self._subclass_cache[sub] = result
-        return result
+        def build():
+            seen: set[Iri] = {sub}
+            frontier = [sub]
+            while frontier:
+                node = frontier.pop()
+                for q in self.match(GLOBAL_GRAPH, subject=node, predicate=RDFS_SUBCLASS_OF):
+                    if q.object not in seen:
+                        seen.add(q.object)
+                        frontier.append(q.object)
+            return frozenset(seen)
+
+        return self.derived(("superclasses", sub), build)
 
     def is_subclass_of(self, sub: Iri, sup: Iri) -> bool:
         return sup in self.superclasses(sub)
@@ -231,7 +223,3 @@ def match_pattern(
     object: Iri | None = None,
 ) -> set[Quad]:
     return ds.match(graph, subject, predicate, object)
-
-
-def is_subclass_of(ds: Dataset, sub: Iri, sup: Iri) -> bool:
-    return ds.is_subclass_of(sub, sup)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import graphlib
 import re
 from dataclasses import dataclass
+from typing import Iterable, TypeVar
 
 from .errors import (
     CyclicPattern,
@@ -27,6 +28,9 @@ from .terms import (
     SC_IDENTIFIER,
     Iri,
 )
+
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -236,23 +240,29 @@ def _expand_checked(tok: _Token, prefixes) -> Iri:
 
 def _check_connected(phi: set[Triple]) -> None:
     vertices = {s for s, _, _ in phi} | {o for _, _, o in phi}
-    if not vertices:
-        return
-    adjacency: dict[Iri, set[Iri]] = {v: set() for v in vertices}
-    for s, _, o in phi:
-        adjacency[s].add(o)
-        adjacency[o].add(s)
-    start = next(iter(vertices))
+    if not connected(vertices, ((s, o) for s, _, o in phi)):
+        raise DisconnectedPattern("the pattern does not form a connected subgraph")
+
+
+def connected(nodes: Iterable[T], edges: Iterable[tuple[T, T]]) -> bool:
+    """True iff the undirected graph is connected (an empty one is). Edges
+    with an endpoint outside ``nodes`` are ignored."""
+    adjacency: dict[T, set[T]] = {n: set() for n in nodes}
+    for a, b in edges:
+        if a in adjacency and b in adjacency:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    if not adjacency:
+        return True
+    start = next(iter(adjacency))
     seen = {start}
     frontier = [start]
     while frontier:
-        node = frontier.pop()
-        for nxt in adjacency[node]:
+        for nxt in adjacency[frontier.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    if seen != vertices:
-        raise DisconnectedPattern("the pattern does not form a connected subgraph")
+    return len(seen) == len(adjacency)
 
 
 def render_omq(q: OmqQuery, ds: Dataset) -> str:
@@ -292,23 +302,18 @@ def topological_concepts(phi: frozenset[Triple] | set[Triple]) -> list[Iri]:
     if not vertices:
         vertices = {s for s, _, _ in phi}
     preds: dict[Iri, set[Iri]] = {v: set() for v in vertices}
-    succs: dict[Iri, set[Iri]] = {v: set() for v in vertices}
     for s, _, o in edges:
         preds[o].add(s)
-        succs[s].add(o)
+    sorter = graphlib.TopologicalSorter(preds)
     try:
-        graphlib.TopologicalSorter({v: preds[v] for v in vertices}).prepare()
+        sorter.prepare()
     except graphlib.CycleError as exc:
         raise CyclicPattern("the pattern has at least one concept cycle") from exc
     order: list[Iri] = []
-    remaining = dict(preds)
-    while remaining:
-        ready = sorted(v for v, ps in remaining.items() if not ps)
-        for v in ready:
-            order.append(v)
-            del remaining[v]
-            for nxt in succs[v]:
-                remaining.get(nxt, set()).discard(v)
+    while sorter.is_active():
+        ready = sorted(sorter.get_ready())
+        order += ready
+        sorter.done(*ready)
     return order
 
 

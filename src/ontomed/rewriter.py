@@ -6,11 +6,12 @@ partial walks across concepts, discovering equi-joins through the mapping
 graphs. The result is filtered to covering, minimal walks and projected back
 to the analyst's requested features.
 
-On a chain the union holds W^C walks, so the per-walk work is kept to
-lookups in facts computed once per wrapper: phase 3 builds a join candidate
-only for a provider that can connect the two walks and finds each walk's
-identifier holder once; the filter compares per-wrapper bitmasks; and output
-binding memoises each step's feature-to-attribute map.
+Every fact about wrappers, attributes and features comes from the snapshot's
+compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
+W^C walks, so the per-walk work is kept to catalog lookups: phase 3 builds a
+join candidate only for a provider that can connect the two walks and finds
+each walk's identifier holder once; the filter compares per-wrapper bitmasks;
+and output binding memoises each step's feature-to-attribute map.
 """
 
 from __future__ import annotations
@@ -28,28 +29,16 @@ from .queries import (
     well_formed_rewrite,
 )
 from .sources import (
+    Catalog,
     JoinEnd,
     Ucq,
     Walk,
-    attr_feature,
     coverage,
+    distinct_sources,
     minimality,
     wrapper_schemas,
 )
-from .terms import (
-    G_CONCEPT,
-    G_HAS_FEATURE,
-    GLOBAL_GRAPH,
-    M_MAPPING,
-    MAPPINGS_GRAPH,
-    OWL_SAME_AS,
-    RDF_TYPE,
-    S_HAS_ATTRIBUTE,
-    S_HAS_WRAPPER,
-    SOURCE_GRAPH,
-    Iri,
-    wrapper_iri,
-)
+from .terms import G_CONCEPT, G_HAS_FEATURE, GLOBAL_GRAPH, RDF_TYPE, Iri
 
 
 @dataclass(frozen=True)
@@ -116,93 +105,35 @@ def query_expansion(q: OmqQuery, ds: Dataset) -> ExpandedQuery:
 
 # --- phase 2 ----------------------------------------------------------------
 
-def _graphs_with_triple(ds: Dataset, triple: Triple) -> list[Iri]:
-    """Mapping named graphs containing the triple, each paired to one wrapper."""
-    def build():
-        s, p, o = triple
-        graphs = {q.graph for q in ds.match(subject=s, predicate=p, object=o)}
-        mapped = [
-            q.subject for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING)
-            if q.object in graphs
-        ]
-        return sorted(mapped)
-
-    return ds.derived(("edge_wrappers", triple), build)
-
-
-def _wrapper_name(wrapper: Iri) -> str:
-    return wrapper.value.rsplit("/", 1)[-1]
-
-
-def _feature_attrs(ds: Dataset, feature: Iri) -> dict[Iri, str]:
-    """Per wrapper, the least attribute name mapped (sameAs) to the feature."""
-    def build():
-        per_wrapper: dict[Iri, str] = {}
-        for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS, object=feature):
-            attr_name = q.subject.value.rsplit("/", 1)[-1]
-            for owner in ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE, object=q.subject):
-                held = per_wrapper.get(owner.subject)
-                if held is None or attr_name < held:
-                    per_wrapper[owner.subject] = attr_name
-        return per_wrapper
-
-    return ds.derived(("feature_attr_index", feature), build)
-
-
 def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
     """Build single-wrapper partial walks per concept.
 
-    A wrapper survives for a concept only when its merged projection maps
-    back, attribute by attribute, to exactly the features the expanded query
-    requests for that concept. Raises NoWrapperForConcept when a concept ends
-    up with no candidate at all.
+    A wrapper survives for a concept only when it provides every feature the
+    expanded query requests for that concept: its mapping holds the feature
+    edge and one of its attributes maps to the feature. Raises
+    NoWrapperForConcept when a concept ends up with no candidate at all.
     """
+    catalog = wrapper_schemas(ds)
     per_concept: dict[Iri, list[Walk]] = {}
     for c in x.concepts:
         features = sorted(o for s, p, o in x.query.phi if s == c and p == G_HAS_FEATURE)
-        projections: dict[str, set[str]] = {}
         if features:
-            for f in features:
-                attrs = _feature_attrs(ds, f)
-                for wrapper in _graphs_with_triple(ds, (c, G_HAS_FEATURE, f)):
-                    attr = attrs.get(wrapper)
-                    if attr is None:
-                        continue
-                    projections.setdefault(_wrapper_name(wrapper), set()).add(attr)
+            attrs = [catalog.attrs_for(f) for f in features]
+            names = set.intersection(*(
+                set(catalog.providers((c, G_HAS_FEATURE, f))) & set(by_wrapper)
+                for f, by_wrapper in zip(features, attrs)))
+            walks = [Walk.single(name, [by_wrapper[name] for by_wrapper in attrs])
+                     for name in sorted(names)]
         else:
             # A concept with no requested features can still anchor a traversal:
             # any wrapper materializing one of its pattern edges qualifies.
-            for s, p, o in sorted(x.query.phi):
-                if c not in (s, o) or p == G_HAS_FEATURE:
-                    continue
-                for wrapper in _graphs_with_triple(ds, (s, p, o)):
-                    projections.setdefault(_wrapper_name(wrapper), set())
-        walks: list[Walk] = []
-        for name in sorted(projections):
-            walk = Walk.single(name, projections[name])
-            provided = set()
-            schema_src = _wrapper_source_prefix(ds, name)
-            for attr in projections[name]:
-                f = attr_feature(ds, Iri(schema_src + attr))
-                if f is not None:
-                    provided.add(f)
-            if provided == set(features):
-                walks.append(walk)
+            names = {name for s, p, o in x.query.phi if c in (s, o) and p != G_HAS_FEATURE
+                     for name in catalog.providers((s, p, o))}
+            walks = [Walk.single(name) for name in sorted(names)]
         if not walks:
             raise NoWrapperForConcept(f"no wrapper answers concept <{c}> with its requested features")
         per_concept[c] = walks
     return PartialWalkSet(per_concept=per_concept)
-
-
-def _wrapper_source_prefix(ds: Dataset, wrapper_name: str) -> str:
-    def build():
-        owners = sorted(
-            q.subject for q in
-            ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER, object=wrapper_iri(wrapper_name))
-        )
-        return owners[0].value + "/"
-
-    return ds.derived(("source_prefix", wrapper_name), build)
 
 
 # --- phase 3 ----------------------------------------------------------------
@@ -234,13 +165,15 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
     holders: dict[tuple[Walk, Iri], JoinEnd | None] = {}
 
     def valid(walk: Walk) -> bool:
-        sources = [catalog[n].source for n in walk.wrapper_names()]
-        return len(sources) == len(set(sources)) and walk.is_connected()
+        return distinct_sources(walk, catalog) and walk.is_connected()
 
     def holder(walk: Walk, f_id: Iri) -> JoinEnd | None:
+        """The walk's least wrapper holding an attribute for the identifier."""
         key = (walk, f_id)
         if key not in holders:
-            holders[key] = _find_wrapper_with_id(ds, walk, f_id)
+            attrs = catalog.attrs_for(f_id)
+            holders[key] = next(((name, attrs[name]) for name in sorted(walk.wrapper_names())
+                                 if name in attrs), None)
         return holders[key]
 
     current = list(p.per_concept[x.concepts[0]])
@@ -256,8 +189,8 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                 candidates = [merged] if valid(merged) else []
             else:
                 try:
-                    candidates = _discover_joins(ds, merged, left, right, concept, edge,
-                                                 valid, holder, trace)
+                    candidates = _discover_joins(ds, catalog, merged, left, right, concept,
+                                                 edge, valid, holder, trace)
                 except (NoJoinPath, MissingIdAttribute) as exc:
                     window_error = window_error or exc
                     candidates = []
@@ -275,8 +208,9 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
     return current
 
 
-def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept: Iri,
-                    edge: Triple | None, valid, holder, trace: RewriteTrace | None) -> list[Walk]:
+def _discover_joins(ds: Dataset, catalog: Catalog, merged: Walk, left: Walk, right: Walk,
+                    concept: Iri, edge: Triple | None, valid, holder,
+                    trace: RewriteTrace | None) -> list[Walk]:
     """Join candidates for two walks that share no wrapper.
 
     Neither walk has a join into the other, so a candidate is connected only
@@ -285,7 +219,7 @@ def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept:
     """
     if edge is None:
         raise NoJoinPath(f"no pattern edge connects <{concept}> to the processed prefix")
-    providers = _graphs_with_triple(ds, edge)
+    providers = catalog.providers(edge)
     if not providers:
         s, p, o = edge
         raise NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>")
@@ -303,12 +237,11 @@ def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept:
             if held is None:
                 continue
             holder_name, holder_attr = held
-            attrs = _feature_attrs(ds, f_id)
-            for wrapper in providers:
-                name = _wrapper_name(wrapper)
+            attrs = catalog.attrs_for(f_id)
+            for name in providers:
                 if name == holder_name:
                     continue
-                attr = attrs.get(wrapper)
+                attr = attrs.get(name)
                 if attr is None:
                     missing = missing or MissingIdAttribute(
                         f"wrapper {name} provides the edge but no attribute for <{f_id}>"
@@ -330,17 +263,6 @@ def _discover_joins(ds: Dataset, merged: Walk, left: Walk, right: Walk, concept:
     raise MissingIdAttribute(
         f"no identifier attribute joins the walks across <{edge[0]}> and <{edge[2]}>"
     )
-
-
-def _find_wrapper_with_id(ds: Dataset, walk: Walk, f_id: Iri) -> JoinEnd | None:
-    """Lexicographically first wrapper in the walk holding an attribute for
-    the identifier feature."""
-    attrs = _feature_attrs(ds, f_id)
-    for name in sorted(walk.wrapper_names()):
-        attr = attrs.get(wrapper_iri(name))
-        if attr is not None:
-            return (name, attr)
-    return None
 
 
 # --- composition ------------------------------------------------------------
@@ -378,8 +300,9 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
         by_key[k] = by_key[k].merge(w) if k in by_key else w
     final = sorted(by_key.values(), key=lambda w: (w.steps, sorted(w.joins)))
 
+    catalog = wrapper_schemas(ds)
     step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]] = {}
-    bindings = [_bind_features(ds, w, wf.pi, step_bindings) for w in final]
+    bindings = [_bind_features(catalog, w, wf.pi, step_bindings) for w in final]
     id_features = frozenset(set(_features_of(expanded.query.phi)) - set(wf.pi))
     return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings,
                id_features=id_features)
@@ -389,7 +312,7 @@ def _features_of(phi) -> list[Iri]:
     return [o for _, p, o in phi if p == G_HAS_FEATURE]
 
 
-def _bind_features(ds: Dataset, walk: Walk, features: tuple[Iri, ...],
+def _bind_features(catalog: Catalog, walk: Walk, features: tuple[Iri, ...],
                    step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]],
                    ) -> dict[Iri, JoinEnd]:
     """Bind each feature to the least (wrapper, attribute) of the walk mapped
@@ -399,10 +322,9 @@ def _bind_features(ds: Dataset, walk: Walk, features: tuple[Iri, ...],
         bound = step_bindings.get(step)
         if bound is None:
             name, attrs = step
-            prefix = _wrapper_source_prefix(ds, name)
             bound = {}
             for attr in sorted(attrs):
-                bound.setdefault(attr_feature(ds, Iri(prefix + attr)), (name, attr))
+                bound.setdefault(catalog.feature(name, attr), (name, attr))
             step_bindings[step] = bound
         per_step.append(bound)
     binding: dict[Iri, JoinEnd] = {}

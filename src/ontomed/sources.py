@@ -1,25 +1,28 @@
-"""Wrapper schemas and the walk algebra.
+"""Wrapper schemas, the compiled catalog and the walk algebra.
 
 A walk is a select-project-join expression over wrappers: restricted
 projection (identifier attributes are never dropped) and restricted
 equi-joins (identifier attributes only), with pairwise-distinct sources.
 Walks are stored canonically so that equivalence is a plain equality test.
-Coverage and minimality number the query's pattern triples once and hold
-each wrapper's LAV graph as an integer bitmask over them, so both tests are
-ORs of a few integers per walk.
+
+The catalog compiles a snapshot's source and mapping graphs once: the
+wrapper schemas plus the attribute, feature and LAV indexes the rewriter
+reads. Coverage and minimality number the query's pattern triples once and
+hold each wrapper's LAV graph as an integer bitmask over them, so both tests
+are ORs of a few integers per walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import InvalidWalk, MissingMapping, NotCovering
 from .quadstore import Dataset, Triple
+from .queries import connected
 from .terms import (
-    GLOBAL_GRAPH,
     M_MAPPING,
     MAPPINGS_GRAPH,
     OWL_SAME_AS,
@@ -74,9 +77,6 @@ class WrapperSchema:
 
     def attr_iri(self, attr_name: str) -> Iri:
         return attribute_iri(self.source.iri, attr_name)
-
-
-Catalog = Mapping[str, WrapperSchema]
 
 
 def canonical_join(a: JoinEnd, b: JoinEnd) -> Join:
@@ -135,38 +135,22 @@ class Walk:
         return (self.steps, self.joins)
 
     def is_connected(self) -> bool:
-        names = list(self.wrapper_names())
-        if len(names) <= 1:
-            return True
-        adjacency: dict[str, set[str]] = {n: set() for n in names}
-        for (wl, _), (wr, _) in self.joins:
-            if wl in adjacency and wr in adjacency:
-                adjacency[wl].add(wr)
-                adjacency[wr].add(wl)
-        seen = {names[0]}
-        frontier = [names[0]]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(names)
+        return connected(self.wrapper_names(), ((a[0], b[0]) for a, b in self.joins))
 
     def render(self) -> str:
-        """Textual algebra: projections, then wrappers in canonical order with joins."""
+        """Textual algebra: projections, then wrappers in canonical order, each
+        with the joins whose later endpoint it is."""
         attrs = sorted(f"{w}.{a}" for w, a in self.projected_pairs())
         names = self.wrapper_names()
-        parts = [names[0]] if names else []
-        placed: set[Join] = set()
-        for i, name in enumerate(names[1:], start=1):
-            prior = set(names[:i])
-            conds = sorted(
-                j for j in self.joins
-                if j not in placed and {j[0][0], j[1][0]} <= prior | {name} and name in {j[0][0], j[1][0]}
-            )
-            placed.update(conds)
-            rendered = ",".join(f"{l[0]}.{l[1]}={r[0]}.{r[1]}" for l, r in conds)
+        position = {name: i for i, name in enumerate(names)}
+        conds: list[list[Join]] = [[] for _ in names]
+        for join in sorted(self.joins):
+            (wl, _), (wr, _) = join
+            if wl in position and wr in position:
+                conds[max(position[wl], position[wr])].append(join)
+        parts = list(names[:1])
+        for name, placed in zip(names[1:], conds[1:]):
+            rendered = ",".join(f"{l[0]}.{l[1]}={r[0]}.{r[1]}" for l, r in placed)
             parts.append(f"⋈[{rendered}] {name}" if rendered else f"⋈ {name}")
         return "π{" + ",".join(attrs) + "}( " + " ".join(parts) + " )"
 
@@ -176,12 +160,12 @@ def walk_equivalent(a: Walk, b: Walk) -> bool:
     return a.key() == b.key()
 
 
-def distinct_sources(walk: Walk, catalog: Catalog) -> bool:
+def distinct_sources(walk: Walk, catalog: Mapping[str, WrapperSchema]) -> bool:
     sources = [catalog[name].source for name in walk.wrapper_names()]
     return len(sources) == len(set(sources))
 
 
-def validate_walk(walk: Walk, catalog: Catalog) -> None:
+def validate_walk(walk: Walk, catalog: Mapping[str, WrapperSchema]) -> None:
     """Raise InvalidWalk unless the walk satisfies the algebra's structural rules."""
     for name, attrs in walk.steps:
         schema = catalog.get(name)
@@ -203,73 +187,106 @@ def validate_walk(walk: Walk, catalog: Catalog) -> None:
         raise InvalidWalk("walk join graph is not connected")
 
 
-# --- dataset-backed catalog -------------------------------------------------
+# --- the compiled catalog ---------------------------------------------------
 
-def wrapper_schemas(ds: Dataset) -> dict[str, WrapperSchema]:
-    """Reconstruct wrapper schemas from the source graph.
+class Catalog(Mapping[str, WrapperSchema]):
+    """The wrapper, attribute and feature facts of one snapshot, compiled in
+    one pass over its source and mapping graphs.
 
-    An attribute counts as ID when the feature it maps to (via owl:sameAs) is
-    a subclass of the identifier semantic domain.
+    Maps each wrapper name to its schema and indexes (wrapper, attribute) ->
+    feature, feature -> {wrapper: least attribute}, wrapper -> LAV triples and
+    triple -> the sorted names of the wrappers whose LAV graph holds it.
+    Names are the IRIs with their namespace prefix removed. Where the graphs
+    give a choice, the least IRI wins: a wrapper's owner source, an
+    attribute's owl:sameAs target and a wrapper's mapping graph. An attribute
+    counts as ID when its feature is a subclass of the identifier domain.
     """
-    catalog: dict[str, WrapperSchema] = {}
-    for q in ds.match(SOURCE_GRAPH, predicate=RDF_TYPE, object=S_WRAPPER):
-        w_iri = q.subject
-        name = w_iri.value.rsplit("/", 1)[-1]
-        owners = sorted(
-            quad.subject for quad in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER, object=w_iri)
-        )
-        if not owners:
-            continue
-        src = SourceId(owners[0].value.rsplit("/", 1)[-1])
-        id_attrs: list[str] = []
-        non_id_attrs: list[str] = []
-        for aq in ds.match(SOURCE_GRAPH, subject=w_iri, predicate=S_HAS_ATTRIBUTE):
-            prefix = src.iri.value + "/"
-            if not aq.object.value.startswith(prefix):
+
+    def __init__(self, ds: Dataset):
+        def least(pairs) -> dict[Iri, Iri]:
+            out: dict[Iri, Iri] = {}
+            for key, value in pairs:
+                if key not in out or value < out[key]:
+                    out[key] = value
+            return out
+
+        owner = least((q.object, q.subject)
+                      for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER))
+        same_as = least((q.subject, q.object)
+                        for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS))
+        mapping = least((q.subject, q.object)
+                        for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING))
+        wrapper_ns, source_ns = wrapper_iri("").value, source_iri("").value
+        self._schemas: dict[str, WrapperSchema] = {}
+        self._features: dict[JoinEnd, Iri] = {}
+        self._attrs: dict[Iri, dict[str, str]] = {}
+        self._lav: dict[str, frozenset[Triple]] = {}
+        self._providers: dict[Triple, list[str]] = {}
+        # Sorted wrapper IRIs share one prefix, so names come in sorted order.
+        for q in sorted(ds.match(SOURCE_GRAPH, predicate=RDF_TYPE, object=S_WRAPPER)):
+            w_iri, src = q.subject, owner.get(q.subject)
+            if src is None or not (w_iri.value.startswith(wrapper_ns)
+                                   and src.value.startswith(source_ns)):
                 continue
-            attr_name = aq.object.value[len(prefix):]
-            feature = attr_feature(ds, aq.object)
-            if feature is not None and ds.is_subclass_of(feature, SC_IDENTIFIER):
-                id_attrs.append(attr_name)
-            else:
-                non_id_attrs.append(attr_name)
-        catalog[name] = WrapperSchema(
-            name=name,
-            source=src,
-            id_attrs=tuple(sorted(id_attrs)),
-            non_id_attrs=tuple(sorted(non_id_attrs)),
-        )
-    return catalog
+            name, prefix = w_iri.value[len(wrapper_ns):], src.value + "/"
+            id_attrs: list[str] = []
+            non_id_attrs: list[str] = []
+            for aq in ds.match(SOURCE_GRAPH, subject=w_iri, predicate=S_HAS_ATTRIBUTE):
+                if not aq.object.value.startswith(prefix):
+                    continue
+                attr = aq.object.value[len(prefix):]
+                feature = same_as.get(aq.object)
+                if feature is None:
+                    non_id_attrs.append(attr)
+                    continue
+                self._features[name, attr] = feature
+                held = self._attrs.setdefault(feature, {})
+                if name not in held or attr < held[name]:
+                    held[name] = attr
+                is_id = SC_IDENTIFIER in ds.superclasses(feature)
+                (id_attrs if is_id else non_id_attrs).append(attr)
+            self._schemas[name] = WrapperSchema(
+                name=name,
+                source=SourceId(src.value[len(source_ns):]),
+                id_attrs=tuple(sorted(id_attrs)),
+                non_id_attrs=tuple(sorted(non_id_attrs)),
+            )
+            if w_iri in mapping:
+                self._lav[name] = ds.graph_triples(mapping[w_iri])
+                for t in self._lav[name]:
+                    self._providers.setdefault(t, []).append(name)
+
+    def __getitem__(self, name: str) -> WrapperSchema:
+        return self._schemas[name]
+
+    def __iter__(self):
+        return iter(self._schemas)
+
+    def __len__(self) -> int:
+        return len(self._schemas)
+
+    def feature(self, wrapper: str, attr: str) -> Iri | None:
+        """The feature the wrapper's attribute maps to, or None when unmapped."""
+        return self._features.get((wrapper, attr))
+
+    def attrs_for(self, feature: Iri) -> Mapping[str, str]:
+        """Per wrapper, the least attribute name mapped to the feature."""
+        return self._attrs.get(feature, {})
+
+    def lav_triples(self, wrapper: str) -> frozenset[Triple]:
+        try:
+            return self._lav[wrapper]
+        except KeyError:
+            raise MissingMapping(f"wrapper {wrapper} has no mapping named graph") from None
+
+    def providers(self, triple: Triple) -> list[str]:
+        """Sorted names of the wrappers whose LAV graph holds the triple."""
+        return self._providers.get(triple, [])
 
 
-def attr_feature(ds: Dataset, attr: Iri) -> Iri | None:
-    """The feature an attribute maps to, or None when it has no mapping."""
-    def build():
-        targets = sorted(
-            q.object for q in ds.match(MAPPINGS_GRAPH, subject=attr, predicate=OWL_SAME_AS))
-        return targets[0] if targets else None
-
-    return ds.derived(("attr_feature", attr), build)
-
-
-def mapping_graph_of(ds: Dataset, wrapper_name: str) -> Iri:
-    def build():
-        w_iri = wrapper_iri(wrapper_name)
-        graphs = sorted(
-            q.object for q in ds.match(MAPPINGS_GRAPH, subject=w_iri, predicate=M_MAPPING))
-        return graphs[0] if graphs else None
-
-    graph = ds.derived(("mapping_graph", wrapper_name), build)
-    if graph is None:
-        raise MissingMapping(f"wrapper {wrapper_name} has no mapping named graph")
-    return graph
-
-
-def wrapper_lav_triples(ds: Dataset, wrapper_name: str) -> frozenset[Triple]:
-    return ds.derived(
-        ("lav_triples", wrapper_name),
-        lambda: ds.graph_triples(mapping_graph_of(ds, wrapper_name)),
-    )
+def wrapper_schemas(ds: Dataset) -> Catalog:
+    """The snapshot's catalog, compiled once and shared by every reader."""
+    return ds.derived("catalog", lambda: Catalog(ds))
 
 
 # --- coverage and minimality -------------------------------------------------
@@ -286,8 +303,8 @@ def _lav_masks(walk: Walk, q, ds: Dataset) -> tuple[list[int], int]:
     for name in walk.wrapper_names():
         mask = by_wrapper.get(name)
         if mask is None:
-            mask = sum(bits[t] for t in wrapper_lav_triples(ds, name) if t in bits)
-            by_wrapper[name] = mask
+            lav = wrapper_schemas(ds).lav_triples(name)
+            mask = by_wrapper[name] = sum(bits[t] for t in lav if t in bits)
         masks.append(mask)
     return masks, (1 << len(bits)) - 1
 

@@ -105,13 +105,11 @@ class PrefixTable:
 
 RDF_TYPE = Iri(NS_RDF + "type")
 RDFS_SUBCLASS_OF = Iri(NS_RDFS + "subClassOf")
-RDFS_DATATYPE = Iri(NS_RDFS + "Datatype")
 OWL_SAME_AS = Iri(NS_OWL + "sameAs")
 
 G_CONCEPT = Iri(NS_GLOBAL + "Concept")
 G_FEATURE = Iri(NS_GLOBAL + "Feature")
 G_HAS_FEATURE = Iri(NS_GLOBAL + "hasFeature")
-G_HAS_DATA_TYPE = Iri(NS_GLOBAL + "hasDataType")
 
 S_DATA_SOURCE = Iri(NS_SOURCE + "DataSource")
 S_WRAPPER = Iri(NS_SOURCE + "Wrapper")

@@ -5,12 +5,14 @@ from __future__ import annotations
 from itertools import combinations
 
 from ontomed.quadstore import Dataset
-from ontomed.sources import canonical_join, wrapper_lav_triples, wrapper_schemas
+from ontomed.sources import canonical_join, wrapper_schemas
 from ontomed.terms import (
+    M_MAPPING,
     MAPPINGS_GRAPH,
     OWL_SAME_AS,
     SC_IDENTIFIER,
     Iri,
+    wrapper_iri,
 )
 
 WalkKey = tuple[frozenset[str], frozenset]
@@ -30,6 +32,13 @@ def _id_feature_attrs(ds: Dataset, catalog) -> dict[str, dict[Iri, str]]:
     return out
 
 
+def _lav_triples(ds: Dataset, name: str) -> frozenset:
+    """The triples of the wrapper's (least) mapping graph, read from the quads."""
+    graph = min(q.object for q in ds.match(MAPPINGS_GRAPH, subject=wrapper_iri(name),
+                                           predicate=M_MAPPING))
+    return ds.graph_triples(graph)
+
+
 def brute_force_walk_keys(ds: Dataset, phi, max_wrappers: int = 4) -> set[WalkKey]:
     """All covering, minimal, joinable wrapper combinations, by exhaustion.
 
@@ -40,7 +49,7 @@ def brute_force_walk_keys(ds: Dataset, phi, max_wrappers: int = 4) -> set[WalkKe
     """
     catalog = wrapper_schemas(ds)
     names = sorted(catalog)
-    lav = {n: wrapper_lav_triples(ds, n) for n in names}
+    lav = {n: _lav_triples(ds, n) for n in names}
     id_attrs = _id_feature_attrs(ds, catalog)
     goal = set(phi)
     keys: set[WalkKey] = set()

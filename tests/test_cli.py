@@ -156,6 +156,71 @@ class TestMalformedInputs:
         assert "ontology.quads" in one_line_error(capsys)
 
 
+def demo_answer(root: Path, capsys, edit=None, csv_header=None, flags=("--explain",)) -> str:
+    """The demo query's output on a fresh workspace holding all four demo
+    releases, each descriptor passed through ``edit(doc)`` first."""
+    assert main(["init", str(root), "--global-graph", str(DEMO / "global.quads")]) == 0
+    shutil.copytree(DEMO / "data", root / "data")
+    if csv_header is not None:
+        rows = (root / "data" / "w1.csv").read_text(encoding="utf-8").splitlines()[1:]
+        (root / "data" / "w1.csv").write_text("\n".join([csv_header, *rows]) + "\n",
+                                              encoding="utf-8")
+    for name in ("w1", "w2", "w3", "w4"):
+        doc = json.loads((DEMO / "releases" / f"{name}.json").read_text(encoding="utf-8"))
+        if edit is not None:
+            edit(doc)
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["-w", str(root), "release", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["-w", str(root), "query", *flags, str(DEMO / "query.rq")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+def rename_attr(doc):
+    w = doc["wrapper"]
+    if w["name"] == "W1":
+        w["non_id_attributes"] = ["lag/Ratio"]
+        doc["feature_map"]["lag/Ratio"] = doc["feature_map"].pop("lagRatio")
+
+
+def rename_wrapper(doc):
+    if doc["wrapper"]["name"] == "W1":
+        doc["wrapper"]["name"] = "W/1"
+
+
+def rename_source(doc):
+    if doc["wrapper"]["source"] == "D1":
+        doc["wrapper"]["source"] = "D/1"
+
+
+class TestNamesWithSlash:
+    """Names holding "/" answer the demo query like the unedited demo."""
+
+    def test_attribute(self, tmp_path, capsys):
+        plain = demo_answer(tmp_path / "plain", capsys)
+        assert plain.startswith("2 walk(s)")
+        edited = demo_answer(tmp_path / "ws", capsys, rename_attr)
+        assert edited == plain.replace("W1.lagRatio", "W1.lag/Ratio")
+
+    def test_wrapper(self, tmp_path, capsys):
+        plain = demo_answer(tmp_path / "plain", capsys)
+        assert demo_answer(tmp_path / "ws", capsys, rename_wrapper) == plain.replace("W1", "W/1")
+
+    def test_source(self, tmp_path, capsys):
+        plain = demo_answer(tmp_path / "plain", capsys)
+        assert demo_answer(tmp_path / "ws", capsys, rename_source) == plain
+
+    def test_attribute_executes(self, tmp_path, capsys):
+        plain = demo_answer(tmp_path / "plain", capsys, flags=())
+        assert "1,0.75" in plain
+        edited = demo_answer(tmp_path / "ws", capsys, rename_attr,
+                             csv_header="VoDmonitorId,lag/Ratio", flags=())
+        assert edited == plain.replace("W1.lagRatio", "W1.lag/Ratio")
+
+
 class TestBench:
     def test_walk_bench_header_and_counts(self, capsys):
         assert main(["bench", "walks", "--concepts", "2", "--wrappers", "3"]) == 0

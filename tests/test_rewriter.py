@@ -18,7 +18,15 @@ from ontomed.rewriter import (
     query_expansion,
     rewrite,
 )
-from ontomed.sources import SourceId, Ucq, Walk, WrapperSchema, coverage, minimality
+from ontomed.sources import (
+    SourceId,
+    Ucq,
+    Walk,
+    WrapperSchema,
+    coverage,
+    minimality,
+    wrapper_schemas,
+)
 
 from conftest import MONITOR_QUERY, MONITOR_SUBGRAPH, iri
 from generators import make_instance
@@ -220,9 +228,9 @@ class TestRewrite:
             Walk(steps=(("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("MonitorId",))),
                  joins=join),
         ]
-        memo = {}
+        catalog, memo = wrapper_schemas(pre_evolution_ds), {}
         for w in walks:
-            assert (_bind_features(pre_evolution_ds, w, features, memo)
+            assert (_bind_features(catalog, w, features, memo)
                     == brute_force_binding(pre_evolution_ds, w, features))
 
     def test_trace_phases_recorded(self, pre_evolution_ds):

@@ -4,6 +4,7 @@ import pytest
 
 from ontomed.errors import InvalidWalk, MissingMapping, NotCovering
 from ontomed.queries import parse_omq, well_formed_rewrite
+from ontomed.releases import apply_release
 from ontomed.sources import (
     SourceId,
     Walk,
@@ -105,6 +106,16 @@ class TestCatalogDerivation:
         catalog = wrapper_schemas(pre_evolution_ds)
         assert "lagRatio" in catalog["W1"].non_id_attrs
         assert "VoDmonitorId" in catalog["W1"].id_attrs
+
+    def test_one_catalog_per_snapshot(self, pre_evolution_ds):
+        assert wrapper_schemas(pre_evolution_ds) is wrapper_schemas(pre_evolution_ds)
+
+    def test_release_compiles_a_new_catalog(self, pre_evolution_ds, releases):
+        before = wrapper_schemas(pre_evolution_ds)
+        grown, _ = apply_release(pre_evolution_ds, releases["W4"])
+        assert "W4" in wrapper_schemas(grown)
+        assert "W4" not in before
+        assert "W4" not in wrapper_schemas(pre_evolution_ds)
 
 
 class TestCoverageMinimality:
