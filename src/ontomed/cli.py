@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="rewrite (and execute) a query")
     p_query.add_argument("query_file", help="query file, or - for standard input")
     p_query.add_argument("--explain", action="store_true", help="print the union algebra only")
-    p_query.add_argument("--no-exec", action="store_true", help="skip execution")
     p_query.add_argument("--verbose", action="store_true", help="print phase traces")
 
     sub.add_parser("stats", help="print quad counts per graph")
@@ -133,7 +132,7 @@ def _cmd_query(args) -> int:
         print(trace.render(ws.dataset))
     print(f"{len(ucq.walks)} walk(s)")
     print(ucq.render())
-    if args.no_exec or args.explain:
+    if args.explain:
         return EXIT_OK
     result = eval_ucq(ucq, ws.bindings())
     print(result.render())

@@ -2,9 +2,9 @@
 
 Datasets are snapshots: the public operations never mutate their input, they
 return a fresh dataset instead. Readers may therefore share a dataset freely.
-Position indexes keep wildcard pattern lookups proportional to the smallest
-candidate set; the (p,o) and (s,p) permutations cover the lookups the
-rewriting algorithms are dominated by.
+There is one index per lookup shape the program makes: by graph, and by
+graph plus (p), (s,p) or (p,o). Any other shape filters the graph's quads, or
+all quads.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ class Dataset:
         self.prefixes = prefixes.copy() if prefixes is not None else PrefixTable()
         self._quads: set[Quad] = set()
         self._by_g: dict[Iri, set[Quad]] = defaultdict(set)
-        self._by_s: dict[Iri, set[Quad]] = defaultdict(set)
-        self._by_p: dict[Iri, set[Quad]] = defaultdict(set)
-        self._by_o: dict[Iri, set[Quad]] = defaultdict(set)
-        self._by_po: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
-        self._by_sp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
+        self._by_gp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
+        self._by_gsp: dict[tuple[Iri, Iri, Iri], set[Quad]] = defaultdict(set)
+        self._by_gpo: dict[tuple[Iri, Iri, Iri], set[Quad]] = defaultdict(set)
         self._derived_cache: dict = {}
 
     # --- container protocol ------------------------------------------------
@@ -67,17 +65,11 @@ class Dataset:
             return False
         self._quads.add(q)
         self._by_g[q.graph].add(q)
-        self._by_s[q.subject].add(q)
-        self._by_p[q.predicate].add(q)
-        self._by_o[q.object].add(q)
-        self._by_po[(q.predicate, q.object)].add(q)
-        self._by_sp[(q.subject, q.predicate)].add(q)
+        self._by_gp[q.graph, q.predicate].add(q)
+        self._by_gsp[q.graph, q.subject, q.predicate].add(q)
+        self._by_gpo[q.graph, q.predicate, q.object].add(q)
         self._derived_cache.clear()
         return True
-
-    def _add_terms(self, graph, subject, predicate, obj) -> bool:
-        expand = self.prefixes.expand
-        return self._add(Quad(expand(graph), expand(subject), expand(predicate), expand(obj)))
 
     def copy(self) -> "Dataset":
         clone = Dataset(self.prefixes)
@@ -94,32 +86,21 @@ class Dataset:
         predicate: Iri | None = None,
         object: Iri | None = None,
     ) -> set[Quad]:
-        """All quads matching the bound positions; unbound positions are wildcards.
-
-        Every bound position contributes an index set that holds exactly the
-        quads agreeing on it, so the intersection needs no re-filtering.
-        """
-        candidates: list[set[Quad]] = []
-        if subject is not None and predicate is not None:
-            candidates.append(self._by_sp.get((subject, predicate), set()))
-        elif predicate is not None and object is not None:
-            candidates.append(self._by_po.get((predicate, object), set()))
-        else:
+        """All quads matching the bound positions; unbound positions are wildcards."""
+        if graph is not None and predicate is not None:
+            if subject is not None and object is not None:
+                q = Quad(graph, subject, predicate, object)
+                return {q} if q in self._quads else set()
             if subject is not None:
-                candidates.append(self._by_s.get(subject, set()))
-            if predicate is not None:
-                candidates.append(self._by_p.get(predicate, set()))
-        if graph is not None:
-            candidates.append(self._by_g.get(graph, set()))
-        if object is not None:
-            candidates.append(self._by_o.get(object, set()))
-        if not candidates:
-            return set(self._quads)
-        candidates.sort(key=len)
-        result = set(candidates[0])
-        for other in candidates[1:]:
-            result &= other
-        return result
+                return set(self._by_gsp.get((graph, subject, predicate), ()))
+            if object is not None:
+                return set(self._by_gpo.get((graph, predicate, object), ()))
+            return set(self._by_gp.get((graph, predicate), ()))
+        pool = self._quads if graph is None else self._by_g.get(graph, ())
+        return {q for q in pool
+                if (subject is None or q.subject == subject)
+                and (predicate is None or q.predicate == predicate)
+                and (object is None or q.object == object)}
 
     def derived(self, key, builder):
         """Memoized value computed from the dataset's quads.

@@ -8,16 +8,17 @@ to the analyst's requested features.
 
 Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
-W^C walks, so the per-walk work is kept to catalog lookups: phase 3 builds a
-join candidate only for a provider that can connect the two walks and finds
-each walk's identifier holder once; the filter compares per-wrapper bitmasks;
-and output binding memoises each step's feature-to-attribute map.
+W^C walks, so per-walk work is kept to lookups: phase 3 computes one join
+plan per concept (connecting edge, providers, identifier attributes) and then
+checks each pair of walks for distinct sources; the filter compares
+per-wrapper bitmasks; and output binding memoises each step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Mapping
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from .quadstore import Dataset, Triple
@@ -138,62 +139,99 @@ def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
 
 # --- phase 3 ----------------------------------------------------------------
 
-def _connecting_edge(phi, concept: Iri, processed: set[Iri]) -> Triple | None:
-    """First pattern edge (canonical order) linking the concept to the
-    already-processed prefix."""
-    for s, p, o in sorted(phi):
-        if p == G_HAS_FEATURE:
-            continue
-        if (s == concept and o in processed) or (o == concept and s in processed):
-            return (s, p, o)
-    return None
+@dataclass(frozen=True)
+class JoinPlan:
+    """How a concept's walks join the processed prefix: the connecting edge,
+    its providers and, for its head and then its tail concept, each identifier
+    feature with its attribute per wrapper. ``at_concept`` marks the end that
+    is the concept being joined."""
+
+    edge: Triple
+    providers: list[str]
+    targets: tuple[tuple[bool, tuple[tuple[Iri, Mapping[str, str]], ...]], ...]
+
+    def candidates(self, merged: Walk, left: Walk, right: Walk, distinct: bool,
+                   trace: RewriteTrace | None) -> list[Walk]:
+        """Join candidates for two connected walks that share no wrapper. A
+        provider in the walk opposite the identifier's holder connects them,
+        so a candidate is valid exactly when the sources are ``distinct``."""
+        missing: MissingIdAttribute | None = None
+        for at_concept, features in self.targets:
+            side, other = (right, left) if at_concept else (left, right)
+            reachable = set(other.wrapper_names())
+            found: list[Walk] = []
+            for f_id, attrs in features:
+                # Steps are sorted by name, so the first match is the least holder.
+                held = next(((name, attrs[name]) for name in side.wrapper_names()
+                             if name in attrs), None)
+                if held is None:
+                    continue
+                for name in self.providers:
+                    attr = attrs.get(name)
+                    if attr is None:
+                        missing = missing or MissingIdAttribute(
+                            f"wrapper {name} provides the edge but no attribute for <{f_id}>")
+                    elif name in reachable:
+                        cand = merged.add_wrapper(name).with_join((name, attr), held)
+                        if distinct:
+                            found.append(cand)
+                            if trace is not None:
+                                trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
+                                                   f" via <{self.edge[1]}>")
+            if found:
+                return found
+        raise missing or MissingIdAttribute(
+            f"no identifier attribute joins the walks across <{self.edge[0]}> and <{self.edge[2]}>")
+
+
+def _join_plan(phi, concept: Iri, processed: set[Iri], ds: Dataset,
+               catalog: Catalog) -> JoinPlan | NoJoinPath:
+    """The plan through the first pattern edge (canonical order) linking the
+    concept to the processed prefix, or the error every pair of walks sharing
+    no wrapper would meet."""
+    edge = next(((s, p, o) for s, p, o in sorted(phi) if p != G_HAS_FEATURE
+                 and concept in (s, o) and (s in processed or o in processed)), None)
+    if edge is None:
+        return NoJoinPath(f"no pattern edge connects <{concept}> to the processed prefix")
+    providers = catalog.providers(edge)
+    if not providers:
+        s, p, o = edge
+        return NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>")
+    return JoinPlan(edge, providers, tuple(
+        (target == concept, tuple((f_id, catalog.attrs_for(f_id))
+                                  for f_id in identifier_features(ds, target)))
+        for target in (edge[2], edge[0])))
 
 
 def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                              trace: RewriteTrace | None = None) -> list[Walk]:
-    """Join partial walks across concepts into full candidate walks.
-
-    For each consecutive pair without a shared wrapper, the join is discovered
-    through the wrappers materializing the connecting pattern edge: the join
-    identifier is taken from the edge's head concept, falling back to the tail
-    concept when the head carries no identifier feature. Each walk's holder
-    of an identifier is looked up once.
-    """
+    """Join partial walks across concepts into full candidate walks: one join
+    plan per concept, then one distinct-sources check per pair of walks. A
+    pair sharing no wrapper joins on the edge's head identifier, or else its
+    tail's. When no pair joins, the first error such a pair met is raised."""
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
-    holders: dict[tuple[Walk, Iri], JoinEnd | None] = {}
-
-    def valid(walk: Walk) -> bool:
-        return distinct_sources(walk, catalog) and walk.is_connected()
-
-    def holder(walk: Walk, f_id: Iri) -> JoinEnd | None:
-        """The walk's least wrapper holding an attribute for the identifier."""
-        key = (walk, f_id)
-        if key not in holders:
-            attrs = catalog.attrs_for(f_id)
-            holders[key] = next(((name, attrs[name]) for name in sorted(walk.wrapper_names())
-                                 if name in attrs), None)
-        return holders[key]
-
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
-        edge = _connecting_edge(x.query.phi, concept, processed)
+        plan = _join_plan(x.query.phi, concept, processed, ds, catalog)
         joined: list[Walk] = []
         seen: set[tuple] = set()
         window_error: Exception | None = None
         for left, right in product(current, p.per_concept[concept]):
             merged = left.merge(right)
+            distinct = distinct_sources(merged, catalog)
+            candidates: list[Walk] = []
             if set(left.wrapper_names()) & set(right.wrapper_names()):
-                candidates = [merged] if valid(merged) else []
+                candidates = [merged] if distinct else []
+            elif isinstance(plan, NoJoinPath):
+                window_error = window_error or plan
             else:
                 try:
-                    candidates = _discover_joins(ds, catalog, merged, left, right, concept,
-                                                 edge, valid, holder, trace)
-                except (NoJoinPath, MissingIdAttribute) as exc:
+                    candidates = plan.candidates(merged, left, right, distinct, trace)
+                except MissingIdAttribute as exc:
                     window_error = window_error or exc
-                    candidates = []
             for cand in candidates:
                 sig = cand.signature()
                 if sig not in seen:
@@ -201,68 +239,10 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                     joined.append(cand)
         if not joined:
             raise window_error or NoJoinPath(
-                f"no wrapper materializes an edge joining <{concept}> to the query prefix"
-            )
+                f"no wrapper materializes an edge joining <{concept}> to the query prefix")
         current = joined
         processed.add(concept)
     return current
-
-
-def _discover_joins(ds: Dataset, catalog: Catalog, merged: Walk, left: Walk, right: Walk,
-                    concept: Iri, edge: Triple | None, valid, holder,
-                    trace: RewriteTrace | None) -> list[Walk]:
-    """Join candidates for two walks that share no wrapper.
-
-    Neither walk has a join into the other, so a candidate is connected only
-    when its provider of the edge lies in the walk opposite the identifier's
-    holder; no candidate is built for any other provider.
-    """
-    if edge is None:
-        raise NoJoinPath(f"no pattern edge connects <{concept}> to the processed prefix")
-    providers = catalog.providers(edge)
-    if not providers:
-        s, p, o = edge
-        raise NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>")
-    head, tail = edge[2], edge[0]
-    missing: Exception | None = None
-    for target in (head, tail):
-        ids = identifier_features(ds, target)
-        if not ids:
-            continue
-        side, other = (right, left) if target == concept else (left, right)
-        reachable = set(other.wrapper_names())
-        candidates: list[Walk] = []
-        for f_id in ids:
-            held = holder(side, f_id)
-            if held is None:
-                continue
-            holder_name, holder_attr = held
-            attrs = catalog.attrs_for(f_id)
-            for name in providers:
-                if name == holder_name:
-                    continue
-                attr = attrs.get(name)
-                if attr is None:
-                    missing = missing or MissingIdAttribute(
-                        f"wrapper {name} provides the edge but no attribute for <{f_id}>"
-                    )
-                    continue
-                if name not in reachable:
-                    continue
-                cand = merged.add_wrapper(name).with_join((name, attr), held)
-                if valid(cand):
-                    candidates.append(cand)
-                    if trace is not None:
-                        trace.notes.append(
-                            f"join {name}.{attr} = {holder_name}.{holder_attr} via <{edge[1]}>"
-                        )
-        if candidates:
-            return candidates
-    if missing is not None:
-        raise missing
-    raise MissingIdAttribute(
-        f"no identifier attribute joins the walks across <{edge[0]}> and <{edge[2]}>"
-    )
 
 
 # --- composition ------------------------------------------------------------

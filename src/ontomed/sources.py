@@ -66,6 +66,12 @@ class WrapperSchema:
             raise InvalidWalk(f"wrapper {self.name}: attributes both ID and non-ID: {sorted(overlap)}")
         if not (self.id_attrs or self.non_id_attrs):
             raise InvalidWalk(f"wrapper {self.name}: no attributes")
+        # A quad record separates its IRIs by whitespace, so such a name
+        # would be saved into a workspace that can no longer be loaded.
+        for kind, name in (("wrapper", self.name), ("source", self.source.name),
+                           *(("attribute", attr) for attr in self.attrs)):
+            if any(ch.isspace() for ch in name):
+                raise InvalidWalk(f"wrapper {self.name}: {kind} name {name!r} contains whitespace")
 
     @property
     def iri(self) -> Iri:
@@ -138,9 +144,13 @@ class Walk:
         return connected(self.wrapper_names(), ((a[0], b[0]) for a, b in self.joins))
 
     def render(self) -> str:
-        """Textual algebra: projections, then wrappers in canonical order, each
-        with the joins whose later endpoint it is."""
+        """Textual algebra: the projections, then the join body."""
         attrs = sorted(f"{w}.{a}" for w, a in self.projected_pairs())
+        return "π{" + ",".join(attrs) + "}" + self.render_body()
+
+    def render_body(self) -> str:
+        """The wrappers in canonical order, each with the joins whose later
+        endpoint it is, in parentheses."""
         names = self.wrapper_names()
         position = {name: i for i, name in enumerate(names)}
         conds: list[list[Join]] = [[] for _ in names]
@@ -152,7 +162,7 @@ class Walk:
         for name, placed in zip(names[1:], conds[1:]):
             rendered = ",".join(f"{l[0]}.{l[1]}={r[0]}.{r[1]}" for l, r in placed)
             parts.append(f"⋈[{rendered}] {name}" if rendered else f"⋈ {name}")
-        return "π{" + ",".join(attrs) + "}( " + " ".join(parts) + " )"
+        return "( " + " ".join(parts) + " )"
 
 
 def walk_equivalent(a: Walk, b: Walk) -> bool:
@@ -340,7 +350,5 @@ class Ucq:
             cols = ",".join(
                 f"{binding[f][0]}.{binding[f][1]}" for f in self.output_features
             )
-            body = walk.render()
-            body = body[body.index("("):]  # strip the walk-level projection
-            lines.append("Π{" + cols + "}" + body)
+            lines.append("Π{" + cols + "}" + walk.render_body())
         return "\n".join(lines)

@@ -71,7 +71,7 @@ class TestWorkflow:
         assert "1,0.80" in out and "2,0.2" in out
 
     def test_query_verbose_trace(self, loaded_ws, capsys):
-        assert main(["-w", str(loaded_ws), "query", "--verbose", "--no-exec",
+        assert main(["-w", str(loaded_ws), "query", "--verbose", "--explain",
                      str(DEMO / "query.rq")]) == 0
         out = capsys.readouterr().out
         assert "phase 1" in out and "phase 2" in out and "phase 3" in out
@@ -147,6 +147,24 @@ class TestMalformedInputs:
         before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
         assert main(["-w", str(ws), "release", str(bad)]) == 2
         assert "data_file" in one_line_error(capsys)
+        assert {name: (ws / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("kind", ["wrapper", "source", "attribute"])
+    def test_name_with_whitespace_refused(self, ws, tmp_path, capsys, kind):
+        # Saved, such a name would split its quad record on the next load.
+        doc = json.loads((DEMO / "releases" / "w1.json").read_text(encoding="utf-8"))
+        if kind == "wrapper":
+            doc["wrapper"]["name"] = "W 1"
+        elif kind == "source":
+            doc["wrapper"]["source"] = "D\t1"
+        else:
+            doc["wrapper"]["non_id_attributes"] = ["lag Ratio"]
+            doc["feature_map"]["lag Ratio"] = doc["feature_map"].pop("lagRatio")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
+        assert main(["-w", str(ws), "release", str(bad)]) == 2
+        assert "whitespace" in one_line_error(capsys)
         assert {name: (ws / name).read_bytes() for name in before} == before
 
     def test_non_utf8_quad_file(self, ws, capsys):

@@ -1,5 +1,8 @@
 """Quad store: construction, pattern matching, closure, persistence."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,19 +72,22 @@ class TestDataset:
         built = quad(ds, "G:", "sc:A", "rdf:type", "G:Concept")
         assert built.subject == Iri("http://schema.org/A")
 
-    def test_match_all_positions(self):
+    @pytest.mark.parametrize(
+        "bound", list(product((False, True), repeat=4)),
+        ids=lambda bound: "".join(pos if on else "_" for pos, on in zip("gspo", bound)))
+    def test_match_all_positions(self, bound):
+        # Nine of the sixteen quads over two values per position; each bound
+        # position is tried with both values and with one no quad holds.
+        combos = random.Random(4).sample(list(product("12", repeat=4)), 9)
         ds = Dataset()
-        a = q4(EX + "g1", EX + "s1", EX + "p", EX + "o1")
-        b = q4(EX + "g2", EX + "s1", EX + "p", EX + "o2")
-        for item in (a, b):
-            ds, _ = insert_quad(ds, item)
-        assert match_pattern(ds) == {a, b}
-        assert match_pattern(ds, graph=Iri(EX + "g1")) == {a}
-        assert match_pattern(ds, subject=Iri(EX + "s1")) == {a, b}
-        assert match_pattern(ds, predicate=Iri(EX + "p"), object=Iri(EX + "o2")) == {b}
-        assert match_pattern(ds, subject=Iri(EX + "s1"), predicate=Iri(EX + "p"),
-                             object=Iri(EX + "o1")) == {a}
-        assert match_pattern(ds, graph=Iri(EX + "gX")) == set()
+        for g, s, p, o in combos:
+            ds, _ = insert_quad(ds, q4(EX + "g" + g, EX + "s" + s, EX + "p" + p, EX + "o" + o))
+        for values in product(*(("1", "2", "X") if on else (None,) for on in bound)):
+            terms = [None if v is None else Iri(EX + pos + v) for pos, v in zip("gspo", values)]
+            expected = {q for q in ds.quads() if all(
+                t is None or t == have
+                for t, have in zip(terms, (q.graph, q.subject, q.predicate, q.object)))}
+            assert match_pattern(ds, *terms) == expected
 
     def test_graph_triples_scoped_to_graph(self):
         ds = Dataset()
