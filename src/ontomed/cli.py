@@ -53,6 +53,16 @@ _IO_ERRORS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontomed",
@@ -83,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark")
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
     p_walks = bench_sub.add_parser("walks", help="worst-case walk-count sweep")
-    p_walks.add_argument("--concepts", type=int, default=5)
-    p_walks.add_argument("--wrappers", type=int, default=10)
+    p_walks.add_argument("--concepts", type=_positive_int, default=5)
+    p_walks.add_argument("--wrappers", type=_positive_int, default=10)
     p_growth = bench_sub.add_parser("growth", help="replay releases, account growth")
     p_growth.add_argument("--releases", required=True, help="directory of release descriptors")
 
@@ -122,10 +132,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_query(args) -> int:
     ws = Workspace.load(_workspace_root(args))
-    if args.query_file == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.query_file).read_text(encoding="utf-8")
+    try:
+        if args.query_file == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(args.query_file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"{args.query_file}: not UTF-8 text: {exc.reason}") from None
     trace = RewriteTrace() if args.verbose else None
     ucq = rewrite(text, ws.dataset, trace)
     if trace is not None:

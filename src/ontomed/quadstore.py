@@ -5,14 +5,21 @@ return a fresh dataset instead. Readers may therefore share a dataset freely.
 There is one index per lookup shape the program makes: by graph, and by
 graph plus (p), (s,p) or (p,o). Any other shape filters the graph's quads, or
 all quads.
+
+Terms are interned on load: a loaded dataset holds one :class:`Iri` per
+distinct term, and each ``Iri`` returns a hash computed once, which keeps
+the set and dict work behind every index cheap. ``copy`` clones the quad set
+and each index set by set, which reuses the hashes the sets already hold.
+``save`` writes through a temporary file in the same directory and then
+replaces the target, so a reader sees either the old file or the new one.
 """
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidIri
 from .terms import GLOBAL_GRAPH, RDFS_SUBCLASS_OF, Iri, PrefixTable
@@ -20,8 +27,7 @@ from .terms import GLOBAL_GRAPH, RDFS_SUBCLASS_OF, Iri, PrefixTable
 Triple = tuple[Iri, Iri, Iri]
 
 
-@dataclass(frozen=True, order=True)
-class Quad:
+class Quad(NamedTuple):
     graph: Iri
     subject: Iri
     predicate: Iri
@@ -29,6 +35,22 @@ class Quad:
 
     def triple(self) -> Triple:
         return (self.subject, self.predicate, self.object)
+
+
+def write_replacing(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``. A failure at any point leaves ``path`` as it was.
+
+    This guards against a crash of the process, not of the machine: nothing
+    is synced to disk.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class Dataset:
@@ -73,8 +95,11 @@ class Dataset:
 
     def copy(self) -> "Dataset":
         clone = Dataset(self.prefixes)
-        for q in self._quads:
-            clone._add(q)
+        clone._quads = set(self._quads)
+        clone._by_g = _clone_index(self._by_g)
+        clone._by_gp = _clone_index(self._by_gp)
+        clone._by_gsp = _clone_index(self._by_gsp)
+        clone._by_gpo = _clone_index(self._by_gpo)
         return clone
 
     # --- queries -----------------------------------------------------------
@@ -152,9 +177,9 @@ class Dataset:
             f"@prefix {prefix}: <{namespace}>"
             for prefix, namespace in sorted(self.prefixes.namespaces().items())
         ]
-        for q in sorted(self._quads):
-            lines.append(f"<{q.graph}> <{q.subject}> <{q.predicate}> <{q.object}>")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for g, s, p, o in sorted(self._quads):
+            lines.append(f"<{g.value}> <{s.value}> <{p.value}> <{o.value}>")
+        write_replacing(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
@@ -163,6 +188,7 @@ class Dataset:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidIri(f"{path}: not UTF-8 text: {exc}") from exc
+        terms: dict[str, Iri] = {}   # token, brackets included -> its one Iri
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -174,33 +200,19 @@ class Dataset:
                 ds.prefixes.register(parts[1][:-1], parts[2].strip("<>"))
                 continue
             fields = line.split()
-            if len(fields) != 4 or not all(f.startswith("<") and f.endswith(">") for f in fields):
+            if len(fields) != 4:
                 raise InvalidIri(f"{path}:{lineno}: malformed quad record")
-            g, s, p, o = (Iri(f[1:-1]) for f in fields)
-            ds._add(Quad(g, s, p, o))
+            quad = []
+            for token in fields:
+                iri = terms.get(token)
+                if iri is None:
+                    if not (token.startswith("<") and token.endswith(">")):
+                        raise InvalidIri(f"{path}:{lineno}: malformed quad record")
+                    iri = terms[token] = Iri(token[1:-1])
+                quad.append(iri)
+            ds._add(Quad(*quad))
         return ds
 
 
-# --- snapshot-style operation wrappers -------------------------------------
-
-def insert_quad(ds: Dataset, q: Quad) -> tuple[Dataset, bool]:
-    """Insert a quad, returning the updated snapshot and whether it was new."""
-    updated = ds.copy()
-    new = updated._add(q)
-    return updated, new
-
-
-def quad(ds: Dataset, graph, subject, predicate, obj) -> Quad:
-    """Build a quad from strings or Iris, resolving prefixes against ``ds``."""
-    expand = ds.prefixes.expand
-    return Quad(expand(graph), expand(subject), expand(predicate), expand(obj))
-
-
-def match_pattern(
-    ds: Dataset,
-    graph: Iri | None = None,
-    subject: Iri | None = None,
-    predicate: Iri | None = None,
-    object: Iri | None = None,
-) -> set[Quad]:
-    return ds.match(graph, subject, predicate, object)
+def _clone_index(index: dict) -> defaultdict:
+    return defaultdict(set, {key: set(quads) for key, quads in index.items()})

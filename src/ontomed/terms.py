@@ -8,7 +8,7 @@ resolved against a :class:`PrefixTable`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from .errors import InvalidIri, UnknownPrefix
 
@@ -35,15 +35,60 @@ DEFAULT_PREFIXES: dict[str, str] = {
 _ABSOLUTE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
 
 
-@dataclass(frozen=True, order=True)
 class Iri:
-    """A fully expanded identifier; equal iff the expanded forms are byte-equal."""
+    """A fully expanded identifier; equal iff the expanded forms are byte-equal.
 
-    value: str
+    Immutable, ordered by its text, and hashed once when built: every set and
+    dict of the quad store hashes its terms, usually many times over.
+    """
 
-    def __post_init__(self):
-        if not self.value:
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: str):
+        if not value:
             raise InvalidIri("empty IRI")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(value))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Iri, (self.value,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is Iri:
+            return self.value == other.value
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is Iri:
+            return self.value < other.value
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is Iri:
+            return self.value <= other.value
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is Iri:
+            return self.value > other.value
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is Iri:
+            return self.value >= other.value
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Iri(value={self.value!r})"
 
     def __str__(self) -> str:
         return self.value

@@ -2,7 +2,8 @@
 
 A workspace directory holds ``ontology.quads`` (the serialized dataset) and
 ``bindings.json`` (wrapper name to data file). Data file paths resolve
-relative to the workspace directory unless absolute.
+relative to the workspace directory unless absolute. Both files are written
+through a temporary file and a rename, never in place.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from .errors import UnboundWrapper, WorkspaceError
 from .executor import WrapperBinding
-from .quadstore import Dataset
+from .quadstore import Dataset, write_replacing
 from .sources import wrapper_schemas
 
 ONTOLOGY_FILE = "ontology.quads"
@@ -62,10 +63,16 @@ class Workspace:
         return cls(root=root, dataset=ds, data_files=data_files)
 
     def save(self) -> None:
+        """Replace the quads first, then the bindings.
+
+        Each file is replaced whole, so a failure between the two leaves the
+        new quads with the old bindings. Every command loads that workspace:
+        quads are only ever added, so the new quads still register every
+        wrapper the old bindings name.
+        """
         self.dataset.save(self.root / ONTOLOGY_FILE)
-        (self.root / BINDINGS_FILE).write_text(
-            json.dumps(self.data_files, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_replacing(self.root / BINDINGS_FILE,
+                        json.dumps(self.data_files, indent=2, sort_keys=True) + "\n")
 
     def bind(self, wrapper_name: str, data_file: str) -> None:
         self.data_files[wrapper_name] = data_file

@@ -1,6 +1,7 @@
 """Command-line interface: workflows over the bundled demo, exit codes."""
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -167,11 +168,45 @@ class TestMalformedInputs:
         assert "whitespace" in one_line_error(capsys)
         assert {name: (ws / name).read_bytes() for name in before} == before
 
+    def test_non_utf8_query_file(self, loaded_ws, tmp_path, capsys):
+        bad = tmp_path / "bad.rq"
+        bad.write_bytes(b"\xff\xfeSELECT ?x FROM G: WHERE { }\n")
+        assert main(["-w", str(loaded_ws), "query", str(bad)]) == 4
+        assert "bad.rq" in one_line_error(capsys)
+
     def test_non_utf8_quad_file(self, ws, capsys):
         with open(ws / "ontology.quads", "ab") as f:
             f.write(b"\xff\xfe\n")
         assert main(["-w", str(ws), "stats"]) == 4
         assert "ontology.quads" in one_line_error(capsys)
+
+
+class TestCrashSafeSave:
+    def test_failed_bindings_write_leaves_loadable_workspace(self, loaded_ws, capsys,
+                                                             monkeypatch):
+        # The release replaces ontology.quads, then fails to replace
+        # bindings.json, as a crash between the two writes would.
+        quads_before = (loaded_ws / "ontology.quads").read_bytes()
+        bindings_before = (loaded_ws / "bindings.json").read_bytes()
+        replace = os.replace
+
+        def crash_on_bindings(src, dst):
+            if os.path.basename(dst) == "bindings.json":
+                raise OSError("simulated crash")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", crash_on_bindings)
+        assert main(["-w", str(loaded_ws), "release", str(DEMO / "releases" / "w4.json")]) == 4
+        assert "simulated crash" in one_line_error(capsys)
+        monkeypatch.undo()
+
+        assert (loaded_ws / "ontology.quads").read_bytes() != quads_before
+        assert (loaded_ws / "bindings.json").read_bytes() == bindings_before
+        assert not list(loaded_ws.glob("*.tmp"))
+        assert main(["-w", str(loaded_ws), "stats"]) == 0
+        assert main(["-w", str(loaded_ws), "validate"]) == 0
+        assert main(["-w", str(loaded_ws), "query", "--explain", str(DEMO / "query.rq")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "2 walk(s)" in out and "W4" in out
 
 
 def demo_answer(root: Path, capsys, edit=None, csv_header=None, flags=("--explain",)) -> str:
@@ -246,6 +281,14 @@ class TestBench:
         assert lines[0] == "wrappers,walks,seconds"
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert counts == [1, 4, 9]
+
+    @pytest.mark.parametrize("args", [["--concepts", "0"], ["--wrappers", "-1"]])
+    def test_walk_bench_refuses_non_positive(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "walks", *args])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be at least 1" in err
 
     def test_growth_bench_over_demo(self, ws, capsys):
         assert main(["-w", str(ws), "bench", "growth",

@@ -1,6 +1,10 @@
 """Quad store: construction, pattern matching, closure, persistence."""
 
+import copy
+import os
+import pickle
 import random
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomed.errors import InvalidIri, UnknownPrefix
-from ontomed.quadstore import Dataset, Quad, insert_quad, match_pattern, quad
+from ontomed.quadstore import Dataset, Quad
 from ontomed.terms import (
     GLOBAL_GRAPH,
     RDFS_SUBCLASS_OF,
@@ -54,60 +58,128 @@ class TestPrefixTable:
             Iri("")
 
 
+@dataclass(frozen=True, order=True)
+class DataclassIri:
+    """The dataclass ``Iri`` once was: the reference for its semantics."""
+
+    value: str
+
+
+class TestIri:
+    VALUES = (EX + "a", EX + "b", EX + "a/b", EX + "B", "urn:x")
+
+    def test_compares_and_hashes_like_the_dataclass(self):
+        for a, b in product(self.VALUES, repeat=2):
+            new, old = (Iri(a), Iri(b)), (DataclassIri(a), DataclassIri(b))
+            for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+                assert getattr(new[0], op)(new[1]) == getattr(old[0], op)(old[1]), (a, b, op)
+            assert (hash(new[0]) == hash(new[1])) == (a == b)
+        assert sorted(map(Iri, self.VALUES)) == [Iri(v) for v in sorted(self.VALUES)]
+        assert len({Iri(EX + "a"), Iri(EX + "a")}) == 1
+
+    def test_comparison_with_non_iri(self):
+        iri = Iri(EX + "a")
+        for other in (EX + "a", DataclassIri(EX + "a"), None):
+            assert iri != other and not iri == other
+            assert iri.__eq__(other) is NotImplemented
+            assert iri.__lt__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            iri < EX + "b"
+
+    def test_repr_and_str(self):
+        for v in self.VALUES:
+            assert repr(Iri(v)) == repr(DataclassIri(v)).replace("DataclassIri", "Iri")
+            assert str(Iri(v)) == v
+
+    def test_immutable_and_copyable(self):
+        iri = Iri(EX + "a")
+        with pytest.raises(FrozenInstanceError):
+            iri.value = EX + "b"
+        with pytest.raises(FrozenInstanceError):
+            del iri.value
+        assert iri.value == EX + "a" and hash(iri) == hash(Iri(EX + "a"))
+        for clone in (copy.copy(iri), copy.deepcopy(iri), pickle.loads(pickle.dumps(iri))):
+            assert clone == iri and hash(clone) == hash(iri)
+
+
+# Nine of the sixteen quads over two values per position.
+_COMBOS = random.Random(4).sample(list(product("12", repeat=4)), 9)
+_SHAPES = list(product((False, True), repeat=4))
+
+
+def _shape_id(bound):
+    return "".join(pos if on else "_" for pos, on in zip("gspo", bound))
+
+
+def _combo_quad(g, s, p, o):
+    return q4(EX + "g" + g, EX + "s" + s, EX + "p" + p, EX + "o" + o)
+
+
+def _patterns(bound):
+    """Every pattern of one shape: each bound position takes both values and
+    one no quad holds."""
+    for values in product(*(("1", "2", "X") if on else (None,) for on in bound)):
+        yield tuple(None if v is None else Iri(EX + pos + v) for pos, v in zip("gspo", values))
+
+
+def _filtered(ds, terms):
+    return {q for q in ds.quads() if all(
+        t is None or t == have
+        for t, have in zip(terms, (q.graph, q.subject, q.predicate, q.object)))}
+
+
 class TestDataset:
-    def test_insert_returns_new_snapshot(self):
+    def test_add_to_copy_leaves_source_unchanged(self):
         ds = Dataset()
-        updated, new = insert_quad(ds, q4(EX + "g", EX + "s", EX + "p", EX + "o"))
-        assert new and len(updated) == 1 and len(ds) == 0
+        for combo in _COMBOS:
+            ds._add(_combo_quad(*combo))
+        before = {terms: ds.match(*terms) for bound in _SHAPES for terms in _patterns(bound)}
+        clone = ds.copy()
+        for combo in product("12", repeat=4):
+            assert clone._add(_combo_quad(*combo)) == (combo not in _COMBOS)
+        assert len(ds) == 9 and len(clone) == 16
+        for terms, matched in before.items():
+            assert ds.match(*terms) == matched
+            assert clone.match(*terms) == _filtered(clone, terms)
 
     def test_insert_duplicate_reports_existing(self):
         ds = Dataset()
         item = q4(EX + "g", EX + "s", EX + "p", EX + "o")
-        ds, _ = insert_quad(ds, item)
-        ds, new = insert_quad(ds, item)
-        assert not new and len(ds) == 1
+        assert ds._add(item)
+        assert not ds._add(item) and len(ds) == 1
 
     def test_quad_builder_resolves_prefixes(self):
         ds = Dataset()
-        built = quad(ds, "G:", "sc:A", "rdf:type", "G:Concept")
+        built = Quad(*map(ds.prefixes.expand, ("G:", "sc:A", "rdf:type", "G:Concept")))
         assert built.subject == Iri("http://schema.org/A")
 
-    @pytest.mark.parametrize(
-        "bound", list(product((False, True), repeat=4)),
-        ids=lambda bound: "".join(pos if on else "_" for pos, on in zip("gspo", bound)))
+    @pytest.mark.parametrize("bound", _SHAPES, ids=_shape_id)
     def test_match_all_positions(self, bound):
-        # Nine of the sixteen quads over two values per position; each bound
-        # position is tried with both values and with one no quad holds.
-        combos = random.Random(4).sample(list(product("12", repeat=4)), 9)
         ds = Dataset()
-        for g, s, p, o in combos:
-            ds, _ = insert_quad(ds, q4(EX + "g" + g, EX + "s" + s, EX + "p" + p, EX + "o" + o))
-        for values in product(*(("1", "2", "X") if on else (None,) for on in bound)):
-            terms = [None if v is None else Iri(EX + pos + v) for pos, v in zip("gspo", values)]
-            expected = {q for q in ds.quads() if all(
-                t is None or t == have
-                for t, have in zip(terms, (q.graph, q.subject, q.predicate, q.object)))}
-            assert match_pattern(ds, *terms) == expected
+        for combo in _COMBOS:
+            ds._add(_combo_quad(*combo))
+        for terms in _patterns(bound):
+            assert ds.match(*terms) == _filtered(ds, terms)
 
     def test_graph_triples_scoped_to_graph(self):
         ds = Dataset()
-        ds, _ = insert_quad(ds, q4(EX + "g1", EX + "s", EX + "p", EX + "o"))
-        ds, _ = insert_quad(ds, q4(EX + "g2", EX + "s", EX + "p", EX + "o2"))
+        ds._add(q4(EX + "g1", EX + "s", EX + "p", EX + "o"))
+        ds._add(q4(EX + "g2", EX + "s", EX + "p", EX + "o2"))
         assert ds.graph_triples(Iri(EX + "g1")) == {(Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o"))}
 
     def test_subclass_closure_reflexive_transitive(self):
         ds = Dataset()
         for sub, sup in (("a", "b"), ("b", "c")):
-            ds, _ = insert_quad(ds, Quad(GLOBAL_GRAPH, Iri(EX + sub), RDFS_SUBCLASS_OF, Iri(EX + sup)))
+            ds._add(Quad(GLOBAL_GRAPH, Iri(EX + sub), RDFS_SUBCLASS_OF, Iri(EX + sup)))
         assert ds.is_subclass_of(Iri(EX + "a"), Iri(EX + "c"))
         assert ds.is_subclass_of(Iri(EX + "a"), Iri(EX + "a"))
         assert not ds.is_subclass_of(Iri(EX + "c"), Iri(EX + "a"))
 
     def test_subclass_cache_invalidated_on_insert(self):
         ds = Dataset()
-        ds, _ = insert_quad(ds, Quad(GLOBAL_GRAPH, Iri(EX + "a"), RDFS_SUBCLASS_OF, Iri(EX + "b")))
+        ds._add(Quad(GLOBAL_GRAPH, Iri(EX + "a"), RDFS_SUBCLASS_OF, Iri(EX + "b")))
         assert not ds.is_subclass_of(Iri(EX + "b"), Iri(EX + "c"))
-        ds, _ = insert_quad(ds, Quad(GLOBAL_GRAPH, Iri(EX + "b"), RDFS_SUBCLASS_OF, Iri(EX + "c")))
+        ds._add(Quad(GLOBAL_GRAPH, Iri(EX + "b"), RDFS_SUBCLASS_OF, Iri(EX + "c")))
         assert ds.is_subclass_of(Iri(EX + "a"), Iri(EX + "c"))
 
 
@@ -122,7 +194,7 @@ def datasets(draw):
     ds = Dataset()
     quads = draw(st.lists(st.tuples(_iri_text, _iri_text, _iri_text, _iri_text), max_size=25))
     for g, s, p, o in quads:
-        ds, _ = insert_quad(ds, q4(g, s, p, o))
+        ds._add(q4(g, s, p, o))
     return ds
 
 
@@ -151,3 +223,27 @@ class TestPersistence:
         path = tmp_path / "d.quads"
         ds.save(path)
         assert Dataset.load(path).prefixes.namespaces()["ex"] == EX
+
+    def test_load_builds_one_iri_per_distinct_token(self, tmp_path):
+        ds = Dataset()
+        for g, s, p, o in product("12", repeat=4):
+            ds._add(q4(EX + g, EX + s, EX + p, EX + o))
+        path = tmp_path / "d.quads"
+        ds.save(path)
+        terms = [t for q in Dataset.load(path) for t in q]
+        assert len(terms) == 64
+        assert len({id(t) for t in terms}) == len({t.value for t in terms}) == 2
+
+    def test_failed_save_leaves_file_unchanged(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.quads"
+        path.write_text("<g> <s> <p> <o>\n", encoding="utf-8")
+        ds = Dataset()
+        ds._add(q4(EX + "g", EX + "s", EX + "p", EX + "o"))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            ds.save(path)
+        assert path.read_text(encoding="utf-8") == "<g> <s> <p> <o>\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.quads"]
