@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidIri
-from .terms import GLOBAL_GRAPH, RDFS_SUBCLASS_OF, Iri, PrefixTable
+from .terms import Iri, PrefixTable
 
 Triple = tuple[Iri, Iri, Iri]
 
@@ -149,26 +149,6 @@ class Dataset:
             terms.update((q.subject, q.predicate, q.object))
         return frozenset(terms)
 
-    # --- subclass entailment ----------------------------------------------
-
-    def superclasses(self, sub: Iri) -> frozenset[Iri]:
-        """Reflexive-transitive subClassOf closure of ``sub`` within the global graph."""
-        def build():
-            seen: set[Iri] = {sub}
-            frontier = [sub]
-            while frontier:
-                node = frontier.pop()
-                for q in self.match(GLOBAL_GRAPH, subject=node, predicate=RDFS_SUBCLASS_OF):
-                    if q.object not in seen:
-                        seen.add(q.object)
-                        frontier.append(q.object)
-            return frozenset(seen)
-
-        return self.derived(("superclasses", sub), build)
-
-    def is_subclass_of(self, sub: Iri, sup: Iri) -> bool:
-        return sup in self.superclasses(sub)
-
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
@@ -208,7 +188,10 @@ class Dataset:
                 if iri is None:
                     if not (token.startswith("<") and token.endswith(">")):
                         raise InvalidIri(f"{path}:{lineno}: malformed quad record")
-                    iri = terms[token] = Iri(token[1:-1])
+                    try:
+                        iri = terms[token] = Iri(token[1:-1])
+                    except InvalidIri as exc:
+                        raise InvalidIri(f"{path}:{lineno}: {exc}") from None
                 quad.append(iri)
             ds._add(Quad(*quad))
         return ds

@@ -20,14 +20,8 @@ from .errors import (
     UnknownIri,
 )
 from .quadstore import Dataset, Triple
-from .terms import (
-    G_FEATURE,
-    G_HAS_FEATURE,
-    GLOBAL_GRAPH,
-    RDF_TYPE,
-    SC_IDENTIFIER,
-    Iri,
-)
+from .sources import wrapper_schemas
+from .terms import G_FEATURE, G_HAS_FEATURE, GLOBAL_GRAPH, RDF_TYPE, Iri
 
 
 T = TypeVar("T")
@@ -317,18 +311,6 @@ def topological_concepts(phi: frozenset[Triple] | set[Triple]) -> list[Iri]:
     return order
 
 
-def identifier_features(ds: Dataset, concept: Iri) -> list[Iri]:
-    """The concept's features that specialize the identifier class, sorted."""
-    def build():
-        ids = []
-        for q in ds.match(GLOBAL_GRAPH, subject=concept, predicate=G_HAS_FEATURE):
-            if ds.is_subclass_of(q.object, SC_IDENTIFIER):
-                ids.append(q.object)
-        return sorted(ids)
-
-    return ds.derived(("identifier_features", concept), build)
-
-
 def well_formed_rewrite(ds: Dataset, q: OmqQuery) -> OmqQuery:
     """Repair projections of concepts into projections of their ID features.
 
@@ -338,6 +320,7 @@ def well_formed_rewrite(ds: Dataset, q: OmqQuery) -> OmqQuery:
     edges are not acyclic, NoIdentifier when a repair target has no ID.
     """
     topological_concepts(q.phi)
+    catalog = wrapper_schemas(ds)
     pi: list[Iri] = []
     phi = set(q.phi)
     for element in q.pi:
@@ -346,7 +329,7 @@ def well_formed_rewrite(ds: Dataset, q: OmqQuery) -> OmqQuery:
             if element not in pi:
                 pi.append(element)
             continue
-        ids = identifier_features(ds, element)
+        ids = catalog.identifier_features(element)
         if not ids:
             raise NoIdentifier(f"projected concept <{element}> has no identifier feature")
         for feature in ids:

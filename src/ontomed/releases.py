@@ -11,7 +11,14 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import DanglingFeatureMap, DuplicateWrapper, InvalidRelease, SubgraphNotInGlobal
+from .errors import (
+    DanglingFeatureMap,
+    DuplicateWrapper,
+    InvalidIri,
+    InvalidRelease,
+    SubgraphNotInGlobal,
+    UnknownPrefix,
+)
 from .quadstore import Dataset, Quad, Triple
 from .sources import SourceId, WrapperSchema
 from .terms import (
@@ -151,7 +158,7 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
         data_file = w.get("data_file")
         if data_file is not None and not isinstance(data_file, str):
             raise TypeError(f"wrapper.data_file must be a string, not {data_file!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidIri, UnknownPrefix) as exc:
         raise InvalidRelease(f"{path}: malformed release descriptor: {exc}") from exc
     return Release(
         wrapper=wrapper,

@@ -9,9 +9,10 @@ to the analyst's requested features.
 Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
 W^C walks, so per-walk work is kept to lookups: phase 3 computes one join
-plan per concept (connecting edge, providers, identifier attributes) and then
-checks each pair of walks for distinct sources; the filter compares
-per-wrapper bitmasks; and output binding memoises each step.
+plan per concept (connecting edge, joinable providers per identifier, and
+the one error a pair that cannot join meets) and then checks each pair of
+walks for distinct sources; the filter compares per-wrapper bitmasks; and
+output binding memoises each step.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from typing import Mapping
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from .quadstore import Dataset, Triple
-from .queries import (
-    OmqQuery,
-    identifier_features,
-    parse_omq,
-    topological_concepts,
-    well_formed_rewrite,
-)
+from .queries import OmqQuery, parse_omq, topological_concepts, well_formed_rewrite
 from .sources import (
     Catalog,
     JoinEnd,
@@ -97,9 +92,10 @@ def query_expansion(q: OmqQuery, ds: Dataset) -> ExpandedQuery:
         v for v in order
         if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT)
     )
+    catalog = wrapper_schemas(ds)
     phi = set(q.phi)
     for c in concepts:
-        for f_id in identifier_features(ds, c):
+        for f_id in catalog.identifier_features(c):
             phi.add((c, G_HAS_FEATURE, f_id))
     return ExpandedQuery(concepts=concepts, query=OmqQuery(pi=q.pi, phi=frozenset(phi)))
 
@@ -141,66 +137,73 @@ def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """How a concept's walks join the processed prefix: the connecting edge,
-    its providers and, for its head and then its tail concept, each identifier
-    feature with its attribute per wrapper. ``at_concept`` marks the end that
-    is the concept being joined."""
+    """How a concept's walks join the processed prefix: the connecting edge
+    and, for its head and then its tail concept, each identifier feature's
+    attribute per wrapper with the edge providers that have one. ``at_concept``
+    marks the end that is the concept being joined. ``error`` is what every
+    pair of walks that shares no wrapper and does not join meets."""
 
-    edge: Triple
-    providers: list[str]
-    targets: tuple[tuple[bool, tuple[tuple[Iri, Mapping[str, str]], ...]], ...]
+    edge: Triple | None
+    targets: tuple[tuple[bool, tuple[tuple[Mapping[str, str], tuple[JoinEnd, ...]], ...]], ...]
+    error: NoJoinPath | MissingIdAttribute
 
-    def candidates(self, merged: Walk, left: Walk, right: Walk, distinct: bool,
+    def candidates(self, merged: Walk, left: Walk, right: Walk,
                    trace: RewriteTrace | None) -> list[Walk]:
-        """Join candidates for two connected walks that share no wrapper. A
-        provider in the walk opposite the identifier's holder connects them,
-        so a candidate is valid exactly when the sources are ``distinct``."""
-        missing: MissingIdAttribute | None = None
+        """Join candidates for two walks with distinct sources that share no
+        wrapper: a provider in the walk opposite the identifier's holder
+        connects them."""
         for at_concept, features in self.targets:
             side, other = (right, left) if at_concept else (left, right)
             reachable = set(other.wrapper_names())
             found: list[Walk] = []
-            for f_id, attrs in features:
+            for attrs, joinable in features:
                 # Steps are sorted by name, so the first match is the least holder.
                 held = next(((name, attrs[name]) for name in side.wrapper_names()
                              if name in attrs), None)
                 if held is None:
                     continue
-                for name in self.providers:
-                    attr = attrs.get(name)
-                    if attr is None:
-                        missing = missing or MissingIdAttribute(
-                            f"wrapper {name} provides the edge but no attribute for <{f_id}>")
-                    elif name in reachable:
-                        cand = merged.add_wrapper(name).with_join((name, attr), held)
-                        if distinct:
-                            found.append(cand)
-                            if trace is not None:
-                                trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
-                                                   f" via <{self.edge[1]}>")
+                for name, attr in joinable:
+                    if name in reachable:
+                        found.append(merged.add_wrapper(name).with_join((name, attr), held))
+                        if trace is not None:
+                            trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
+                                               f" via <{self.edge[1]}>")
             if found:
                 return found
-        raise missing or MissingIdAttribute(
-            f"no identifier attribute joins the walks across <{self.edge[0]}> and <{self.edge[2]}>")
+        return []
 
 
-def _join_plan(phi, concept: Iri, processed: set[Iri], ds: Dataset,
-               catalog: Catalog) -> JoinPlan | NoJoinPath:
+def _join_plan(phi, concept: Iri, processed: set[Iri], catalog: Catalog) -> JoinPlan:
     """The plan through the first pattern edge (canonical order) linking the
-    concept to the processed prefix, or the error every pair of walks sharing
-    no wrapper would meet."""
+    concept to the processed prefix. Phase 2 gives every walk of a concept
+    all its identifier features, so every identifier has a holder, and a
+    pair that cannot join meets the plan's error: NoJoinPath without an edge
+    or providers, else the first provider lacking an identifier attribute,
+    else the generic MissingIdAttribute."""
     edge = next(((s, p, o) for s, p, o in sorted(phi) if p != G_HAS_FEATURE
                  and concept in (s, o) and (s in processed or o in processed)), None)
     if edge is None:
-        return NoJoinPath(f"no pattern edge connects <{concept}> to the processed prefix")
+        return JoinPlan(None, (), NoJoinPath(
+            f"no pattern edge connects <{concept}> to the processed prefix"))
     providers = catalog.providers(edge)
     if not providers:
         s, p, o = edge
-        return NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>")
-    return JoinPlan(edge, providers, tuple(
-        (target == concept, tuple((f_id, catalog.attrs_for(f_id))
-                                  for f_id in identifier_features(ds, target)))
-        for target in (edge[2], edge[0])))
+        return JoinPlan(edge, (), NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>"))
+    error: MissingIdAttribute | None = None
+    targets = []
+    for target in (edge[2], edge[0]):
+        features = []
+        for f_id in catalog.identifier_features(target):
+            attrs = catalog.attrs_for(f_id)
+            lacking = next((name for name in providers if name not in attrs), None)
+            if error is None and lacking is not None:
+                error = MissingIdAttribute(
+                    f"wrapper {lacking} provides the edge but no attribute for <{f_id}>")
+            features.append((attrs, tuple((name, attrs[name]) for name in providers
+                                          if name in attrs)))
+        targets.append((target == concept, tuple(features)))
+    return JoinPlan(edge, tuple(targets), error or MissingIdAttribute(
+        f"no identifier attribute joins the walks across <{edge[0]}> and <{edge[2]}>"))
 
 
 def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
@@ -208,37 +211,33 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
     """Join partial walks across concepts into full candidate walks: one join
     plan per concept, then one distinct-sources check per pair of walks. A
     pair sharing no wrapper joins on the edge's head identifier, or else its
-    tail's. When no pair joins, the first error such a pair met is raised."""
+    tail's. When no pair joins, the plan's error is raised if some pair
+    shared no wrapper."""
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
-        plan = _join_plan(x.query.phi, concept, processed, ds, catalog)
+        plan = _join_plan(x.query.phi, concept, processed, catalog)
         joined: list[Walk] = []
         seen: set[tuple] = set()
-        window_error: Exception | None = None
+        error: NoJoinPath | MissingIdAttribute | None = None
         for left, right in product(current, p.per_concept[concept]):
             merged = left.merge(right)
-            distinct = distinct_sources(merged, catalog)
+            shared = not set(left.wrapper_names()).isdisjoint(right.wrapper_names())
             candidates: list[Walk] = []
-            if set(left.wrapper_names()) & set(right.wrapper_names()):
-                candidates = [merged] if distinct else []
-            elif isinstance(plan, NoJoinPath):
-                window_error = window_error or plan
-            else:
-                try:
-                    candidates = plan.candidates(merged, left, right, distinct, trace)
-                except MissingIdAttribute as exc:
-                    window_error = window_error or exc
+            if distinct_sources(merged, catalog):
+                candidates = [merged] if shared else plan.candidates(merged, left, right, trace)
+            if not (candidates or shared):
+                error = plan.error
             for cand in candidates:
                 sig = cand.signature()
                 if sig not in seen:
                     seen.add(sig)
                     joined.append(cand)
         if not joined:
-            raise window_error or NoJoinPath(
+            raise error or NoJoinPath(
                 f"no wrapper materializes an edge joining <{concept}> to the query prefix")
         current = joined
         processed.add(concept)
@@ -283,9 +282,7 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
     catalog = wrapper_schemas(ds)
     step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]] = {}
     bindings = [_bind_features(catalog, w, wf.pi, step_bindings) for w in final]
-    id_features = frozenset(set(_features_of(expanded.query.phi)) - set(wf.pi))
-    return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings,
-               id_features=id_features)
+    return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings)
 
 
 def _features_of(phi) -> list[Iri]:

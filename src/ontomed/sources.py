@@ -5,11 +5,12 @@ projection (identifier attributes are never dropped) and restricted
 equi-joins (identifier attributes only), with pairwise-distinct sources.
 Walks are stored canonically so that equivalence is a plain equality test.
 
-The catalog compiles a snapshot's source and mapping graphs once: the
-wrapper schemas plus the attribute, feature and LAV indexes the rewriter
-reads. Coverage and minimality number the query's pattern triples once and
-hold each wrapper's LAV graph as an integer bitmask over them, so both tests
-are ORs of a few integers per walk.
+The catalog compiles a snapshot's source and mapping graphs, and the
+identifier facts of its global graph, once: the wrapper schemas plus the
+attribute, feature, identifier and LAV indexes the rewriter reads. Coverage
+and minimality number the query's pattern triples once and hold each
+wrapper's LAV graph as an integer bitmask over them, so both tests are ORs
+of a few integers per walk.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidWalk, MissingMapping, NotCovering
 from .quadstore import Dataset, Triple
-from .queries import connected
 from .terms import (
+    G_HAS_FEATURE,
+    GLOBAL_GRAPH,
     M_MAPPING,
     MAPPINGS_GRAPH,
     OWL_SAME_AS,
     RDF_TYPE,
+    RDFS_SUBCLASS_OF,
     S_HAS_ATTRIBUTE,
     S_HAS_WRAPPER,
     S_WRAPPER,
@@ -140,9 +143,6 @@ class Walk:
         """Full identity including projections (used for intra-phase dedup)."""
         return (self.steps, self.joins)
 
-    def is_connected(self) -> bool:
-        return connected(self.wrapper_names(), ((a[0], b[0]) for a, b in self.joins))
-
     def render(self) -> str:
         """Textual algebra: the projections, then the join body."""
         attrs = sorted(f"{w}.{a}" for w, a in self.projected_pairs())
@@ -165,51 +165,26 @@ class Walk:
         return "( " + " ".join(parts) + " )"
 
 
-def walk_equivalent(a: Walk, b: Walk) -> bool:
-    """True iff both walks join the same wrappers with the same join conditions."""
-    return a.key() == b.key()
-
-
 def distinct_sources(walk: Walk, catalog: Mapping[str, WrapperSchema]) -> bool:
     sources = [catalog[name].source for name in walk.wrapper_names()]
     return len(sources) == len(set(sources))
 
 
-def validate_walk(walk: Walk, catalog: Mapping[str, WrapperSchema]) -> None:
-    """Raise InvalidWalk unless the walk satisfies the algebra's structural rules."""
-    for name, attrs in walk.steps:
-        schema = catalog.get(name)
-        if schema is None:
-            raise InvalidWalk(f"unknown wrapper {name}")
-        unknown = set(attrs) - set(schema.attrs)
-        if unknown:
-            raise InvalidWalk(f"wrapper {name}: projected unknown attributes {sorted(unknown)}")
-    for (wl, al), (wr, ar) in walk.joins:
-        for w, a in ((wl, al), (wr, ar)):
-            schema = catalog.get(w)
-            if schema is None or w not in dict(walk.steps):
-                raise InvalidWalk(f"join endpoint on wrapper {w} outside the walk")
-            if a not in schema.id_attrs:
-                raise InvalidWalk(f"join endpoint {w}.{a} is not an ID attribute")
-    if not distinct_sources(walk, catalog):
-        raise InvalidWalk("two wrappers in the walk share a source")
-    if not walk.is_connected():
-        raise InvalidWalk("walk join graph is not connected")
-
-
 # --- the compiled catalog ---------------------------------------------------
 
 class Catalog(Mapping[str, WrapperSchema]):
-    """The wrapper, attribute and feature facts of one snapshot, compiled in
-    one pass over its source and mapping graphs.
+    """The wrapper, attribute, feature and identifier facts of one snapshot,
+    compiled once from its graphs.
 
     Maps each wrapper name to its schema and indexes (wrapper, attribute) ->
-    feature, feature -> {wrapper: least attribute}, wrapper -> LAV triples and
-    triple -> the sorted names of the wrappers whose LAV graph holds it.
-    Names are the IRIs with their namespace prefix removed. Where the graphs
-    give a choice, the least IRI wins: a wrapper's owner source, an
-    attribute's owl:sameAs target and a wrapper's mapping graph. An attribute
-    counts as ID when its feature is a subclass of the identifier domain.
+    feature, feature -> {wrapper: least attribute}, concept -> identifier
+    features, wrapper -> LAV triples and triple -> the sorted names of the
+    wrappers whose LAV graph holds it. Names are the IRIs with their
+    namespace prefix removed. Where the graphs give a choice, the least IRI
+    wins: a wrapper's owner source, an attribute's owl:sameAs target and a
+    wrapper's mapping graph. The identifiers are sc:identifier and its
+    subclasses, transitively, by the global graph's rdfs:subClassOf edges;
+    an attribute counts as ID when its feature is one.
     """
 
     def __init__(self, ds: Dataset):
@@ -226,6 +201,18 @@ class Catalog(Mapping[str, WrapperSchema]):
                         for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS))
         mapping = least((q.subject, q.object)
                         for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING))
+        identifiers, frontier = {SC_IDENTIFIER}, [SC_IDENTIFIER]
+        while frontier:
+            for q in ds.match(GLOBAL_GRAPH, predicate=RDFS_SUBCLASS_OF, object=frontier.pop()):
+                if q.subject not in identifiers:
+                    identifiers.add(q.subject)
+                    frontier.append(q.subject)
+        ids: dict[Iri, list[Iri]] = {}
+        for q in ds.match(GLOBAL_GRAPH, predicate=G_HAS_FEATURE):
+            if q.object in identifiers:
+                ids.setdefault(q.subject, []).append(q.object)
+        self._ids: dict[Iri, tuple[Iri, ...]] = {
+            concept: tuple(sorted(features)) for concept, features in ids.items()}
         wrapper_ns, source_ns = wrapper_iri("").value, source_iri("").value
         self._schemas: dict[str, WrapperSchema] = {}
         self._features: dict[JoinEnd, Iri] = {}
@@ -253,8 +240,7 @@ class Catalog(Mapping[str, WrapperSchema]):
                 held = self._attrs.setdefault(feature, {})
                 if name not in held or attr < held[name]:
                     held[name] = attr
-                is_id = SC_IDENTIFIER in ds.superclasses(feature)
-                (id_attrs if is_id else non_id_attrs).append(attr)
+                (id_attrs if feature in identifiers else non_id_attrs).append(attr)
             self._schemas[name] = WrapperSchema(
                 name=name,
                 source=SourceId(src.value[len(source_ns):]),
@@ -282,6 +268,10 @@ class Catalog(Mapping[str, WrapperSchema]):
     def attrs_for(self, feature: Iri) -> Mapping[str, str]:
         """Per wrapper, the least attribute name mapped to the feature."""
         return self._attrs.get(feature, {})
+
+    def identifier_features(self, concept: Iri) -> tuple[Iri, ...]:
+        """The concept's identifier features, sorted."""
+        return self._ids.get(concept, ())
 
     def lav_triples(self, wrapper: str) -> frozenset[Triple]:
         try:
@@ -342,7 +332,6 @@ class Ucq:
     walks: list[Walk]
     output_features: tuple[Iri, ...]
     bindings: list[dict[Iri, JoinEnd]]
-    id_features: frozenset[Iri] = frozenset()
 
     def render(self) -> str:
         lines = []

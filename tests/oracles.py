@@ -4,18 +4,35 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ontomed.errors import InvalidWalk
 from ontomed.quadstore import Dataset
 from ontomed.sources import canonical_join, wrapper_schemas
 from ontomed.terms import (
+    GLOBAL_GRAPH,
     M_MAPPING,
     MAPPINGS_GRAPH,
     OWL_SAME_AS,
+    RDFS_SUBCLASS_OF,
     SC_IDENTIFIER,
     Iri,
     wrapper_iri,
 )
 
 WalkKey = tuple[frozenset[str], frozenset]
+
+
+def _is_identifier(ds: Dataset, feature: Iri) -> bool:
+    """True iff climbing rdfs:subClassOf from the feature reaches sc:identifier."""
+    seen, frontier = {feature}, [feature]
+    while frontier:
+        node = frontier.pop()
+        if node == SC_IDENTIFIER:
+            return True
+        for q in ds.match(GLOBAL_GRAPH, subject=node, predicate=RDFS_SUBCLASS_OF):
+            if q.object not in seen:
+                seen.add(q.object)
+                frontier.append(q.object)
+    return False
 
 
 def _id_feature_attrs(ds: Dataset, catalog) -> dict[str, dict[Iri, str]]:
@@ -26,7 +43,7 @@ def _id_feature_attrs(ds: Dataset, catalog) -> dict[str, dict[Iri, str]]:
         for attr in schema.id_attrs:
             a_iri = schema.attr_iri(attr)
             for q in ds.match(MAPPINGS_GRAPH, subject=a_iri, predicate=OWL_SAME_AS):
-                if ds.is_subclass_of(q.object, SC_IDENTIFIER):
+                if _is_identifier(ds, q.object):
                     table[q.object] = attr
         out[name] = table
     return out
@@ -100,6 +117,30 @@ def brute_force_binding(ds: Dataset, walk, features) -> dict:
         if ends:
             binding[f] = min(ends)
     return binding
+
+
+def validate_walk(walk, catalog) -> None:
+    """Raise InvalidWalk unless the walk satisfies the algebra's structural
+    rules: known wrappers and attributes, joins between ID attributes of its
+    own wrappers, pairwise-distinct sources and a spanning join graph."""
+    steps = dict(walk.steps)
+    for name, attrs in walk.steps:
+        schema = catalog.get(name)
+        if schema is None:
+            raise InvalidWalk(f"unknown wrapper {name}")
+        unknown = set(attrs) - set(schema.attrs)
+        if unknown:
+            raise InvalidWalk(f"wrapper {name}: projected unknown attributes {sorted(unknown)}")
+    for join in walk.joins:
+        for w, a in join:
+            if w not in steps:
+                raise InvalidWalk(f"join endpoint on wrapper {w} outside the walk")
+            if a not in catalog[w].id_attrs:
+                raise InvalidWalk(f"join endpoint {w}.{a} is not an ID attribute")
+    if len({catalog[name].source for name in steps}) != len(steps):
+        raise InvalidWalk("two wrappers in the walk share a source")
+    if not _spans(steps, walk.joins):
+        raise InvalidWalk("walk join graph is not connected")
 
 
 def _spans(subset, joins) -> bool:

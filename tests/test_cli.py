@@ -10,6 +10,7 @@ import pytest
 from ontomed.cli import main
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+W1_TEXT = (DEMO / "releases" / "w1.json").read_text(encoding="utf-8")
 
 
 @pytest.fixture
@@ -133,12 +134,21 @@ class TestMalformedInputs:
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
         one_line_error(capsys)
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        pytest.param(W1_TEXT.replace('"sup:Monitor"', '"nocolon"', 1), id="term-without-colon"),
+        pytest.param(W1_TEXT.replace('"lagRatio": "sup:lagRatio"', '"lagRatio": "<>"'),
+                     id="empty-feature-iri"),
+        pytest.param(W1_TEXT.replace('"sup:Monitor"', '"zzz:foo"', 1), id="unknown-prefix"),
+    ])
     def test_malformed_release_descriptor(self, ws, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
+        before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
         assert main(["-w", str(ws), "release", str(bad)]) == 2
-        one_line_error(capsys)
+        assert "bad.json: malformed release descriptor" in one_line_error(capsys)
+        assert {name: (ws / name).read_bytes() for name in before} == before
 
     def test_non_string_data_file_refused(self, ws, tmp_path, capsys):
         doc = json.loads((DEMO / "releases" / "w1.json").read_text(encoding="utf-8"))
@@ -173,6 +183,13 @@ class TestMalformedInputs:
         bad.write_bytes(b"\xff\xfeSELECT ?x FROM G: WHERE { }\n")
         assert main(["-w", str(loaded_ws), "query", str(bad)]) == 4
         assert "bad.rq" in one_line_error(capsys)
+
+    def test_empty_iri_in_quad_file(self, tmp_path, capsys):
+        quads = tmp_path / "global.quads"
+        quads.write_text("<http://x/g> <http://x/s> <http://x/p> <http://x/o>\n"
+                         "<> <http://x/s> <http://x/p> <http://x/o>\n", encoding="utf-8")
+        assert main(["init", str(tmp_path / "ws"), "--global-graph", str(quads)]) == 4
+        assert f"{quads}:2: empty IRI" in one_line_error(capsys)
 
     def test_non_utf8_quad_file(self, ws, capsys):
         with open(ws / "ontology.quads", "ab") as f:

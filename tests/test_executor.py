@@ -132,8 +132,7 @@ class TestEvalUcq:
         ucq = rewrite(MONITOR_QUERY, post_evolution_ds)
         flipped = Ucq(walks=list(reversed(ucq.walks)),
                       output_features=ucq.output_features,
-                      bindings=list(reversed(ucq.bindings)),
-                      id_features=ucq.id_features)
+                      bindings=list(reversed(ucq.bindings)))
         a = eval_ucq(ucq, demo_bindings)
         b = eval_ucq(flipped, demo_bindings)
         assert set(a.rows) == set(b.rows)

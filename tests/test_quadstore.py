@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 from ontomed.errors import InvalidIri, UnknownPrefix
 from ontomed.quadstore import Dataset, Quad
-from ontomed.terms import (
-    GLOBAL_GRAPH,
-    RDFS_SUBCLASS_OF,
-    Iri,
-    PrefixTable,
-)
+from ontomed.terms import Iri, PrefixTable
 
 
 def q4(g, s, p, o):
@@ -167,20 +162,13 @@ class TestDataset:
         ds._add(q4(EX + "g2", EX + "s", EX + "p", EX + "o2"))
         assert ds.graph_triples(Iri(EX + "g1")) == {(Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o"))}
 
-    def test_subclass_closure_reflexive_transitive(self):
+    def test_derived_cache_invalidated_on_insert(self):
         ds = Dataset()
-        for sub, sup in (("a", "b"), ("b", "c")):
-            ds._add(Quad(GLOBAL_GRAPH, Iri(EX + sub), RDFS_SUBCLASS_OF, Iri(EX + sup)))
-        assert ds.is_subclass_of(Iri(EX + "a"), Iri(EX + "c"))
-        assert ds.is_subclass_of(Iri(EX + "a"), Iri(EX + "a"))
-        assert not ds.is_subclass_of(Iri(EX + "c"), Iri(EX + "a"))
-
-    def test_subclass_cache_invalidated_on_insert(self):
-        ds = Dataset()
-        ds._add(Quad(GLOBAL_GRAPH, Iri(EX + "a"), RDFS_SUBCLASS_OF, Iri(EX + "b")))
-        assert not ds.is_subclass_of(Iri(EX + "b"), Iri(EX + "c"))
-        ds._add(Quad(GLOBAL_GRAPH, Iri(EX + "b"), RDFS_SUBCLASS_OF, Iri(EX + "c")))
-        assert ds.is_subclass_of(Iri(EX + "a"), Iri(EX + "c"))
+        ds._add(q4(EX + "g", EX + "s", EX + "p", EX + "o"))
+        assert ds.derived("size", lambda: len(ds)) == 1
+        assert ds.derived("size", lambda: -1) == 1
+        ds._add(q4(EX + "g", EX + "s", EX + "p", EX + "o2"))
+        assert ds.derived("size", lambda: len(ds)) == 2
 
 
 _iri_text = st.text(

@@ -27,10 +27,11 @@ from ontomed.sources import (
     minimality,
     wrapper_schemas,
 )
+from ontomed.terms import G_HAS_FEATURE
 
 from conftest import MONITOR_QUERY, MONITOR_SUBGRAPH, iri
 from generators import make_instance
-from oracles import brute_force_binding, brute_force_walk_keys
+from oracles import brute_force_binding, brute_force_walk_keys, validate_walk
 
 
 @pytest.fixture
@@ -46,8 +47,6 @@ class TestQueryExpansion:
 
     def test_monitor_identifier_added(self, pre_evolution_ds, wf_query):
         x = query_expansion(wf_query, pre_evolution_ds)
-        from ontomed.terms import G_HAS_FEATURE
-
         assert (iri("sup:Monitor"), G_HAS_FEATURE, iri("sup:monitorId")) in x.query.phi
         assert iri("sup:monitorId") not in wf_query.pi
 
@@ -139,8 +138,6 @@ class TestInterConcept:
     def test_no_join_path(self, global_ds):
         # Wrappers cover both concepts but none materializes the edge
         # between them, so the join cannot be discovered.
-        from ontomed.terms import G_HAS_FEATURE
-
         ds = global_ds
         ds, _ = apply_release(ds, Release(
             WrapperSchema("WA", SourceId("DA"), ("monId",), ()),
@@ -161,6 +158,45 @@ class TestInterConcept:
         """
         with pytest.raises(NoJoinPath):
             rewrite(text, ds)
+
+
+    def test_missing_id_attribute_carries_the_plans_message(self, global_ds, post_evolution_ds):
+        # WB provides the Monitor -> InfoMonitor edge but no attribute for
+        # the Monitor identifier, so no pair can join across that edge.
+        ds = global_ds
+        for release in (
+            Release(WrapperSchema("WA", SourceId("DA"), ("monId",), ()),
+                    frozenset({(iri("sup:Monitor"), G_HAS_FEATURE, iri("sup:monitorId"))}),
+                    {"monId": iri("sup:monitorId")}),
+            Release(WrapperSchema("WB", SourceId("DB"), (), ("lag",)),
+                    frozenset({(iri("sup:InfoMonitor"), G_HAS_FEATURE, iri("sup:lagRatio")),
+                               (iri("sup:Monitor"), iri("sup:generatesQoS"), iri("sup:InfoMonitor"))}),
+                    {"lag": iri("sup:lagRatio")}),
+        ):
+            ds, _ = apply_release(ds, release)
+        text = """
+        SELECT ?x FROM G: WHERE {
+          VALUES (?x) { (sup:lagRatio) }
+          sup:Monitor sup:generatesQoS sup:InfoMonitor .
+          sup:InfoMonitor G:hasFeature sup:lagRatio
+        }
+        """
+        with pytest.raises(MissingIdAttribute) as exc:
+            rewrite(text, ds)
+        assert str(exc.value) == (f"wrapper WB provides the edge but no attribute for "
+                                  f"<{iri('sup:monitorId')}>")
+
+        # After W4 the only InfoMonitor walk left shares source D1 with the
+        # Monitor walk's W1: every provider has the attribute, the sources clash.
+        ds = post_evolution_ds
+        x = query_expansion(well_formed_rewrite(ds, parse_omq(MONITOR_QUERY, ds)), ds)
+        p = intra_concept_generation(x, ds)
+        p.per_concept[iri("sup:Monitor")] = [Walk.single("W1", ["VoDmonitorId"])]
+        p.per_concept[iri("sup:InfoMonitor")] = [Walk.single("W4", ["bufferingRatio"])]
+        with pytest.raises(MissingIdAttribute) as exc:
+            inter_concept_generation(p, x, ds)
+        assert str(exc.value) == (f"no identifier attribute joins the walks across "
+                                  f"<{iri('sup:Monitor')}> and <{iri('sup:InfoMonitor')}>")
 
 
 class TestRewrite:
@@ -256,6 +292,7 @@ class TestOracleEquivalence:
                 ucq = Ucq(walks=[], output_features=wf.pi, bindings=[])
             assert {w.key() for w in ucq.walks} == expected
             for w, binding in zip(ucq.walks, ucq.bindings):
+                validate_walk(w, wrapper_schemas(ds))
                 assert binding == brute_force_binding(ds, w, ucq.output_features)
             agreements += 1
         assert agreements == 60

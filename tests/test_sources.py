@@ -1,22 +1,24 @@
-"""Walk algebra: canonical form, equivalence, validity, coverage, minimality."""
+"""Walk algebra: canonical form, equivalence, the oracle's validity check,
+the compiled catalog, coverage and minimality."""
 
 import pytest
 
 from ontomed.errors import InvalidWalk, MissingMapping, NotCovering
+from ontomed.quadstore import Dataset, Quad
 from ontomed.queries import parse_omq, well_formed_rewrite
-from ontomed.releases import apply_release
+from ontomed.releases import Release, apply_release
 from ontomed.sources import (
     SourceId,
     Walk,
     WrapperSchema,
     coverage,
     minimality,
-    validate_walk,
-    walk_equivalent,
     wrapper_schemas,
 )
+from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDENTIFIER, Iri
 
 from conftest import MONITOR_QUERY
+from oracles import validate_walk
 
 
 def make_catalog():
@@ -46,19 +48,22 @@ class TestWalkStructure:
         a = joined_walk()
         b = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["MonitorId"]))
         b = b.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
-        assert walk_equivalent(a, b)
+        assert a.key() == b.key()
         assert a.signature() != b.signature()
 
     def test_equivalence_distinguishes_wrappers_and_joins(self):
         a = joined_walk()
         c = Walk.single("W4").merge(Walk.single("W3")).with_join(("W4", "VoDmonitorId"), ("W3", "MonitorId"))
-        assert not walk_equivalent(a, c)
+        assert a.key() != c.key()
 
     def test_connectivity(self):
-        assert Walk.single("W1").is_connected()
+        # A walk's join graph must span its wrappers; the oracle's validity
+        # check is the reference for that rule.
+        validate_walk(Walk.single("W1"), make_catalog())
         unjoined = Walk.single("W1").merge(Walk.single("W3"))
-        assert not unjoined.is_connected()
-        assert joined_walk().is_connected()
+        with pytest.raises(InvalidWalk, match="not connected"):
+            validate_walk(unjoined, make_catalog())
+        validate_walk(joined_walk(), make_catalog())
 
     def test_render_is_deterministic(self):
         assert joined_walk().render() == (
@@ -106,6 +111,27 @@ class TestCatalogDerivation:
         catalog = wrapper_schemas(pre_evolution_ds)
         assert "lagRatio" in catalog["W1"].non_id_attrs
         assert "VoDmonitorId" in catalog["W1"].id_attrs
+
+    def test_identifiers_close_over_subclass(self):
+        # a ⊑ b ⊑ sc:identifier ⊑ top: a and sc:identifier itself are
+        # identifiers, top is not; the attributes' ID roles follow.
+        c, a, b, top = (Iri("http://example.org/" + n) for n in ("C", "a", "b", "top"))
+        features = (a, SC_IDENTIFIER, top)
+        ds = Dataset()
+        for sub, sup in ((a, b), (b, SC_IDENTIFIER), (SC_IDENTIFIER, top)):
+            ds._add(Quad(GLOBAL_GRAPH, sub, RDFS_SUBCLASS_OF, sup))
+        for f in features:
+            ds._add(Quad(GLOBAL_GRAPH, c, G_HAS_FEATURE, f))
+        ds, _ = apply_release(ds, Release(
+            WrapperSchema("W", SourceId("D"), (), ("x", "y", "z")),
+            frozenset((c, G_HAS_FEATURE, f) for f in features),
+            dict(zip(("x", "y", "z"), features)),
+        ))
+        catalog = wrapper_schemas(ds)
+        assert catalog.identifier_features(c) == tuple(sorted((a, SC_IDENTIFIER)))
+        assert catalog.identifier_features(a) == ()
+        assert catalog["W"].id_attrs == ("x", "y")
+        assert catalog["W"].non_id_attrs == ("z",)
 
     def test_one_catalog_per_snapshot(self, pre_evolution_ds):
         assert wrapper_schemas(pre_evolution_ds) is wrapper_schemas(pre_evolution_ds)
