@@ -6,10 +6,13 @@ There is one index per lookup shape the program makes: by graph, and by
 graph plus (p), (s,p) or (p,o). Any other shape filters the graph's quads, or
 all quads.
 
-Terms are interned on load: a loaded dataset holds one :class:`Iri` per
-distinct term, and each ``Iri`` returns a hash computed once, which keeps
-the set and dict work behind every index cheap. ``copy`` clones the quad set
-and each index set by set, which reuses the hashes the sets already hold.
+Terms are interned for the whole process (see :class:`Iri`): every dataset
+holds one object per distinct IRI, shared with every other dataset alive, so
+the hash and equality tests behind every index run in C. ``load`` keeps a
+per-file map from token to term, so each distinct token is looked up in the
+intern table once. ``copy`` clones the quad set and each index set by set,
+which reuses the hashes the sets already hold. ``save`` sorts the quads by
+the text of their terms, which is their order as terms.
 ``save`` writes through a temporary file in the same directory and then
 replaces the target, so a reader sees either the old file or the new one.
 """
@@ -157,8 +160,9 @@ class Dataset:
             f"@prefix {prefix}: <{namespace}>"
             for prefix, namespace in sorted(self.prefixes.namespaces().items())
         ]
-        for g, s, p, o in sorted(self._quads):
-            lines.append(f"<{g.value}> <{s.value}> <{p.value}> <{o.value}>")
+        for g, s, p, o in sorted((g.value, s.value, p.value, o.value)
+                                 for g, s, p, o in self._quads):
+            lines.append(f"<{g}> <{s}> <{p}> <{o}>")
         write_replacing(path, "\n".join(lines) + "\n")
 
     @classmethod

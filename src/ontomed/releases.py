@@ -16,6 +16,7 @@ from .errors import (
     DuplicateWrapper,
     InvalidIri,
     InvalidRelease,
+    InvalidWalk,
     SubgraphNotInGlobal,
     UnknownPrefix,
 )
@@ -158,7 +159,7 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
         data_file = w.get("data_file")
         if data_file is not None and not isinstance(data_file, str):
             raise TypeError(f"wrapper.data_file must be a string, not {data_file!r}")
-    except (KeyError, TypeError, ValueError, InvalidIri, UnknownPrefix) as exc:
+    except (KeyError, TypeError, ValueError, InvalidIri, InvalidWalk, UnknownPrefix) as exc:
         raise InvalidRelease(f"{path}: malformed release descriptor: {exc}") from exc
     return Release(
         wrapper=wrapper,

@@ -294,7 +294,7 @@ def _bind_features(catalog: Catalog, walk: Walk, features: tuple[Iri, ...],
                    ) -> dict[Iri, JoinEnd]:
     """Bind each feature to the least (wrapper, attribute) of the walk mapped
     to it. ``step_bindings`` memoises, per step, each feature's least end."""
-    per_step = []
+    least: dict[Iri, JoinEnd] = {}
     for step in walk.steps:
         bound = step_bindings.get(step)
         if bound is None:
@@ -303,10 +303,8 @@ def _bind_features(catalog: Catalog, walk: Walk, features: tuple[Iri, ...],
             for attr in sorted(attrs):
                 bound.setdefault(catalog.feature(name, attr), (name, attr))
             step_bindings[step] = bound
-        per_step.append(bound)
-    binding: dict[Iri, JoinEnd] = {}
-    for f in features:
-        ends = [bound[f] for bound in per_step if f in bound]
-        if ends:
-            binding[f] = min(ends)
-    return binding
+        for f, end in bound.items():
+            have = least.get(f)
+            if have is None or end < have:
+                least[f] = end
+    return {f: least[f] for f in features if f in least}

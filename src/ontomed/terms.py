@@ -2,12 +2,15 @@
 
 All identifiers are stored fully expanded; prefixed forms only exist at the
 serialization boundary (query text, quad files, release descriptors) and are
-resolved against a :class:`PrefixTable`.
+resolved against a :class:`PrefixTable`. Each IRI is one interned
+:class:`Iri` object for the whole process, the dictionary encoding of terms
+of RDF-3X (Neumann & Weikum, VLDB Journal 19(1), 2010).
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import FrozenInstanceError
 
 from .errors import InvalidIri, UnknownPrefix
@@ -34,21 +37,34 @@ DEFAULT_PREFIXES: dict[str, str] = {
 
 _ABSOLUTE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
 
+# The one live Iri per value, for the whole process.
+_INTERNED: weakref.WeakValueDictionary[str, "Iri"] = weakref.WeakValueDictionary()
+
 
 class Iri:
     """A fully expanded identifier; equal iff the expanded forms are byte-equal.
 
-    Immutable, ordered by its text, and hashed once when built: every set and
-    dict of the quad store hashes its terms, usually many times over.
+    Immutable, ordered by its text, and interned: while an ``Iri`` for a value
+    is alive, building that value again returns the same object. Equality is
+    therefore identity and the hash is ``object.__hash__``, so sets and dicts
+    hash and match terms, quads and index keys without running Python code.
+    The intern table holds its terms weakly: a term no one references leaves
+    it.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value: str):
+    def __new__(cls, value: str):
+        try:
+            return _INTERNED[value]
+        except KeyError:
+            pass
         if not value:
             raise InvalidIri("empty IRI")
+        self = object.__new__(cls)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", hash(value))
+        _INTERNED[value] = self
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -59,12 +75,11 @@ class Iri:
     def __reduce__(self):
         return (Iri, (self.value,))
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __eq__(self, other):
         if other.__class__ is Iri:
-            return self.value == other.value
+            return self is other
         return NotImplemented
 
     def __lt__(self, other):

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ontomed
 from ontomed.cli import main
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -141,6 +144,7 @@ class TestMalformedInputs:
         pytest.param(W1_TEXT.replace('"lagRatio": "sup:lagRatio"', '"lagRatio": "<>"'),
                      id="empty-feature-iri"),
         pytest.param(W1_TEXT.replace('"sup:Monitor"', '"zzz:foo"', 1), id="unknown-prefix"),
+        pytest.param(W1_TEXT.replace('"name": "W1"', '"name": "W 1"'), id="wrapper-name-with-space"),
     ])
     def test_malformed_release_descriptor(self, ws, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -315,3 +319,37 @@ class TestBench:
         assert len(lines) == 5
         # The global graph never grows while releases accumulate.
         assert len({line.split(",")[4] for line in lines[1:]}) == 1
+
+
+# The demo workflow in a fresh interpreter, in a fresh directory: init, all
+# four releases, then the query with its trace.
+_DEMO_RUN = """
+import shutil, sys
+from pathlib import Path
+from ontomed.cli import main
+demo = Path(sys.argv[1])
+assert main(["init", "ws", "--global-graph", str(demo / "global.quads")]) == 0
+shutil.copytree(demo / "data", "ws/data")
+for name in ("w1", "w2", "w3", "w4"):
+    assert main(["-w", "ws", "release", str(demo / "releases" / f"{name}.json")]) == 0
+assert main(["-w", "ws", "query", "--verbose", str(demo / "query.rq")]) == 0
+"""
+
+
+class TestHashIndependence:
+    def test_output_same_under_two_hash_seeds(self, tmp_path):
+        # Terms hash by identity and strings by a seeded hash, so set order
+        # differs between processes; no output may follow it.
+        src = str(Path(ontomed.__file__).resolve().parent.parent)
+        runs = []
+        for seed in ("1", "2"):
+            cwd = tmp_path / seed
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", _DEMO_RUN, str(DEMO)], cwd=cwd, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, (cwd / "ws" / "ontology.quads").read_bytes()))
+        assert "2 walk(s)" in runs[0][0]
+        assert runs[0] == runs[1]

@@ -1,6 +1,7 @@
 """Quad store: construction, pattern matching, closure, persistence."""
 
 import copy
+import gc
 import os
 import pickle
 import random
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from ontomed.errors import InvalidIri, UnknownPrefix
 from ontomed.quadstore import Dataset, Quad
-from ontomed.terms import Iri, PrefixTable
+from ontomed.terms import _INTERNED, Iri, PrefixTable
 
 
 def q4(g, s, p, o):
@@ -95,6 +96,35 @@ class TestIri:
         assert iri.value == EX + "a" and hash(iri) == hash(Iri(EX + "a"))
         for clone in (copy.copy(iri), copy.deepcopy(iri), pickle.loads(pickle.dumps(iri))):
             assert clone == iri and hash(clone) == hash(iri)
+
+
+class TestInterning:
+    def test_one_object_per_value(self):
+        assert Iri(EX + "a") is Iri(EX + "a")
+        assert Iri(EX + "a") is PrefixTable({"ex": EX}).expand("ex:a")
+        assert Iri(EX + "a") is not Iri(EX + "b")
+
+    def test_copy_and_pickle_return_the_interned_object(self):
+        iri = Iri(EX + "a")
+        for clone in (copy.copy(iri), copy.deepcopy(iri), pickle.loads(pickle.dumps(iri))):
+            assert clone is iri
+        quad = q4(EX + "g", EX + "s", EX + "p", EX + "o")
+        assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(quad)), quad))
+
+    def test_loads_of_one_file_share_their_terms(self, tmp_path):
+        path = tmp_path / "d.quads"
+        path.write_text(f"<{EX}g> <{EX}s> <{EX}p> <{EX}o>\n", encoding="utf-8")
+        first, second = Dataset.load(path), Dataset.load(path)
+        (a,), (b,) = first, second
+        assert all(x is y for x, y in zip(a, b))
+
+    def test_unreferenced_term_leaves_the_table(self):
+        value = EX + "interning/transient"
+        iri = Iri(value)
+        assert _INTERNED[value] is iri
+        del iri
+        gc.collect()
+        assert value not in _INTERNED
 
 
 # Nine of the sixteen quads over two values per position.
@@ -221,6 +251,23 @@ class TestPersistence:
         terms = [t for q in Dataset.load(path) for t in q]
         assert len(terms) == 64
         assert len({id(t) for t in terms}) == len({t.value for t in terms}) == 2
+
+    def test_save_writes_term_order(self, tmp_path):
+        # As line text "<http://x/a-> " sorts before "<http://x/a> ", since
+        # "-" < ">"; as terms http://x/a comes first.
+        values = ("http://x/a", "http://x/a-", "http://x/a/b")
+        ds = Dataset()
+        for g, s, p, o in product(values, repeat=4):
+            ds._add(q4(g, s, p, o))
+        path = tmp_path / "d.quads"
+        ds.save(path)
+        text = path.read_text(encoding="utf-8")
+        records = [line for line in text.splitlines() if not line.startswith("@prefix")]
+        expected = [f"<{g.value}> <{s.value}> <{p.value}> <{o.value}>" for g, s, p, o in sorted(ds)]
+        assert records == expected and sorted(records) != expected
+        again = tmp_path / "again.quads"
+        Dataset.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_failed_save_leaves_file_unchanged(self, tmp_path, monkeypatch):
         path = tmp_path / "d.quads"
