@@ -12,25 +12,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_growth_bench, run_walk_bench
-from .errors import (
-    CyclicPattern,
-    DisconnectedPattern,
-    InvalidIri,
-    InvalidRelease,
-    MalformedRow,
-    MissingColumn,
-    MissingIdAttribute,
-    MissingMapping,
-    NoIdentifier,
-    NoJoinPath,
-    NoWalks,
-    NoWrapperForConcept,
-    OmqSyntaxError,
-    OntomedError,
-    UnboundWrapper,
-    UnknownIri,
-    WorkspaceError,
-)
+from .errors import OntomedError, WorkspaceError
 from .executor import eval_ucq
 from .quadstore import Dataset
 from .releases import apply_release, load_release
@@ -41,16 +23,7 @@ from .workspace import Workspace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_QUERY = 3
 EXIT_IO = 4
-
-_QUERY_ERRORS = (
-    OmqSyntaxError, UnknownIri, DisconnectedPattern, CyclicPattern, NoIdentifier,
-    NoWrapperForConcept, NoJoinPath, MissingIdAttribute, NoWalks, MissingMapping,
-)
-_IO_ERRORS = (
-    WorkspaceError, MissingColumn, MalformedRow, UnboundWrapper, InvalidIri, OSError,
-)
 
 
 def _positive_int(text: str) -> int:
@@ -201,18 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _QUERY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUERY
-    except InvalidRelease as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _IO_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OntomedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

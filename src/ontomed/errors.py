@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class OntomedError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors; ``exit_code`` is the command line's exit status."""
+    exit_code = 2
 
 
 # --- term / store level ---------------------------------------------------
@@ -15,6 +16,7 @@ class UnknownPrefix(OntomedError):
 
 class InvalidIri(OntomedError):
     """An identifier is empty or neither absolute nor a resolvable prefixed name."""
+    exit_code = 4
 
 
 # --- source model ---------------------------------------------------------
@@ -25,6 +27,7 @@ class InvalidWalk(OntomedError):
 
 class MissingMapping(OntomedError):
     """A wrapper participating in a walk has no mapping named graph."""
+    exit_code = 3
 
 
 class NotCovering(OntomedError):
@@ -53,6 +56,7 @@ class DanglingFeatureMap(InvalidRelease):
 
 class OmqSyntaxError(OntomedError):
     """Query text does not match the accepted template."""
+    exit_code = 3
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -64,53 +68,65 @@ class OmqSyntaxError(OntomedError):
 
 class UnknownIri(OntomedError):
     """A query term does not occur in the global graph."""
+    exit_code = 3
 
 
 class DisconnectedPattern(OntomedError):
     """The query's basic graph pattern is not connected."""
+    exit_code = 3
 
 
 class CyclicPattern(OntomedError):
     """The query's concept graph has at least one cycle."""
+    exit_code = 3
 
 
 class NoIdentifier(OntomedError):
     """A projected concept has no identifier feature to stand in for it."""
+    exit_code = 3
 
 
 # --- rewriter -------------------------------------------------------------
 
 class NoWrapperForConcept(OntomedError):
     """No wrapper provides all requested features of a concept; the query is unanswerable."""
+    exit_code = 3
 
 
 class NoJoinPath(OntomedError):
     """No mapping named graph provides the pattern edge needed to join two concepts."""
+    exit_code = 3
 
 
 class MissingIdAttribute(OntomedError):
     """An edge-providing wrapper lacks the physical attribute for the join identifier."""
+    exit_code = 3
 
 
 # --- executor -------------------------------------------------------------
 
 class MissingColumn(OntomedError):
     """A wrapper data file lacks a column for one of the wrapper's attributes."""
+    exit_code = 4
 
 
 class MalformedRow(OntomedError):
     """A data row's arity does not match the header."""
+    exit_code = 4
 
 
 class UnboundWrapper(OntomedError):
     """A walk references a wrapper with no data binding."""
+    exit_code = 4
 
 
 class NoWalks(OntomedError):
     """A union query with zero conjuncts cannot be evaluated."""
+    exit_code = 3
 
 
 # --- workspace / CLI ------------------------------------------------------
 
 class WorkspaceError(OntomedError):
     """The workspace directory is missing or inconsistent."""
+    exit_code = 4

@@ -2,9 +2,10 @@
 
 Datasets are snapshots: the public operations never mutate their input, they
 return a fresh dataset instead. Readers may therefore share a dataset freely.
-There is one index per lookup shape the program makes: by graph, and by
-graph plus (p), (s,p) or (p,o). Any other shape filters the graph's quads, or
-all quads.
+There are two indexes, by graph and by graph plus predicate, the two shapes
+the program looks up. A loop that needs a subject or an object groups its
+bucket once before it starts, so an index by subject or by object would only
+slow every load and copy. Other shapes filter a bucket or all quads.
 
 Terms are interned for the whole process (see :class:`Iri`): every dataset
 holds one object per distinct IRI, shared with every other dataset alive, so
@@ -64,8 +65,6 @@ class Dataset:
         self._quads: set[Quad] = set()
         self._by_g: dict[Iri, set[Quad]] = defaultdict(set)
         self._by_gp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
-        self._by_gsp: dict[tuple[Iri, Iri, Iri], set[Quad]] = defaultdict(set)
-        self._by_gpo: dict[tuple[Iri, Iri, Iri], set[Quad]] = defaultdict(set)
         self._derived_cache: dict = {}
 
     # --- container protocol ------------------------------------------------
@@ -75,9 +74,6 @@ class Dataset:
 
     def __iter__(self) -> Iterator[Quad]:
         return iter(self._quads)
-
-    def __contains__(self, q: Quad) -> bool:
-        return q in self._quads
 
     def quads(self) -> frozenset[Quad]:
         return frozenset(self._quads)
@@ -91,8 +87,6 @@ class Dataset:
         self._quads.add(q)
         self._by_g[q.graph].add(q)
         self._by_gp[q.graph, q.predicate].add(q)
-        self._by_gsp[q.graph, q.subject, q.predicate].add(q)
-        self._by_gpo[q.graph, q.predicate, q.object].add(q)
         self._derived_cache.clear()
         return True
 
@@ -101,8 +95,6 @@ class Dataset:
         clone._quads = set(self._quads)
         clone._by_g = _clone_index(self._by_g)
         clone._by_gp = _clone_index(self._by_gp)
-        clone._by_gsp = _clone_index(self._by_gsp)
-        clone._by_gpo = _clone_index(self._by_gpo)
         return clone
 
     # --- queries -----------------------------------------------------------
@@ -119,12 +111,11 @@ class Dataset:
             if subject is not None and object is not None:
                 q = Quad(graph, subject, predicate, object)
                 return {q} if q in self._quads else set()
-            if subject is not None:
-                return set(self._by_gsp.get((graph, subject, predicate), ()))
-            if object is not None:
-                return set(self._by_gpo.get((graph, predicate, object), ()))
-            return set(self._by_gp.get((graph, predicate), ()))
-        pool = self._quads if graph is None else self._by_g.get(graph, ())
+            pool = self._by_gp.get((graph, predicate), ())
+            if subject is None and object is None:
+                return set(pool)
+        else:
+            pool = self._quads if graph is None else self._by_g.get(graph, ())
         return {q for q in pool
                 if (subject is None or q.subject == subject)
                 and (predicate is None or q.predicate == predicate)

@@ -50,7 +50,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"select", "from", "where", "values", "prefix"}
 _FORBIDDEN = {"filter", "optional", "union", "graph", "bind", "minus", "service"}
 
 

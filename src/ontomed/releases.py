@@ -119,8 +119,7 @@ def apply_release(ds: Dataset, r: Release) -> tuple[Dataset, GrowthStats]:
 
     for attr in wrapper.attrs:
         a_iri = wrapper.attr_iri(attr)
-        if not out.match(SOURCE_GRAPH, subject=a_iri, predicate=RDF_TYPE, object=S_ATTRIBUTE):
-            out._add(Quad(SOURCE_GRAPH, a_iri, RDF_TYPE, S_ATTRIBUTE))
+        if out._add(Quad(SOURCE_GRAPH, a_iri, RDF_TYPE, S_ATTRIBUTE)):
             stats.attribute_type += 1
         if out._add(Quad(SOURCE_GRAPH, wrapper.iri, S_HAS_ATTRIBUTE, a_iri)):
             stats.attribute_link += 1
@@ -146,19 +145,23 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         w = raw["wrapper"]
         wrapper = WrapperSchema(
-            name=w["name"],
-            source=SourceId(w["source"]),
-            id_attrs=tuple(w.get("id_attributes", ())),
-            non_id_attrs=tuple(w.get("non_id_attributes", ())),
+            name=_string(w["name"], "wrapper.name"),
+            source=SourceId(_string(w["source"], "wrapper.source")),
+            id_attrs=_strings(w.get("id_attributes", []), "wrapper.id_attributes"),
+            non_id_attrs=_strings(w.get("non_id_attributes", []), "wrapper.non_id_attributes"),
         )
         expand = ds.prefixes.expand
         subgraph = frozenset(
-            (expand(s), expand(p), expand(o)) for s, p, o in raw["subgraph"]
+            (expand(s), expand(p), expand(o))
+            for s, p, o in (_strings(t, "subgraph triple") for t in raw["subgraph"])
         )
-        feature_map = {a: expand(f) for a, f in raw.get("feature_map", {}).items()}
+        feature_map = raw.get("feature_map", {})
+        if not isinstance(feature_map, dict):
+            raise TypeError(f"feature_map must be an object, not {feature_map!r}")
+        feature_map = {a: expand(_string(f, f"feature_map[{a!r}]")) for a, f in feature_map.items()}
         data_file = w.get("data_file")
-        if data_file is not None and not isinstance(data_file, str):
-            raise TypeError(f"wrapper.data_file must be a string, not {data_file!r}")
+        if data_file is not None:
+            _string(data_file, "wrapper.data_file")
     except (KeyError, TypeError, ValueError, InvalidIri, InvalidWalk, UnknownPrefix) as exc:
         raise InvalidRelease(f"{path}: malformed release descriptor: {exc}") from exc
     return Release(
@@ -167,6 +170,18 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
         feature_map=feature_map,
         data_file=data_file,
     )
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(_string(v, what) for v in value)
 
 
 def save_release(r: Release, path: str | Path, ds: Dataset) -> None:

@@ -201,6 +201,9 @@ class Catalog(Mapping[str, WrapperSchema]):
                         for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS))
         mapping = least((q.subject, q.object)
                         for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING))
+        attributes: dict[Iri, list[Iri]] = {}
+        for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE):
+            attributes.setdefault(q.subject, []).append(q.object)
         identifiers, frontier = {SC_IDENTIFIER}, [SC_IDENTIFIER]
         while frontier:
             for q in ds.match(GLOBAL_GRAPH, predicate=RDFS_SUBCLASS_OF, object=frontier.pop()):
@@ -228,11 +231,11 @@ class Catalog(Mapping[str, WrapperSchema]):
             name, prefix = w_iri.value[len(wrapper_ns):], src.value + "/"
             id_attrs: list[str] = []
             non_id_attrs: list[str] = []
-            for aq in ds.match(SOURCE_GRAPH, subject=w_iri, predicate=S_HAS_ATTRIBUTE):
-                if not aq.object.value.startswith(prefix):
+            for a_iri in attributes.get(w_iri, ()):
+                if not a_iri.value.startswith(prefix):
                     continue
-                attr = aq.object.value[len(prefix):]
-                feature = same_as.get(aq.object)
+                attr = a_iri.value[len(prefix):]
+                feature = same_as.get(a_iri)
                 if feature is None:
                     non_id_attrs.append(attr)
                     continue

@@ -68,7 +68,9 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
     attributes = _typed(ds, SOURCE_GRAPH, S_ATTRIBUTE)
 
     # V1: hasFeature edges link a concept to a feature.
+    feature_owners: dict[Iri, set[Iri]] = {}
     for q in ds.match(GLOBAL_GRAPH, predicate=G_HAS_FEATURE):
+        feature_owners.setdefault(q.object, set()).add(q.subject)
         if q.subject not in concepts:
             report.violations.append(Violation("V1", q.subject, "hasFeature subject is not a Concept"))
         if q.object not in features:
@@ -76,26 +78,32 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
 
     # V2: a feature belongs to at most one concept.
     for f in sorted(features):
-        owners = {q.subject for q in ds.match(GLOBAL_GRAPH, predicate=G_HAS_FEATURE, object=f)}
+        owners = feature_owners.get(f, set())
         if len(owners) > 1:
             names = ", ".join(str(o) for o in sorted(owners))
             report.violations.append(Violation("V2", f, f"feature owned by {len(owners)} concepts: {names}"))
 
     # V3: hasWrapper links DataSource to Wrapper; hasAttribute links Wrapper to Attribute.
+    wrapper_source: dict[Iri, set[Iri]] = {}
     for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER):
+        wrapper_source.setdefault(q.object, set()).add(q.subject)
         if q.subject not in sources:
             report.violations.append(Violation("V3", q.subject, "hasWrapper subject is not a DataSource"))
         if q.object not in wrappers:
             report.violations.append(Violation("V3", q.object, "hasWrapper object is not a Wrapper"))
-    for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE):
+    has_attribute = ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE)
+    for q in has_attribute:
         if q.subject not in wrappers:
             report.violations.append(Violation("V3", q.subject, "hasAttribute subject is not a Wrapper"))
         if q.object not in attributes:
             report.violations.append(Violation("V3", q.object, "hasAttribute object is not an Attribute"))
 
     # V4: each attribute maps to at most one feature.
+    same_as: dict[Iri, set[Iri]] = {}
+    for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS):
+        same_as.setdefault(q.subject, set()).add(q.object)
     for a in sorted(attributes):
-        targets = {q.object for q in ds.match(MAPPINGS_GRAPH, subject=a, predicate=OWL_SAME_AS)}
+        targets = same_as.get(a, set())
         if len(targets) > 1:
             report.violations.append(Violation("V4", a, f"attribute mapped to {len(targets)} features"))
         for t in sorted(targets):
@@ -112,10 +120,7 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             )
 
     # V6: attribute identifiers carry the prefix of their owning source.
-    wrapper_source: dict[Iri, set[Iri]] = {}
-    for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER):
-        wrapper_source.setdefault(q.object, set()).add(q.subject)
-    for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE):
+    for q in has_attribute:
         for src in sorted(wrapper_source.get(q.subject, set())):
             if not q.object.value.startswith(src.value + "/"):
                 report.violations.append(

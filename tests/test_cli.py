@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import ontomed
+from ontomed import errors
 from ontomed.cli import main
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 W1_TEXT = (DEMO / "releases" / "w1.json").read_text(encoding="utf-8")
+W1_DOC = json.loads(W1_TEXT)
 
 
 @pytest.fixture
@@ -115,6 +117,29 @@ class TestExitCodes:
     def test_missing_query_file(self, loaded_ws, capsys):
         assert main(["-w", str(loaded_ws), "query", str(loaded_ws / "absent.rq")]) == 4
 
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.OntomedError)
+    ], ids=lambda cls: cls.__name__)
+    def test_exit_code_per_error_class(self, monkeypatch, capsys, cls):
+        expected = {
+            "OntomedError": 2, "UnknownPrefix": 2, "InvalidWalk": 2, "NotCovering": 2,
+            "InvalidRelease": 2, "SubgraphNotInGlobal": 2, "DuplicateWrapper": 2,
+            "DanglingFeatureMap": 2,
+            "OmqSyntaxError": 3, "UnknownIri": 3, "DisconnectedPattern": 3,
+            "CyclicPattern": 3, "NoIdentifier": 3, "NoWrapperForConcept": 3,
+            "NoJoinPath": 3, "MissingIdAttribute": 3, "NoWalks": 3, "MissingMapping": 3,
+            "InvalidIri": 4, "WorkspaceError": 4, "MissingColumn": 4, "MalformedRow": 4,
+            "UnboundWrapper": 4,
+        }
+
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr("ontomed.cli._cmd_stats", fail)
+        assert main(["stats"]) == expected[cls.__name__]
+        assert one_line_error(capsys) == "error: boom"
+
 
 def one_line_error(capsys) -> str:
     """The single ``error:`` line a failing command prints, with no traceback."""
@@ -145,6 +170,18 @@ class TestMalformedInputs:
                      id="empty-feature-iri"),
         pytest.param(W1_TEXT.replace('"sup:Monitor"', '"zzz:foo"', 1), id="unknown-prefix"),
         pytest.param(W1_TEXT.replace('"name": "W1"', '"name": "W 1"'), id="wrapper-name-with-space"),
+        pytest.param(W1_TEXT.replace('"sup:Monitor"', '5', 1), id="non-string-subgraph-term"),
+        pytest.param(W1_TEXT.replace('"lagRatio": "sup:lagRatio"', '"lagRatio": null'),
+                     id="null-feature"),
+        pytest.param(json.dumps({**W1_DOC, "feature_map": [["lagRatio", "sup:lagRatio"]]}),
+                     id="feature-map-list"),
+        pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"],
+                                                       "id_attributes": "VoDmonitorId"}}),
+                     id="id-attributes-string"),
+        pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"], "name": ["W1"]}}),
+                     id="wrapper-name-list"),
+        pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"], "source": ["D1"]}}),
+                     id="source-list"),
     ])
     def test_malformed_release_descriptor(self, ws, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"

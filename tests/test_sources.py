@@ -3,11 +3,13 @@ the compiled catalog, coverage and minimality."""
 
 import pytest
 
+from ontomed.bench import build_chain_instance
 from ontomed.errors import InvalidWalk, MissingMapping, NotCovering
 from ontomed.quadstore import Dataset, Quad
 from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
 from ontomed.sources import (
+    Catalog,
     SourceId,
     Walk,
     WrapperSchema,
@@ -16,6 +18,7 @@ from ontomed.sources import (
     wrapper_schemas,
 )
 from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDENTIFIER, Iri
+from ontomed.vocab import validate_ontology
 
 from conftest import MONITOR_QUERY
 from oracles import validate_walk
@@ -142,6 +145,26 @@ class TestCatalogDerivation:
         assert "W4" in wrapper_schemas(grown)
         assert "W4" not in before
         assert "W4" not in wrapper_schemas(pre_evolution_ds)
+
+    @pytest.mark.parametrize("compile_", [Catalog, validate_ontology], ids=["catalog", "validate"])
+    def test_lookups_do_not_grow_with_wrappers(self, monkeypatch, compile_):
+        # Each loop over wrappers, attributes or features reads a bucket
+        # grouped once before it, not one store lookup per item.
+        small, large = build_chain_instance(3, 2), build_chain_instance(3, 6)
+        calls = []
+        match = Dataset.match
+
+        def counted(self, *args, **kw):
+            calls.append(1)
+            return match(self, *args, **kw)
+
+        monkeypatch.setattr(Dataset, "match", counted)
+        counts = []
+        for ds in (small, large):
+            calls.clear()
+            compile_(ds)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestCoverageMinimality:
