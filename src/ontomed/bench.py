@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .quadstore import Dataset, Quad
-from .releases import GrowthStats, Release, apply_release
+from .releases import Release, apply_release
 from .rewriter import rewrite
 from .sources import SourceId, WrapperSchema
 from .terms import (
@@ -149,7 +149,6 @@ class GrowthRecord:
     bound: int
     cumulative: int
     global_quads: int
-    stats: GrowthStats
 
 
 def release_bound(r: Release, ds: Dataset) -> int:
@@ -174,7 +173,6 @@ def run_growth_bench(ds: Dataset, releases: list[tuple[str, Release]]) -> tuple[
             bound=bound,
             cumulative=cumulative,
             global_quads=len(ds.match(GLOBAL_GRAPH)),
-            stats=stats,
         ))
     return ds, records
 

@@ -7,13 +7,11 @@ the program looks up. A loop that needs a subject or an object groups its
 bucket once before it starts, so an index by subject or by object would only
 slow every load and copy. Other shapes filter a bucket or all quads.
 
-Terms are interned for the whole process (see :class:`Iri`): every dataset
-holds one object per distinct IRI, shared with every other dataset alive, so
-the hash and equality tests behind every index run in C. ``load`` keeps a
-per-file map from token to term, so each distinct token is looked up in the
-intern table once. ``copy`` clones the quad set and each index set by set,
-which reuses the hashes the sets already hold. ``save`` sorts the quads by
-the text of their terms, which is their order as terms.
+Terms are strings (see :class:`Iri`), so the hash and equality tests behind
+every index, and the sort in ``save``, run in C; a term's order is the order
+of its text. ``load`` keeps a per-file map from token to term, so it builds
+one object per distinct token. ``copy`` clones the quad set and each index
+set by set, which reuses the hashes the sets already hold.
 ``save`` writes through a temporary file in the same directory and then
 replaces the target, so a reader sees either the old file or the new one.
 """
@@ -151,8 +149,7 @@ class Dataset:
             f"@prefix {prefix}: <{namespace}>"
             for prefix, namespace in sorted(self.prefixes.namespaces().items())
         ]
-        for g, s, p, o in sorted((g.value, s.value, p.value, o.value)
-                                 for g, s, p, o in self._quads):
+        for g, s, p, o in sorted(self._quads):
             lines.append(f"<{g}> <{s}> <{p}> <{o}>")
         write_replacing(path, "\n".join(lines) + "\n")
 

@@ -8,7 +8,7 @@ release only ever adds quads; the global graph itself is never touched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import (
@@ -75,20 +75,10 @@ class GrowthStats:
 
     @property
     def total(self) -> int:
-        return (self.source + self.wrapper + self.attribute_type
-                + self.attribute_link + self.mapping + self.mapping_graph + self.same_as)
+        return sum(getattr(self, f.name) for f in fields(self))
 
     def render(self) -> str:
-        fields = [
-            ("source", self.source),
-            ("wrapper", self.wrapper),
-            ("attribute_type", self.attribute_type),
-            ("attribute_link", self.attribute_link),
-            ("mapping", self.mapping),
-            ("mapping_graph", self.mapping_graph),
-            ("same_as", self.same_as),
-        ]
-        body = "\n".join(f"  {name}: {count}" for name, count in fields)
+        body = "\n".join(f"  {f.name}: {getattr(self, f.name)}" for f in fields(self))
         return f"{body}\n  total: {self.total}"
 
 

@@ -216,7 +216,7 @@ class Catalog(Mapping[str, WrapperSchema]):
                 ids.setdefault(q.subject, []).append(q.object)
         self._ids: dict[Iri, tuple[Iri, ...]] = {
             concept: tuple(sorted(features)) for concept, features in ids.items()}
-        wrapper_ns, source_ns = wrapper_iri("").value, source_iri("").value
+        wrapper_ns, source_ns = wrapper_iri(""), source_iri("")
         self._schemas: dict[str, WrapperSchema] = {}
         self._features: dict[JoinEnd, Iri] = {}
         self._attrs: dict[Iri, dict[str, str]] = {}
@@ -225,16 +225,16 @@ class Catalog(Mapping[str, WrapperSchema]):
         # Sorted wrapper IRIs share one prefix, so names come in sorted order.
         for q in sorted(ds.match(SOURCE_GRAPH, predicate=RDF_TYPE, object=S_WRAPPER)):
             w_iri, src = q.subject, owner.get(q.subject)
-            if src is None or not (w_iri.value.startswith(wrapper_ns)
-                                   and src.value.startswith(source_ns)):
+            if src is None or not (w_iri.startswith(wrapper_ns)
+                                   and src.startswith(source_ns)):
                 continue
-            name, prefix = w_iri.value[len(wrapper_ns):], src.value + "/"
+            name, prefix = w_iri[len(wrapper_ns):], src + "/"
             id_attrs: list[str] = []
             non_id_attrs: list[str] = []
             for a_iri in attributes.get(w_iri, ()):
-                if not a_iri.value.startswith(prefix):
+                if not a_iri.startswith(prefix):
                     continue
-                attr = a_iri.value[len(prefix):]
+                attr = a_iri[len(prefix):]
                 feature = same_as.get(a_iri)
                 if feature is None:
                     non_id_attrs.append(attr)
@@ -246,7 +246,7 @@ class Catalog(Mapping[str, WrapperSchema]):
                 (id_attrs if feature in identifiers else non_id_attrs).append(attr)
             self._schemas[name] = WrapperSchema(
                 name=name,
-                source=SourceId(src.value[len(source_ns):]),
+                source=SourceId(src[len(source_ns):]),
                 id_attrs=tuple(sorted(id_attrs)),
                 non_id_attrs=tuple(sorted(non_id_attrs)),
             )

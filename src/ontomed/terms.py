@@ -2,16 +2,13 @@
 
 All identifiers are stored fully expanded; prefixed forms only exist at the
 serialization boundary (query text, quad files, release descriptors) and are
-resolved against a :class:`PrefixTable`. Each IRI is one interned
-:class:`Iri` object for the whole process, the dictionary encoding of terms
-of RDF-3X (Neumann & Weikum, VLDB Journal 19(1), 2010).
+resolved against a :class:`PrefixTable`. An :class:`Iri` is a ``str``, so
+terms hash, compare and sort in C, in the order of their text.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
-from dataclasses import FrozenInstanceError
 
 from .errors import InvalidIri, UnknownPrefix
 
@@ -37,76 +34,26 @@ DEFAULT_PREFIXES: dict[str, str] = {
 
 _ABSOLUTE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
 
-# The one live Iri per value, for the whole process.
-_INTERNED: weakref.WeakValueDictionary[str, "Iri"] = weakref.WeakValueDictionary()
 
+class Iri(str):
+    """A fully expanded identifier: a ``str`` of its text, never empty.
 
-class Iri:
-    """A fully expanded identifier; equal iff the expanded forms are byte-equal.
-
-    Immutable, ordered by its text, and interned: while an ``Iri`` for a value
-    is alive, building that value again returns the same object. Equality is
-    therefore identity and the hash is ``object.__hash__``, so sets and dicts
-    hash and match terms, quads and index keys without running Python code.
-    The intern table holds its terms weakly: a term no one references leaves
-    it.
+    ``str`` caches its hash and compares and sorts in C, so sets and dicts
+    match terms, quads and index keys without running Python code, and terms
+    sort in text order. An ``Iri`` equals, and hashes like, the ``str`` of its
+    text; its own type marks a built term apart from text still to resolve
+    (see :meth:`PrefixTable.expand`).
     """
 
-    __slots__ = ("value", "__weakref__")
+    __slots__ = ()
 
     def __new__(cls, value: str):
-        try:
-            return _INTERNED[value]
-        except KeyError:
-            pass
         if not value:
             raise InvalidIri("empty IRI")
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        _INTERNED[value] = self
-        return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Iri, (self.value,))
-
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is Iri:
-            return self is other
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is Iri:
-            return self.value < other.value
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is Iri:
-            return self.value <= other.value
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is Iri:
-            return self.value > other.value
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is Iri:
-            return self.value >= other.value
-        return NotImplemented
+        return super().__new__(cls, value)
 
     def __repr__(self) -> str:
-        return f"Iri(value={self.value!r})"
-
-    def __str__(self) -> str:
-        return self.value
+        return f"Iri(value={str.__repr__(self)})"
 
 
 class PrefixTable:
@@ -152,13 +99,13 @@ class PrefixTable:
         """Render an Iri in prefixed form when a registered namespace matches."""
         best: tuple[str, str] | None = None
         for prefix, namespace in self._table.items():
-            if iri.value.startswith(namespace):
+            if iri.startswith(namespace):
                 if best is None or len(namespace) > len(best[1]):
                     best = (prefix, namespace)
         if best is None:
-            return f"<{iri.value}>"
+            return f"<{iri}>"
         prefix, namespace = best
-        return f"{prefix}:{iri.value[len(namespace):]}"
+        return f"{prefix}:{iri[len(namespace):]}"
 
 
 # --- vocabulary constants (metamodel of the three graphs) ------------------
@@ -197,7 +144,7 @@ def wrapper_iri(name: str) -> Iri:
 
 def attribute_iri(source: Iri, attr_name: str) -> Iri:
     """Attribute identifiers carry the prefix of their owning source."""
-    return Iri(source.value + "/" + attr_name)
+    return Iri(source + "/" + attr_name)
 
 
 def mapping_graph_iri(wrapper_name: str) -> Iri:

@@ -1,7 +1,8 @@
 """Structural validation of a dataset against the metadata vocabulary.
 
 Six rules cover the legal instantiation of the global, source, and mapping
-graphs. Violations are data, not faults: validation always returns a report.
+graphs. Violations are data, not faults: validation always returns a report,
+its violations sorted by rule, subject and detail.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Violation:
     rule: str
     subject: Iri
@@ -77,10 +78,10 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             report.violations.append(Violation("V1", q.object, "hasFeature object is not a Feature"))
 
     # V2: a feature belongs to at most one concept.
-    for f in sorted(features):
+    for f in features:
         owners = feature_owners.get(f, set())
         if len(owners) > 1:
-            names = ", ".join(str(o) for o in sorted(owners))
+            names = ", ".join(sorted(owners))
             report.violations.append(Violation("V2", f, f"feature owned by {len(owners)} concepts: {names}"))
 
     # V3: hasWrapper links DataSource to Wrapper; hasAttribute links Wrapper to Attribute.
@@ -102,11 +103,11 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
     same_as: dict[Iri, set[Iri]] = {}
     for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS):
         same_as.setdefault(q.subject, set()).add(q.object)
-    for a in sorted(attributes):
+    for a in attributes:
         targets = same_as.get(a, set())
         if len(targets) > 1:
             report.violations.append(Violation("V4", a, f"attribute mapped to {len(targets)} features"))
-        for t in sorted(targets):
+        for t in targets:
             if t not in features:
                 report.violations.append(Violation("V4", a, f"sameAs target <{t}> is not a Feature"))
 
@@ -114,16 +115,18 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
     global_triples = ds.graph_triples(GLOBAL_GRAPH)
     for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING):
         extras = ds.graph_triples(q.object) - global_triples
-        for s, p, o in sorted(extras):
+        for s, p, o in extras:
             report.violations.append(
                 Violation("V5", q.object, f"named graph triple <{s}> <{p}> <{o}> absent from global graph")
             )
 
     # V6: attribute identifiers carry the prefix of their owning source.
     for q in has_attribute:
-        for src in sorted(wrapper_source.get(q.subject, set())):
-            if not q.object.value.startswith(src.value + "/"):
+        for src in wrapper_source.get(q.subject, set()):
+            if not q.object.startswith(src + "/"):
                 report.violations.append(
                     Violation("V6", q.object, f"attribute not prefixed by its source <{src}>")
                 )
+    # The rules walk sets, whose order follows the hash seed.
+    report.violations.sort()
     return report

@@ -12,6 +12,7 @@ import pytest
 import ontomed
 from ontomed import errors
 from ontomed.cli import main
+from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 W1_TEXT = (DEMO / "releases" / "w1.json").read_text(encoding="utf-8")
@@ -390,3 +391,35 @@ class TestHashIndependence:
             runs.append((done.stdout, (cwd / "ws" / "ontology.quads").read_bytes()))
         assert "2 walk(s)" in runs[0][0]
         assert runs[0] == runs[1]
+
+
+# A validate run in a fresh interpreter over a global graph of eight
+# hasFeature edges between untyped nodes, each edge two V1 violations.
+_VALIDATE_RUN = """
+import sys
+from ontomed.cli import main
+assert main(["init", "ws", "--global-graph", sys.argv[1]]) == 0
+assert main(["-w", "ws", "validate"]) == 2
+"""
+
+
+class TestValidateOrder:
+    def test_violations_same_under_two_hash_seeds(self, tmp_path):
+        edges = tmp_path / "edges.quads"
+        edges.write_text("".join(
+            f"<{GLOBAL_GRAPH}> <http://x/c{i}> <{G_HAS_FEATURE}> <http://x/f{i}>\n"
+            for i in range(8)),
+            encoding="utf-8")
+        src = str(Path(ontomed.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            cwd = tmp_path / seed
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", _VALIDATE_RUN, str(edges)], cwd=cwd,
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0].count("RULEV1 ") == 16
+        assert outputs[0] == outputs[1]

@@ -1,20 +1,21 @@
 """Quad store: construction, pattern matching, closure, persistence."""
 
 import copy
-import gc
+import hashlib
 import os
 import pickle
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomed.bench import build_chain_instance
 from ontomed.errors import InvalidIri, UnknownPrefix
 from ontomed.quadstore import Dataset, Quad
-from ontomed.terms import _INTERNED, Iri, PrefixTable
+from ontomed.terms import Iri, PrefixTable
 
 
 def q4(g, s, p, o):
@@ -74,13 +75,14 @@ class TestIri:
         assert len({Iri(EX + "a"), Iri(EX + "a")}) == 1
 
     def test_comparison_with_non_iri(self):
+        # An Iri is a str: it equals, hashes and orders like its text, and
+        # like any str it differs from other types.
+        for v in self.VALUES:
+            assert Iri(v) == v and hash(Iri(v)) == hash(v)
+        assert Iri(EX + "a") < EX + "b"
         iri = Iri(EX + "a")
-        for other in (EX + "a", DataclassIri(EX + "a"), None):
+        for other in (DataclassIri(EX + "a"), None):
             assert iri != other and not iri == other
-            assert iri.__eq__(other) is NotImplemented
-            assert iri.__lt__(other) is NotImplemented
-        with pytest.raises(TypeError):
-            iri < EX + "b"
 
     def test_repr_and_str(self):
         for v in self.VALUES:
@@ -89,42 +91,12 @@ class TestIri:
 
     def test_immutable_and_copyable(self):
         iri = Iri(EX + "a")
-        with pytest.raises(FrozenInstanceError):
-            iri.value = EX + "b"
-        with pytest.raises(FrozenInstanceError):
-            del iri.value
-        assert iri.value == EX + "a" and hash(iri) == hash(Iri(EX + "a"))
+        for name in ("value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(iri, name, EX + "b")
+        assert str(iri) == EX + "a"
         for clone in (copy.copy(iri), copy.deepcopy(iri), pickle.loads(pickle.dumps(iri))):
-            assert clone == iri and hash(clone) == hash(iri)
-
-
-class TestInterning:
-    def test_one_object_per_value(self):
-        assert Iri(EX + "a") is Iri(EX + "a")
-        assert Iri(EX + "a") is PrefixTable({"ex": EX}).expand("ex:a")
-        assert Iri(EX + "a") is not Iri(EX + "b")
-
-    def test_copy_and_pickle_return_the_interned_object(self):
-        iri = Iri(EX + "a")
-        for clone in (copy.copy(iri), copy.deepcopy(iri), pickle.loads(pickle.dumps(iri))):
-            assert clone is iri
-        quad = q4(EX + "g", EX + "s", EX + "p", EX + "o")
-        assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(quad)), quad))
-
-    def test_loads_of_one_file_share_their_terms(self, tmp_path):
-        path = tmp_path / "d.quads"
-        path.write_text(f"<{EX}g> <{EX}s> <{EX}p> <{EX}o>\n", encoding="utf-8")
-        first, second = Dataset.load(path), Dataset.load(path)
-        (a,), (b,) = first, second
-        assert all(x is y for x, y in zip(a, b))
-
-    def test_unreferenced_term_leaves_the_table(self):
-        value = EX + "interning/transient"
-        iri = Iri(value)
-        assert _INTERNED[value] is iri
-        del iri
-        gc.collect()
-        assert value not in _INTERNED
+            assert type(clone) is Iri and clone == iri and repr(clone) == repr(iri)
 
 
 # Nine of the sixteen quads over two values per position.
@@ -250,7 +222,7 @@ class TestPersistence:
         ds.save(path)
         terms = [t for q in Dataset.load(path) for t in q]
         assert len(terms) == 64
-        assert len({id(t) for t in terms}) == len({t.value for t in terms}) == 2
+        assert len({id(t) for t in terms}) == len({str(t) for t in terms}) == 2
 
     def test_save_writes_term_order(self, tmp_path):
         # As line text "<http://x/a-> " sorts before "<http://x/a> ", since
@@ -263,11 +235,18 @@ class TestPersistence:
         ds.save(path)
         text = path.read_text(encoding="utf-8")
         records = [line for line in text.splitlines() if not line.startswith("@prefix")]
-        expected = [f"<{g.value}> <{s.value}> <{p.value}> <{o.value}>" for g, s, p, o in sorted(ds)]
+        expected = [f"<{g}> <{s}> <{p}> <{o}>" for g, s, p, o in sorted(ds)]
         assert records == expected and sorted(records) != expected
         again = tmp_path / "again.quads"
         Dataset.load(path).save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # A 1,479-quad store, saved in the order of its terms' text: a change
+        # to that order or to the record format changes the digest.
+        path = tmp_path / "chain.quads"
+        build_chain_instance(20, 4).save(path)
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == "1afc892331854b15952bd438e0e817db7abbc865"
 
     def test_failed_save_leaves_file_unchanged(self, tmp_path, monkeypatch):
         path = tmp_path / "d.quads"

@@ -76,7 +76,7 @@ class TestApplyRelease:
         assert stats.attribute_link == 2
         attr = releases["W4"].wrapper.attr_iri("VoDmonitorId")
         typed = ds.match(SOURCE_GRAPH, subject=attr)
-        assert len([q for q in typed if q.predicate.value.endswith("type")]) == 1
+        assert len([q for q in typed if str(q.predicate).endswith("type")]) == 1
 
     def test_same_as_links_present_once(self, pre_evolution_ds, releases):
         ds, stats = apply_release(pre_evolution_ds, releases["W4"])
