@@ -13,6 +13,7 @@ wrapper names, so consecutive walks tend to share long prefixes.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -136,7 +137,7 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding]) -> Relation:
     """
     shared = bindings if isinstance(bindings, _SharedBindings) else _SharedBindings(bindings)
     relations = shared.relations
-    names = w.wrapper_names()
+    names = w.names
     for name in names:
         if name not in bindings:
             raise UnboundWrapper(f"wrapper {name} has no data binding")
@@ -192,12 +193,20 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding]) -> Relation:
 def _join_conds(w: Walk, joined: set[str], name: str) -> list[tuple[JoinEnd, JoinEnd]]:
     """Join conditions oriented as (prefix endpoint, new-wrapper endpoint)."""
     conds = []
-    for a, b in sorted(w.joins):
+    for a, b in w.sorted_joins:
         if a[0] in joined and b[0] == name:
             conds.append((a, b))
         elif b[0] in joined and a[0] == name:
             conds.append((b, a))
     return conds
+
+
+def _column_names(features) -> list[str]:
+    """Each feature's last IRI path segment, or its whole IRI where two
+    features share that segment."""
+    local = [f.rsplit("/", 1)[-1] for f in features]
+    clashes = Counter(local)
+    return [name if clashes[name] == 1 else str(f) for name, f in zip(local, features)]
 
 
 def eval_ucq(u: Ucq, bindings: Mapping[str, WrapperBinding]) -> Relation:
@@ -209,7 +218,7 @@ def eval_ucq(u: Ucq, bindings: Mapping[str, WrapperBinding]) -> Relation:
     """
     if not u.walks:
         raise NoWalks("the union has no conjuncts to evaluate")
-    out_cols = [str(f).rsplit("/", 1)[-1] for f in u.output_features]
+    out_cols = _column_names(u.output_features)
     shared = _SharedBindings(bindings)
     rows: list[tuple[str, ...]] = []
     seen: set[tuple[str, ...]] = set()

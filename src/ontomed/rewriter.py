@@ -10,15 +10,16 @@ Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
 W^C walks, so per-walk work is kept to lookups: phase 3 computes one join
 plan per concept (connecting edge, joinable providers per identifier, and
-the one error a pair that cannot join meets) and then checks each pair of
-walks for distinct sources; the filter compares per-wrapper bitmasks; and
-output binding memoises each step.
+the one error a pair that cannot join meets) and each walk's wrapper-name
+set and source set once per concept, so that each pair of walks is checked
+by two set operations; walks carry their names and sorted joins from when
+they were built; the filter compares per-wrapper bitmasks; and output
+binding memoises each step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
@@ -27,10 +28,10 @@ from .queries import OmqQuery, parse_omq, topological_concepts, well_formed_rewr
 from .sources import (
     Catalog,
     JoinEnd,
+    SourceId,
     Ucq,
     Walk,
     coverage,
-    distinct_sources,
     minimality,
     wrapper_schemas,
 )
@@ -147,20 +148,21 @@ class JoinPlan:
     targets: tuple[tuple[bool, tuple[tuple[Mapping[str, str], tuple[JoinEnd, ...]], ...]], ...]
     error: NoJoinPath | MissingIdAttribute
 
-    def candidates(self, merged: Walk, left: Walk, right: Walk,
-                   trace: RewriteTrace | None) -> list[Walk]:
+    def candidates(self, merged: Walk, left: Walk, right: Walk, left_names: frozenset[str],
+                   right_names: frozenset[str], trace: RewriteTrace | None) -> list[Walk]:
         """Join candidates for two walks with distinct sources that share no
-        wrapper: a provider in the walk opposite the identifier's holder
-        connects them."""
+        wrapper, given their name sets: a provider in the walk opposite the
+        identifier's holder connects them."""
         for at_concept, features in self.targets:
-            side, other = (right, left) if at_concept else (left, right)
-            reachable = set(other.wrapper_names())
+            side, reachable = (right, left_names) if at_concept else (left, right_names)
             found: list[Walk] = []
             for attrs, joinable in features:
                 # Steps are sorted by name, so the first match is the least holder.
-                held = next(((name, attrs[name]) for name in side.wrapper_names()
-                             if name in attrs), None)
-                if held is None:
+                for name in side.names:
+                    if name in attrs:
+                        held = (name, attrs[name])
+                        break
+                else:
                     continue
                 for name, attr in joinable:
                     if name in reachable:
@@ -209,33 +211,44 @@ def _join_plan(phi, concept: Iri, processed: set[Iri], catalog: Catalog) -> Join
 def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                              trace: RewriteTrace | None = None) -> list[Walk]:
     """Join partial walks across concepts into full candidate walks: one join
-    plan per concept, then one distinct-sources check per pair of walks. A
-    pair sharing no wrapper joins on the edge's head identifier, or else its
-    tail's. When no pair joins, the plan's error is raised if some pair
-    shared no wrapper."""
+    plan per concept, and each walk's name set and source set computed once
+    per concept, so that each pair of walks is tested by set operations. A
+    pair whose merged walk has pairwise-distinct sources and that shares no
+    wrapper joins on the edge's head identifier, or else its tail's. When no
+    pair joins, the plan's error is raised if some pair shared no wrapper."""
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
+
+    def compiled(walks: list[Walk]) -> list[tuple[Walk, frozenset[str], frozenset[SourceId]]]:
+        return [(w, frozenset(w.names), frozenset(catalog[name].source for name in w.names))
+                for w in walks]
+
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
         plan = _join_plan(x.query.phi, concept, processed, catalog)
+        rights = compiled(p.per_concept[concept])
         joined: list[Walk] = []
         seen: set[tuple] = set()
         error: NoJoinPath | MissingIdAttribute | None = None
-        for left, right in product(current, p.per_concept[concept]):
-            merged = left.merge(right)
-            shared = not set(left.wrapper_names()).isdisjoint(right.wrapper_names())
-            candidates: list[Walk] = []
-            if distinct_sources(merged, catalog):
-                candidates = [merged] if shared else plan.candidates(merged, left, right, trace)
-            if not (candidates or shared):
-                error = plan.error
-            for cand in candidates:
-                sig = cand.signature()
-                if sig not in seen:
-                    seen.add(sig)
-                    joined.append(cand)
+        for left, left_names, left_sources in compiled(current):
+            for right, right_names, right_sources in rights:
+                shared = not left_names.isdisjoint(right_names)
+                candidates: list[Walk] = []
+                # The merged walk's sources are distinct iff there are as
+                # many of them as it has wrappers.
+                if len(left_sources | right_sources) == len(left_names | right_names):
+                    merged = left.merge(right)
+                    candidates = [merged] if shared else plan.candidates(
+                        merged, left, right, left_names, right_names, trace)
+                if not (candidates or shared):
+                    error = plan.error
+                for cand in candidates:
+                    sig = cand.signature()
+                    if sig not in seen:
+                        seen.add(sig)
+                        joined.append(cand)
         if not joined:
             raise error or NoJoinPath(
                 f"no wrapper materializes an edge joining <{concept}> to the query prefix")
@@ -277,7 +290,7 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
     for w in kept:
         k = w.key()
         by_key[k] = by_key[k].merge(w) if k in by_key else w
-    final = sorted(by_key.values(), key=lambda w: (w.steps, sorted(w.joins)))
+    final = sorted(by_key.values(), key=lambda w: (w.steps, w.sorted_joins))
 
     catalog = wrapper_schemas(ds)
     step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]] = {}

@@ -3,19 +3,23 @@
 A walk is a select-project-join expression over wrappers: restricted
 projection (identifier attributes are never dropped) and restricted
 equi-joins (identifier attributes only), with pairwise-distinct sources.
-Walks are stored canonically so that equivalence is a plain equality test.
+Walks are stored canonically so that equivalence is a plain equality test,
+and compiled when built: a walk carries its wrapper names and its sorted
+joins, so the rewriter, the renderer and the executor read fields instead of
+rebuilding them, and merging a one-wrapper walk is a bisection insert.
 
 The catalog compiles a snapshot's source and mapping graphs, and the
 identifier facts of its global graph, once: the wrapper schemas plus the
 attribute, feature, identifier and LAV indexes the rewriter reads. Coverage
 and minimality number the query's pattern triples once and hold each
-wrapper's LAV graph as an integer bitmask over them, so both tests are ORs
-of a few integers per walk.
+wrapper's LAV graph as an integer bitmask over them, so both tests are a
+few integer operations per walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping
@@ -92,21 +96,33 @@ def canonical_join(a: JoinEnd, b: JoinEnd) -> Join:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Walk:
-    """Canonical walk value: per-wrapper projections plus an unordered join set."""
+    """Canonical walk value: per-wrapper projections plus an unordered join set.
+
+    ``steps`` holds one (wrapper name, sorted projected attributes) pair per
+    wrapper, sorted by name; ``Walk.single`` and the builders below keep that
+    form, and ``merge`` relies on it. A walk is compiled once, when built:
+    ``names`` is its wrapper names in step order and ``sorted_joins`` its
+    joins in canonical order. Both follow from ``steps`` and ``joins``, so
+    equality, hashing, ``key`` and ``signature`` read only those two.
+    """
 
     steps: tuple[tuple[str, tuple[str, ...]], ...]
     joins: frozenset[Join] = frozenset()
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    sorted_joins: tuple[Join, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(name for name, _ in self.steps))
+        object.__setattr__(self, "sorted_joins", tuple(sorted(self.joins)))
 
     @staticmethod
     def single(wrapper_name: str, projected: Iterable[str] = ()) -> "Walk":
-        return Walk(steps=((wrapper_name, tuple(sorted(set(projected)))),))
+        return _walk(((wrapper_name, tuple(sorted(set(projected)))),), frozenset(),
+                     (wrapper_name,), ())
 
     # --- accessors ---------------------------------------------------------
-
-    def wrapper_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.steps)
 
     def projections(self) -> dict[str, tuple[str, ...]]:
         return dict(self.steps)
@@ -117,27 +133,39 @@ class Walk:
     # --- construction ------------------------------------------------------
 
     def merge(self, other: "Walk") -> "Walk":
-        """Union of steps (projection sets merged per wrapper) and joins."""
-        merged: dict[str, set[str]] = {name: set(attrs) for name, attrs in self.steps}
-        for name, attrs in other.steps:
-            merged.setdefault(name, set()).update(attrs)
-        steps = tuple(sorted((name, tuple(sorted(attrs))) for name, attrs in merged.items()))
-        return Walk(steps=steps, joins=self.joins | other.joins)
+        """Union of steps (projection sets merged per wrapper) and joins.
+
+        Each of the other walk's steps is inserted by bisection, or merged
+        into this walk's step for the same wrapper; phase 2's walks have one.
+        """
+        steps, names = self.steps, self.names
+        for step in other.steps:
+            steps, names = _insert_step(steps, names, step)
+        joins = self.joins | other.joins
+        sorted_joins = (self.sorted_joins if len(joins) == len(self.joins)
+                        else tuple(sorted(joins)))
+        return _walk(steps, joins, names, sorted_joins)
 
     def add_wrapper(self, wrapper_name: str) -> "Walk":
-        if any(name == wrapper_name for name, _ in self.steps):
+        if wrapper_name in self.names:
             return self
-        steps = tuple(sorted(self.steps + ((wrapper_name, ()),)))
-        return Walk(steps=steps, joins=self.joins)
+        steps, names = _insert_step(self.steps, self.names, (wrapper_name, ()))
+        return _walk(steps, self.joins, names, self.sorted_joins)
 
     def with_join(self, left: JoinEnd, right: JoinEnd) -> "Walk":
-        return Walk(steps=self.steps, joins=self.joins | {canonical_join(left, right)})
+        join = canonical_join(left, right)
+        if join in self.joins:
+            return self
+        sorted_joins = self.sorted_joins
+        i = bisect_left(sorted_joins, join)
+        return _walk(self.steps, self.joins | {join}, self.names,
+                     sorted_joins[:i] + (join,) + sorted_joins[i:])
 
     # --- structure ---------------------------------------------------------
 
     def key(self) -> tuple[frozenset[str], frozenset[Join]]:
         """Equivalence key: wrapper set and join-condition set, projections ignored."""
-        return (frozenset(self.wrapper_names()), self.joins)
+        return (frozenset(self.names), self.joins)
 
     def signature(self) -> tuple:
         """Full identity including projections (used for intra-phase dedup)."""
@@ -151,23 +179,42 @@ class Walk:
     def render_body(self) -> str:
         """The wrappers in canonical order, each with the joins whose later
         endpoint it is, in parentheses."""
-        names = self.wrapper_names()
+        names = self.names
         position = {name: i for i, name in enumerate(names)}
-        conds: list[list[Join]] = [[] for _ in names]
-        for join in sorted(self.joins):
-            (wl, _), (wr, _) = join
+        conds: list[list[str]] = [[] for _ in names]
+        for (wl, al), (wr, ar) in self.sorted_joins:
             if wl in position and wr in position:
-                conds[max(position[wl], position[wr])].append(join)
+                conds[max(position[wl], position[wr])].append(f"{wl}.{al}={wr}.{ar}")
         parts = list(names[:1])
         for name, placed in zip(names[1:], conds[1:]):
-            rendered = ",".join(f"{l[0]}.{l[1]}={r[0]}.{r[1]}" for l, r in placed)
-            parts.append(f"⋈[{rendered}] {name}" if rendered else f"⋈ {name}")
+            parts.append(f"⋈[{','.join(placed)}] {name}" if placed else f"⋈ {name}")
         return "( " + " ".join(parts) + " )"
 
 
-def distinct_sources(walk: Walk, catalog: Mapping[str, WrapperSchema]) -> bool:
-    sources = [catalog[name].source for name in walk.wrapper_names()]
-    return len(sources) == len(set(sources))
+_set_steps, _set_joins, _set_names, _set_sorted_joins = (
+    Walk.__dict__[name].__set__ for name in ("steps", "joins", "names", "sorted_joins"))
+
+
+def _walk(steps, joins, names, sorted_joins) -> Walk:
+    """A walk from its fields, the cached ones already computed. The slot
+    setters write past the frozen ``__setattr__``."""
+    walk = object.__new__(Walk)
+    _set_steps(walk, steps)
+    _set_joins(walk, joins)
+    _set_names(walk, names)
+    _set_sorted_joins(walk, sorted_joins)
+    return walk
+
+
+def _insert_step(steps, names, step):
+    """Canonical steps and names with one more step: a new wrapper goes in by
+    bisection, a known one gets the union of the two projections."""
+    name, attrs = step
+    i = bisect_left(names, name)
+    if i == len(names) or names[i] != name:
+        return steps[:i] + (step,) + steps[i:], names[:i] + (name,) + names[i:]
+    merged = (name, tuple(sorted({*steps[i][1], *attrs})))
+    return steps[:i] + (merged,) + steps[i + 1:], names
 
 
 # --- the compiled catalog ---------------------------------------------------
@@ -303,7 +350,7 @@ def _lav_masks(walk: Walk, q, ds: Dataset) -> tuple[list[int], int]:
 
     bits, by_wrapper = ds.derived(("lav_masks", q.phi), build)
     masks = []
-    for name in walk.wrapper_names():
+    for name in walk.names:
         mask = by_wrapper.get(name)
         if mask is None:
             lav = wrapper_schemas(ds).lav_triples(name)
@@ -321,9 +368,14 @@ def coverage(walk: Walk, q, ds: Dataset) -> bool:
 def minimality(walk: Walk, q, ds: Dataset) -> bool:
     """True iff dropping any wrapper breaks coverage. Requires a covering walk."""
     masks, full = _lav_masks(walk, q, ds)
-    if reduce(or_, masks, 0) != full:
+    once = twice = 0          # the triples held by one wrapper or more, and by two or more
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    if once != full:
         raise NotCovering("minimality asked for a non-covering walk")
-    return all(reduce(or_, masks[:i] + masks[i + 1:], 0) != full for i in range(len(masks)))
+    # A wrapper can be dropped iff another wrapper holds each of its triples.
+    return all(mask & ~twice for mask in masks)
 
 
 # --- the rewriter's final form ----------------------------------------------

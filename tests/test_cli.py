@@ -376,7 +376,7 @@ assert main(["-w", "ws", "query", "--verbose", str(demo / "query.rq")]) == 0
 
 class TestHashIndependence:
     def test_output_same_under_two_hash_seeds(self, tmp_path):
-        # Terms hash by identity and strings by a seeded hash, so set order
+        # Terms are strings, and strings hash by a seeded hash, so set order
         # differs between processes; no output may follow it.
         src = str(Path(ontomed.__file__).resolve().parent.parent)
         runs = []

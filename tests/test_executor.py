@@ -137,6 +137,19 @@ class TestEvalUcq:
         b = eval_ucq(flipped, demo_bindings)
         assert set(a.rows) == set(b.rows)
 
+    def test_clashing_column_names_fall_back_to_the_iri(self, tmp_path):
+        schema = WrapperSchema("W", SourceId("S"), ("p",), ("q", "r"))
+        write_csv(tmp_path / "w.csv", ["p", "q", "r"], [("1", "2", "3")])
+        bindings = {"W": WrapperBinding(schema, tmp_path / "w.csv")}
+        ax, bx, y = Iri("http://a/x"), Iri("http://b/x"), Iri("http://c/y")
+        ends = {ax: ("W", "p"), bx: ("W", "q"), y: ("W", "r")}
+        walk = Walk.single("W", ["p", "q", "r"])
+        rel = eval_ucq(Ucq(walks=[walk], output_features=(ax, bx, y), bindings=[ends]), bindings)
+        assert rel.render() == "http://a/x,http://b/x,y\n1,2,3"
+        # Local names that do not clash stay as they are.
+        rel = eval_ucq(Ucq(walks=[walk], output_features=(y, ax), bindings=[ends]), bindings)
+        assert rel.render() == "y,x\n3,1"
+
     def test_zero_walks_rejected(self, demo_bindings):
         empty = Ucq(walks=[], output_features=(), bindings=[])
         with pytest.raises(NoWalks):
@@ -188,7 +201,7 @@ def random_chain_ucq(rng):
     walks = rng.sample(walks, rng.randint(1, len(walks)))
     if rng.random() < 0.7:
         walks.sort(key=lambda w: (w.steps, sorted(w.joins)))   # the rewriter's order
-    bindings = [{FX: (w.wrapper_names()[0], "x"), FY: (w.wrapper_names()[1], "y")}
+    bindings = [{FX: (w.names[0], "x"), FY: (w.names[1], "y")}
                 for w in walks]
     return Ucq(walks=walks, output_features=(FX, FY), bindings=bindings)
 
@@ -197,7 +210,7 @@ def reference_union(ucq, tables):
     """Per-walk nested-loop joins, then bag within a walk, first-seen across walks."""
     rows, seen = [], set()
     for walk in ucq.walks:
-        names = walk.wrapper_names()
+        names = walk.names
         joins = [((names.index(lw), la), (names.index(rw), ra)) for (lw, la), (rw, ra) in walk.joins]
         cols, joined = nested_loop_join(
             [(list(CHAIN_SCHEMAS[n].attrs), tables[n]) for n in names], joins)
@@ -228,5 +241,5 @@ class TestSharedUnion:
         monkeypatch.setattr(executor, "load_relation", counting)
         ucq = random_chain_ucq(rng)
         eval_ucq(ucq, bindings)
-        used = {name for w in ucq.walks for name in w.wrapper_names()}
+        used = {name for w in ucq.walks for name in w.names}
         assert loads == Counter(used)

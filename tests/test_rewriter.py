@@ -85,9 +85,9 @@ class TestIntraConcept:
         x = query_expansion(wf_query, ds)
         p = intra_concept_generation(x, ds)
         info_walks = p.per_concept[iri("sup:InfoMonitor")]
-        assert all("W5" not in w.wrapper_names() for w in info_walks)
+        assert all("W5" not in w.names for w in info_walks)
         monitor_walks = p.per_concept[iri("sup:Monitor")]
-        assert any("W5" in w.wrapper_names() for w in monitor_walks)
+        assert any("W5" in w.names for w in monitor_walks)
 
     def test_unanswerable_concept(self, global_ds, releases):
         ds, _ = apply_release(global_ds, releases["W3"])
@@ -113,7 +113,7 @@ class TestInterConcept:
         p = intra_concept_generation(x, post_evolution_ds)
         walks = inter_concept_generation(p, x, post_evolution_ds)
         for w in walks:
-            names = set(w.wrapper_names())
+            names = set(w.names)
             assert not {"W1", "W4"} <= names
 
     def test_builds_only_connectable_candidates(self, monkeypatch):

@@ -1,7 +1,12 @@
 """Walk algebra: canonical form, equivalence, the oracle's validity check,
 the compiled catalog, coverage and minimality."""
 
+import pickle
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomed.bench import build_chain_instance
 from ontomed.errors import InvalidWalk, MissingMapping, NotCovering
@@ -35,6 +40,60 @@ def make_catalog():
 def joined_walk():
     w = Walk.single("W1", ["lagRatio", "VoDmonitorId"]).merge(Walk.single("W3", ["TargetApp"]))
     return w.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+
+
+NAMES, ATTRS = ("A", "B", "C", "D"), ("a", "b", "c")
+
+
+class TestCompiledWalk:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_cached_fields_follow_steps_and_joins(self, data):
+        # Each walk is kept next to a model of its value: wrapper -> projected
+        # attributes, and the join set.
+        def single():
+            name = data.draw(st.sampled_from(NAMES))
+            attrs = data.draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=3))
+            return Walk.single(name, attrs), ({name: set(attrs)}, frozenset())
+
+        pool = [single()]
+        ops = st.sampled_from(["single", "merge", "add_wrapper", "with_join"])
+        for op in data.draw(st.lists(ops, max_size=12)):
+            walk, (steps, joins) = data.draw(st.sampled_from(pool))
+            if op == "single":
+                walk, (steps, joins) = single()
+            elif op == "merge":
+                other, (other_steps, other_joins) = data.draw(st.sampled_from(pool))
+                walk = walk.merge(other)
+                steps = {name: steps.get(name, set()) | other_steps.get(name, set())
+                         for name in steps.keys() | other_steps.keys()}
+                joins = joins | other_joins
+            elif op == "add_wrapper":
+                name = data.draw(st.sampled_from(NAMES))
+                walk, steps = walk.add_wrapper(name), {name: set(), **steps}
+            else:
+                ends = st.tuples(st.sampled_from(NAMES), st.sampled_from(ATTRS))
+                a, b = data.draw(ends), data.draw(ends)
+                walk, joins = walk.with_join(a, b), joins | {tuple(sorted((a, b)))}
+            pool.append((walk, (steps, joins)))
+
+        for walk, (steps, joins) in pool:
+            assert walk.steps == tuple(sorted((name, tuple(sorted(attrs)))
+                                              for name, attrs in steps.items()))
+            assert walk.joins == joins
+            assert walk.names == tuple(name for name, _ in walk.steps)
+            assert walk.sorted_joins == tuple(sorted(walk.joins))
+            direct = Walk(steps=walk.steps, joins=walk.joins)
+            assert (direct.names, direct.sorted_joins) == (walk.names, walk.sorted_joins)
+            assert direct == walk and hash(direct) == hash(walk)
+            assert direct.key() == walk.key() == (frozenset(steps), joins)
+            assert direct.signature() == walk.signature() == (walk.steps, walk.joins)
+            assert direct.render() == walk.render()
+            assert pickle.loads(pickle.dumps(walk)) == walk
+        for (a, _), (b, _) in product(pool, repeat=2):
+            assert (a == b) == (a.signature() == b.signature())
+        with pytest.raises(AttributeError):
+            walk.names = ()
 
 
 class TestWalkStructure:
