@@ -8,37 +8,56 @@ The walks of one union share their work: a query reads each bound file once,
 builds each hash table once, and each walk restarts from the longest join
 prefix it shares with the walk before it. The rewriter emits walks sorted by
 wrapper names, so consecutive walks tend to share long prefixes.
+
+A union also builds only the rows it can keep. Each join step carries only
+the columns that the output or a later join key reads. The final join step of
+a walk has a signature: its wrapper, kept attributes and key attributes, the
+positions of its join keys in the prefix row, and the positions it picks for
+the output. When an earlier walk of the union ended in a step with the same
+signature, the final step skips every prefix row that the earlier walk
+extended, because each row that prefix row yields is already in the union.
+The extended prefix rows are recorded only once a walk has finished, so a
+prefix row repeated within one walk is extended each time, as the walk's bag
+requires.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InvalidWalk, MalformedRow, MissingColumn, NoWalks, UnboundWrapper
 from .sources import JoinEnd, Ucq, Walk, WrapperSchema
 
+Row = tuple[str, ...]
+
 
 @dataclass
 class Relation:
-    """A flat table: named columns with an ID or non-ID role, plus rows."""
+    """A flat table: named columns plus rows."""
 
-    columns: list[tuple[str, str]]           # (name, "ID" | "non-ID")
-    rows: list[tuple[str, ...]]
+    columns: list[str]
+    rows: list[Row]
 
     def column_index(self, name: str) -> int:
-        for i, (col, _) in enumerate(self.columns):
-            if col == name:
-                return i
-        raise MissingColumn(f"no column named {name}")
+        try:
+            return self.columns.index(name)
+        except ValueError:
+            raise MissingColumn(f"no column named {name}") from None
 
     def render(self) -> str:
-        header = ",".join(name for name, _ in self.columns)
-        return "\n".join([header, *(",".join(row) for row in self.rows)])
+        """CSV text: a header line, then one line per row, quoted where needed."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
+        return out.getvalue()[:-1]      # no newline after the last line
 
 
 @dataclass
@@ -50,54 +69,63 @@ class WrapperBinding:
 
 
 def load_relation(binding: WrapperBinding) -> Relation:
-    """Read a wrapper's data file into a relation with schema-derived roles."""
+    """Read a wrapper's data file into a relation over the schema's attributes."""
     schema = binding.wrapper
     path = Path(binding.data_path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise MissingColumn(f"{path}: empty file, header expected") from None
-            header = [h.strip() for h in header]
-            column_map = {}
-            for attr in schema.attrs:
-                if attr not in header:
-                    raise MissingColumn(f"{path}: header lacks attribute column {attr}")
-                column_map[attr] = header.index(attr)
-            columns = [(attr, "ID" if attr in schema.id_attrs else "non-ID") for attr in schema.attrs]
-            rows = []
-            for lineno, raw in enumerate(reader, 2):
-                if not raw:
-                    continue
-                if len(raw) != len(header):
-                    raise MalformedRow(f"{path}:{lineno}: expected {len(header)} values, found {len(raw)}")
-                rows.append(tuple(raw[column_map[attr]].strip() for attr in schema.attrs))
+                header = next(reader, None)
+                records = list(reader)
+            except csv.Error as exc:
+                raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text: {exc.reason}") from None
-    return Relation(columns=columns, rows=rows)
+    if header is None:
+        raise MissingColumn(f"{path}: empty file, header expected")
+    header = [h.strip() for h in header]
+    for attr in schema.attrs:
+        if attr not in header:
+            raise MissingColumn(f"{path}: header lacks attribute column {attr}")
+    width = len(header)
+    # A blank line reads as an empty record and is skipped.
+    if not {width, 0}.issuperset(map(len, records)):
+        for lineno, raw in enumerate(records, 2):
+            if raw and len(raw) != width:
+                raise MalformedRow(f"{path}:{lineno}: expected {width} values, found {len(raw)}")
+    records = list(filter(None, records))
+    values = [list(map(str.strip, map(itemgetter(header.index(attr)), records)))
+              for attr in schema.attrs]
+    return Relation(columns=list(schema.attrs), rows=list(zip(*values)))
 
 
-# One join step: the wrapper joined, its join conditions oriented as (prefix
-# endpoint, new-wrapper endpoint), and the wrapper attributes it keeps.
-Step = tuple[str, tuple[tuple[JoinEnd, JoinEnd], ...], tuple[str, ...]]
+def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[str]], Row]:
+    """Row -> the tuple of its values at ``positions`` (``itemgetter`` alone
+    yields a bare value for one position)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 class _SharedBindings(Mapping[str, WrapperBinding]):
     """Wrapper bindings plus the work the walks of one union share.
 
-    Holds each loaded relation, each right-side hash table, and the join
-    results of the last walk evaluated, one per step, from its first
-    wrapper on.
+    Holds each loaded relation, each right-side hash table, the join results
+    of the last walk evaluated, one per step from its first wrapper on, and
+    per final-step signature the prefix rows that earlier walks extended.
     """
 
     def __init__(self, bindings: Mapping[str, WrapperBinding]):
         self._bindings = bindings
         self.relations: dict[str, Relation] = {}
         # (wrapper, kept attributes, key attributes) -> key -> kept rows
-        self.tables: dict[tuple, dict[tuple, list[tuple[str, ...]]]] = {}
-        self.prefixes: list[tuple[Step, list[tuple[str, str]], list[tuple[str, ...]]]] = []
+        self.tables: dict[tuple, dict[object, list[Row]]] = {}
+        self.prefixes: list[tuple[tuple, list[Row]]] = []
+        self.extended: dict[tuple, set[Row]] = {}
 
     def __getitem__(self, name: str) -> WrapperBinding:
         return self._bindings[name]
@@ -109,7 +137,7 @@ class _SharedBindings(Mapping[str, WrapperBinding]):
         return len(self._bindings)
 
     def hash_table(self, name: str, keep: tuple[str, ...],
-                   key_attrs: tuple[str, ...]) -> dict[tuple, list[tuple[str, ...]]]:
+                   key_attrs: tuple[str, ...]) -> dict[object, list[Row]]:
         """Rows of ``name`` projected to ``keep``, grouped by ``key_attrs``.
 
         Keys come from the same ``itemgetter`` shape as the probe side: a bare
@@ -118,41 +146,84 @@ class _SharedBindings(Mapping[str, WrapperBinding]):
         table = self.tables.get((name, keep, key_attrs))
         if table is None:
             rel = self.relations[name]
-            idx = [rel.column_index(a) for a in keep]
-            key = itemgetter(*(keep.index(a) for a in key_attrs))
+            key = itemgetter(*map(rel.column_index, key_attrs))
+            slim = _tuple_getter([rel.column_index(a) for a in keep])
             table = {}
-            for row in rel.rows:
-                slim = tuple(row[i] for i in idx)
-                table.setdefault(key(slim), []).append(slim)
+            for k, row in zip(map(key, rel.rows), map(slim, rel.rows)):
+                table.setdefault(k, []).append(row)
             self.tables[(name, keep, key_attrs)] = table
         return table
 
 
-def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding]) -> Relation:
-    """Equi-join the walk's wrappers, then project to the walk's attributes.
+def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
+              output: Sequence[JoinEnd] | None = None) -> Relation:
+    """Equi-join the walk's wrappers, with bag semantics.
 
-    Identifier columns are always retained. The result uses qualified column
-    names ("wrapper.attribute") and bag semantics. A walk whose join graph is
-    disconnected raises ``InvalidWalk``.
+    With ``output=None`` the result keeps every projected and identifier
+    attribute, in join order, under qualified names ("wrapper.attribute").
+    Given ``output``, (wrapper, attribute) ends, the result has one column per
+    end, in that order, and each join step carries only the columns that the
+    output or a later join key reads. A walk whose join graph is disconnected
+    raises ``InvalidWalk``.
+
+    Only ``eval_ucq``, which passes its shared bindings and an output, gets
+    the final-step pruning: there the rows a skipped prefix row would yield
+    are already in the union. Called with a plain mapping, the result is the
+    walk's whole bag.
     """
     shared = bindings if isinstance(bindings, _SharedBindings) else _SharedBindings(bindings)
     relations = shared.relations
-    names = w.names
-    for name in names:
+    for name in w.names:
         if name not in bindings:
             raise UnboundWrapper(f"wrapper {name} has no data binding")
         if name not in relations:
             relations[name] = load_relation(bindings[name])
+    plan, layout = _plan(w, shared, output)
 
-    # Plan the hash joins: each step adds the first remaining wrapper that
-    # joins the prefix.
-    projections = w.projections()
+    # Restart at the longest prefix shared with the previous walk.
+    stack = shared.prefixes
+    depth = 0
+    while depth < min(len(stack), len(plan)) and stack[depth][0] == plan[depth][0]:
+        depth += 1
+    del stack[depth:]
+    rows: list[Row] = stack[-1][1] if depth else []
+    last = len(plan) - 1
+    for i in range(depth, len(plan)):
+        step_key, name, keep, key_attrs, left, pick = plan[i]
+        extended = None
+        if i == 0:
+            rel = relations[name]
+            rows = list(map(_tuple_getter([rel.column_index(a) for a in keep]), rel.rows))
+        else:
+            prefix = rows
+            if output is not None and i == last:
+                extended = shared.extended.setdefault((name, keep, key_attrs, left, pick), set())
+                if extended:
+                    prefix = list(filterfalse(extended.__contains__, prefix))
+            table = shared.hash_table(name, keep, key_attrs)
+            left_key = itemgetter(*left)
+            rows = [row + other for row in prefix for other in table.get(left_key(row), ())]
+        if pick is not None:
+            rows = list(map(_tuple_getter(pick), rows))
+        if extended is not None:
+            # The walk is complete, so its prefix rows may now be skipped.
+            extended.update(prefix)
+            break
+        stack.append((step_key, rows))
+    return Relation(columns=[f"{wrapper}.{attr}" for wrapper, attr in layout], rows=rows)
 
-    def kept(name: str) -> tuple[str, ...]:
-        wanted = set(projections.get(name, ())) | set(bindings[name].wrapper.id_attrs)
-        return tuple(attr for attr, _ in relations[name].columns if attr in wanted)
 
-    steps: list[Step] = [(names[0], (), kept(names[0]))]
+def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd] | None):
+    """The walk's hash-join steps, and the ends its result rows hold.
+
+    Each step adds the first remaining wrapper that joins the prefix. A step
+    is (prefix key, wrapper, kept attributes, right key attributes, left key
+    positions in the prefix row, positions picked from the prefix row plus
+    the kept attributes, or None to keep them all). Equal prefix keys after
+    equal steps give equal rows.
+    """
+    names = w.names
+    order = [(names[0], ())]
     joined = {names[0]}
     remaining = list(names[1:])
     while remaining:
@@ -164,30 +235,38 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding]) -> Relation:
             raise InvalidWalk(f"walk is disconnected: no join reaches {', '.join(remaining)}")
         remaining.remove(name)
         joined.add(name)
-        steps.append((name, tuple(conds), kept(name)))
+        order.append((name, tuple(conds)))
 
-    # Restart at the longest prefix shared with the previous walk.
-    stack = shared.prefixes
-    depth = 0
-    while depth < min(len(stack), len(steps)) and stack[depth][0] == steps[depth]:
-        depth += 1
-    del stack[depth:]
-    for step in steps[depth:]:
-        name, conds, keep = step
-        rel = relations[name]
-        new_columns = [(f"{name}.{attr}", role) for attr, role in rel.columns if attr in keep]
-        if not stack:
-            idx = [rel.column_index(a) for a in keep]
-            stack.append((step, new_columns, [tuple(row[i] for i in idx) for row in rel.rows]))
-            continue
-        _, columns, tuples = stack[-1]
-        table = shared.hash_table(name, keep, tuple(ra for _, (_, ra) in conds))
-        col_names = [c for c, _ in columns]
-        left_key = itemgetter(*(col_names.index(f"{lw}.{la}") for (lw, la), _ in conds))
-        out = [row + other for row in tuples for other in table.get(left_key(row), ())]
-        stack.append((step, columns + new_columns, out))
-    _, columns, tuples = stack[-1]
-    return Relation(columns=columns, rows=tuples)
+    # The ends live after each step: every projected and identifier end, or
+    # only those that the output or a later step's left join key reads.
+    projections = w.projections()
+    kept = {(name, attr) for name in names
+            for attr in (*projections.get(name, ()), *shared[name].wrapper.id_attrs)}
+    live = [kept] * len(order)
+    if output is not None:
+        needed = set(output)
+        for i in range(len(order) - 1, -1, -1):
+            live[i] = kept & needed
+            needed |= {left for left, _ in order[i][1]}
+
+    plan = []
+    layout: list[JoinEnd] = []
+    for i, (name, conds) in enumerate(order):
+        keep = tuple(a for a in shared.relations[name].columns if (name, a) in live[i])
+        row_ends = layout + [(name, a) for a in keep]
+        if output is not None and i == len(order) - 1:
+            target = list(output)
+            for wrapper, attr in target:
+                if (wrapper, attr) not in row_ends:
+                    raise MissingColumn(f"no column named {wrapper}.{attr}")
+        else:
+            target = [end for end in row_ends if end in live[i]]
+        pick = None if target == row_ends else tuple(map(row_ends.index, target))
+        left = tuple(layout.index(end) for end, _ in conds)
+        plan.append(((name, conds, keep, pick), name, keep,
+                     tuple(attr for _, (_, attr) in conds), left, pick))
+        layout = target
+    return plan, layout
 
 
 def _join_conds(w: Walk, joined: set[str], name: str) -> list[tuple[JoinEnd, JoinEnd]]:
@@ -214,28 +293,18 @@ def eval_ucq(u: Ucq, bindings: Mapping[str, WrapperBinding]) -> Relation:
 
     Duplicates within one walk are kept; identical rows contributed by
     different walks are collapsed, in first-seen order. The walks share
-    loaded relations, hash tables and join prefixes.
+    loaded relations, hash tables and join prefixes, and a walk skips the
+    prefix rows whose extensions an earlier walk already contributed.
     """
     if not u.walks:
         raise NoWalks("the union has no conjuncts to evaluate")
     out_cols = _column_names(u.output_features)
     shared = _SharedBindings(bindings)
-    rows: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
+    rows: list[Row] = []
+    seen: set[Row] = set()
     for walk, binding in zip(u.walks, u.bindings):
-        rel = eval_walk(walk, shared)
-        idx = []
-        for f in u.output_features:
-            wrapper, attr = binding[f]
-            idx.append(rel.column_index(f"{wrapper}.{attr}"))
-        # itemgetter of one index yields a bare value, not a 1-tuple.
-        pick = itemgetter(*idx)
-        if len(idx) == 1:
-            walk_rows = [(pick(row),) for row in rel.rows]
-        else:
-            walk_rows = list(map(pick, rel.rows))
-        for row in walk_rows:
-            if row not in seen:
-                rows.append(row)
+        walk_rows = eval_walk(walk, shared, [binding[f] for f in u.output_features]).rows
+        # ``seen`` changes only between walks, so a walk keeps its duplicates.
+        rows.extend(filterfalse(seen.__contains__, walk_rows))
         seen.update(walk_rows)
-    return Relation(columns=[(c, "non-ID") for c in out_cols], rows=rows)
+    return Relation(columns=out_cols, rows=rows)

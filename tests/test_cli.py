@@ -157,6 +157,15 @@ class TestMalformedInputs:
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
         assert "w1.csv" in one_line_error(capsys)
 
+    def test_oversized_wrapper_csv_field(self, loaded_ws, capsys):
+        # The csv module refuses a field over 131,072 characters.
+        path = loaded_ws / "data" / "w1.csv"
+        path.write_text("VoDmonitorId,lagRatio\n12,0.75\n18," + "9" * 131_073 + "\n",
+                        encoding="utf-8")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        line = one_line_error(capsys)
+        assert line.startswith(f"error: {path}:3: ") and "field limit" in line
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"W1": 5}'])
     def test_malformed_bindings_file(self, loaded_ws, capsys, text):
         (loaded_ws / "bindings.json").write_text(text, encoding="utf-8")

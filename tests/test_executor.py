@@ -1,6 +1,9 @@
 """Executor: relation loading, walk joins, union semantics."""
 
+import csv
+import io
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -18,9 +21,9 @@ from oracles import nested_loop_join
 
 
 class TestLoadRelation:
-    def test_roles_follow_schema(self, demo_bindings):
+    def test_columns_follow_schema(self, demo_bindings):
         rel = load_relation(demo_bindings["W1"])
-        assert rel.columns == [("VoDmonitorId", "ID"), ("lagRatio", "non-ID")]
+        assert rel.columns == ["VoDmonitorId", "lagRatio"]
         assert rel.rows == W1_ROWS
 
     def test_column_order_independent_of_file(self, tmp_path, releases):
@@ -46,6 +49,29 @@ class TestLoadRelation:
         with pytest.raises(MalformedRow):
             load_relation(WrapperBinding(releases["W1"].wrapper, path))
 
+    def test_malformed_row_reports_its_line(self, tmp_path, releases):
+        rows = [(str(i), f"0.{i}") for i in range(2000)]
+        rows[999] = ("999",)                      # on line 1001, after the header
+        path = tmp_path / "w1big.csv"
+        write_csv(path, ["VoDmonitorId", "lagRatio"], rows)
+        expected = f"^{re.escape(str(path))}:1001: expected 2 values, found 1$"
+        with pytest.raises(MalformedRow, match=expected):
+            load_relation(WrapperBinding(releases["W1"].wrapper, path))
+
+    def test_blank_lines_skipped_and_values_stripped(self, tmp_path, releases):
+        path = tmp_path / "w1s.csv"
+        path.write_text(" VoDmonitorId , lagRatio\n\n 12 ,0.75 \n\n18,0.1\n", encoding="utf-8")
+        rel = load_relation(WrapperBinding(releases["W1"].wrapper, path))
+        assert rel.rows == [("12", "0.75"), ("18", "0.1")]
+
+    def test_csv_error_names_file_and_line(self, tmp_path, releases):
+        path = tmp_path / "w1l.csv"
+        path.write_text("VoDmonitorId,lagRatio\n12,0.75\n18," + "9" * 131_073 + "\n",
+                        encoding="utf-8")
+        expected = f"^{re.escape(str(path))}:3: field larger than field limit"
+        with pytest.raises(MalformedRow, match=expected):
+            load_relation(WrapperBinding(releases["W1"].wrapper, path))
+
 
 def joined_walk():
     w = Walk.single("W1", ["lagRatio", "VoDmonitorId"]).merge(Walk.single("W3", ["TargetApp"]))
@@ -55,7 +81,7 @@ def joined_walk():
 class TestEvalWalk:
     def test_hand_joined_rows(self, demo_bindings):
         rel = eval_walk(joined_walk(), demo_bindings)
-        names = [c for c, _ in rel.columns]
+        names = rel.columns
         pick = [names.index("W1.lagRatio"), names.index("W1.VoDmonitorId"),
                 names.index("W3.TargetApp")]
         got = {tuple(r[i] for i in pick) for r in rel.rows}
@@ -63,8 +89,7 @@ class TestEvalWalk:
 
     def test_single_wrapper_keeps_ids(self, demo_bindings):
         rel = eval_walk(Walk.single("W1", ["lagRatio"]), demo_bindings)
-        assert [c for c, _ in rel.columns] == ["W1.VoDmonitorId", "W1.lagRatio"]
-        assert all(role == "ID" for c, role in rel.columns if c.endswith("VoDmonitorId"))
+        assert rel.columns == ["W1.VoDmonitorId", "W1.lagRatio"]
 
     def test_no_matching_keys(self, tmp_path, releases, demo_bindings):
         path = tmp_path / "w3x.csv"
@@ -106,7 +131,7 @@ class TestEvalWalk:
             pick = [cols.index("0.VoDmonitorId"), cols.index("0.lagRatio"),
                     cols.index("1.TargetApp"), cols.index("1.MonitorId")]
             expected_rows = sorted(tuple(r[i] for i in pick) for r in expected)
-            names = [c for c, _ in rel.columns]
+            names = rel.columns
             got_pick = [names.index("W1.VoDmonitorId"), names.index("W1.lagRatio"),
                         names.index("W3.TargetApp"), names.index("W3.MonitorId")]
             got_rows = sorted(tuple(r[i] for i in got_pick) for r in rel.rows)
@@ -149,6 +174,17 @@ class TestEvalUcq:
         # Local names that do not clash stay as they are.
         rel = eval_ucq(Ucq(walks=[walk], output_features=(y, ax), bindings=[ends]), bindings)
         assert rel.render() == "y,x\n3,1"
+
+    def test_render_quotes_values_that_need_it(self, tmp_path):
+        schema = WrapperSchema("W", SourceId("S"), ("p",), ("q",))
+        (tmp_path / "w.csv").write_text('p,q\n"a,b","say ""hi"""\nc,d\n', encoding="utf-8")
+        bindings = {"W": WrapperBinding(schema, tmp_path / "w.csv")}
+        fp, fq = Iri("http://a/p"), Iri("http://a/q")
+        ucq = Ucq(walks=[Walk.single("W", ["p", "q"])], output_features=(fp, fq),
+                  bindings=[{fp: ("W", "p"), fq: ("W", "q")}])
+        text = eval_ucq(ucq, bindings).render()
+        assert text == 'p,q\n"a,b","say ""hi"""\nc,d'
+        assert list(csv.reader(io.StringIO(text))) == [["p", "q"], ["a,b", 'say "hi"'], ["c", "d"]]
 
     def test_zero_walks_rejected(self, demo_bindings):
         empty = Ucq(walks=[], output_features=(), bindings=[])
@@ -206,19 +242,40 @@ def random_chain_ucq(rng):
     return Ucq(walks=walks, output_features=(FX, FY), bindings=bindings)
 
 
+def reference_walk(walk, binding, features, tables):
+    """A walk's nested-loop join, projected to its bound output ends."""
+    names = walk.names
+    joins = [((names.index(lw), la), (names.index(rw), ra)) for (lw, la), (rw, ra) in walk.joins]
+    cols, joined = nested_loop_join(
+        [(list(CHAIN_SCHEMAS[n].attrs), tables[n]) for n in names], joins)
+    pick = [cols.index(f"{names.index(binding[f][0])}.{binding[f][1]}") for f in features]
+    return [tuple(r[i] for i in pick) for r in joined]
+
+
 def reference_union(ucq, tables):
     """Per-walk nested-loop joins, then bag within a walk, first-seen across walks."""
     rows, seen = [], set()
-    for walk in ucq.walks:
-        names = walk.names
-        joins = [((names.index(lw), la), (names.index(rw), ra)) for (lw, la), (rw, ra) in walk.joins]
-        cols, joined = nested_loop_join(
-            [(list(CHAIN_SCHEMAS[n].attrs), tables[n]) for n in names], joins)
-        pick = [cols.index("0.x"), cols.index("1.y")]
-        walk_rows = [tuple(r[i] for i in pick) for r in joined]
+    for walk, binding in zip(ucq.walks, ucq.bindings):
+        walk_rows = reference_walk(walk, binding, ucq.output_features, tables)
         rows += [r for r in walk_rows if r not in seen]
         seen.update(walk_rows)
     return rows
+
+
+def random_bound_ucq(rng):
+    """Walks in random order, each binding both output features to random
+    ends it keeps, so that walks ending in the same step pick different
+    columns of equal prefix rows."""
+    pool = [chain_walk(a, b) for a, b in product(["A1", "A2"], ["B1", "B2"])]
+    pool += [chain_walk(a, b, c, "bid", z) for a, b, c, z in
+             product(["A1", "A2"], ["B1", "B2"], ["C1", "C2"], [False, True])]
+    walks = rng.sample(pool, rng.randint(1, len(pool)))
+    bindings = []
+    for w in walks:
+        ends = sorted({(n, a) for n in w.names for a in CHAIN_SCHEMAS[n].id_attrs}
+                      | w.projected_pairs())
+        bindings.append({FX: rng.choice(ends), FY: rng.choice(ends)})
+    return Ucq(walks=walks, output_features=(FX, FY), bindings=bindings)
 
 
 class TestSharedUnion:
@@ -243,3 +300,92 @@ class TestSharedUnion:
         eval_ucq(ucq, bindings)
         used = {name for w in ucq.walks for name in w.names}
         assert loads == Counter(used)
+
+    def test_pruning_matches_oracle_and_order(self, tmp_path):
+        rng = random.Random(20261019)
+        for trial in range(60):
+            tables = chain_tables(rng)
+            ucq = random_bound_ucq(rng)
+            rel = eval_ucq(ucq, chain_bindings(tmp_path, tables))
+            assert rel.rows == reference_union(ucq, tables), f"trial {trial}"
+
+    # Pairs of walks whose final steps join C1 from equal prefix rows and
+    # differ in one part of the step's signature, so the second walk must
+    # extend the rows the first one extended.
+    FZ = Iri("http://example.org/fz")
+    A2_B1_C1_VIA_B_AID = (Walk.single("A2", ["x"]).merge(Walk.single("B1", ["y"]))
+                          .with_join(("A2", "aid"), ("B1", "aid"))
+                          .merge(Walk.single("C1", [])).with_join(("B1", "aid"), ("C1", "aid")))
+    SIGNATURE_CASES = {
+        # FX is bound to A's x, then to B1's y: the picks are swapped.
+        "pick": ([chain_walk("A1", "B1", "C1"), chain_walk("A2", "B1", "C1")],
+                 [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("B1", "y"), FY: ("A2", "x")}],
+                 dict(A1=[("0", "p")], A2=[("0", "p")], B1=[("0", "1", "r")],
+                      C1=[("0", "1", "s")]),
+                 [("p", "r"), ("r", "p")]),
+        # C1 keeps z for one walk and aid for the other.
+        "keep": ([chain_walk("A1", "B1", "C1", project_z=True),
+                  chain_walk("A2", "B1", "C1", project_z=True)],
+                 [{FX: ("A1", "x"), FY: ("C1", "z")}, {FX: ("A2", "x"), FY: ("C1", "aid")}],
+                 dict(A1=[("0", "p")], A2=[("0", "p")], B1=[("0", "1", "r")],
+                      C1=[("7", "1", "s")]),
+                 [("p", "s"), ("p", "7")]),
+        # C1 joins from prefix position 1 both times, on bid, then on aid.
+        "key": ([chain_walk("A1", "B1", "C1"), A2_B1_C1_VIA_B_AID],
+                [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("A2", "x"), FY: ("B1", "y")}],
+                dict(A1=[("0", "p")], A2=[("1", "p")], B1=[("0", "1", "r"), ("1", "1", "r")],
+                     C1=[("1", "7", "s")]),
+                [("p", "r")]),
+        # C1 joins on aid from prefix position 0, then from position 1.
+        "left": ([chain_walk("A1", "B1", "C1", via="aid"), A2_B1_C1_VIA_B_AID],
+                 [{FX: ("A1", "x"), FY: ("B1", "y"), FZ: ("A1", "aid")},
+                  {FX: ("B1", "aid"), FY: ("B1", "y"), FZ: ("A2", "x")}],
+                 dict(A1=[("0", "1")], A2=[("1", "0")], B1=[("0", "5", "r"), ("1", "5", "r")],
+                      C1=[("1", "9", "s")]),
+                 [("1", "r", "0")]),
+    }
+
+    @pytest.mark.parametrize("part", sorted(SIGNATURE_CASES))
+    def test_shared_final_step_differing_in_one_part(self, tmp_path, part):
+        walks, bindings, rows, expected = self.SIGNATURE_CASES[part]
+        tables = {name: [] for name in CHAIN_SCHEMAS} | rows
+        features = tuple(bindings[0])
+        ucq = Ucq(walks=walks, output_features=features, bindings=bindings)
+        rel = eval_ucq(ucq, chain_bindings(tmp_path, tables))
+        assert rel.rows == reference_union(ucq, tables) == expected
+
+    def test_duplicates_within_a_walk_kept_and_repeats_skipped(self, tmp_path, monkeypatch):
+        tables = {name: [] for name in CHAIN_SCHEMAS}
+        tables.update(A1=[("0", "p"), ("0", "p")], A2=[("0", "p")],
+                      B1=[("0", "1", "r")], C1=[("0", "1", "s")])
+        walks = [chain_walk("A1", "B1", "C1"), chain_walk("A2", "B1", "C1")]
+        ucq = Ucq(walks=walks, output_features=(FX, FY),
+                  bindings=[{FX: (w.names[0], "x"), FY: ("B1", "y")} for w in walks])
+        built = []
+
+        def counting(*args):
+            rel = eval_walk(*args)
+            built.append(len(rel.rows))
+            return rel
+        monkeypatch.setattr(executor, "eval_walk", counting)
+        rel = eval_ucq(ucq, chain_bindings(tmp_path, tables))
+        assert rel.rows == reference_union(ucq, tables) == [("p", "r"), ("p", "r")]
+        # The second walk's one prefix row was extended by the first walk.
+        assert built == [2, 0]
+
+    def test_direct_eval_walk_returns_the_whole_bag(self, tmp_path):
+        rng = random.Random(7)
+        for trial in range(20):
+            tables = chain_tables(rng)
+            bindings = chain_bindings(tmp_path, tables)
+            ucq = random_bound_ucq(rng)
+            eval_ucq(ucq, bindings)
+            for walk, binding in zip(ucq.walks, ucq.bindings):
+                output = [binding[f] for f in ucq.output_features]
+                expected = reference_walk(walk, binding, ucq.output_features, tables)
+                rel = eval_walk(walk, bindings, output)
+                assert rel.columns == [f"{w}.{a}" for w, a in output]
+                assert rel.rows == expected, f"trial {trial}"
+                full = eval_walk(walk, bindings)
+                pick = [full.column_index(c) for c in rel.columns]
+                assert [tuple(r[i] for i in pick) for r in full.rows] == expected
