@@ -91,9 +91,15 @@ def load_relation(binding: WrapperBinding) -> Relation:
     width = len(header)
     # A blank line reads as an empty record and is skipped.
     if not {width, 0}.issuperset(map(len, records)):
-        for lineno, raw in enumerate(records, 2):
-            if raw and len(raw) != width:
-                raise MalformedRow(f"{path}:{lineno}: expected {width} values, found {len(raw)}")
+        # A quoted field may span lines, so read the file again to number the
+        # bad record by the line it ends on.
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for raw in reader:
+                if raw and len(raw) != width:
+                    raise MalformedRow(
+                        f"{path}:{reader.line_num}: expected {width} values, found {len(raw)}")
     records = list(filter(None, records))
     values = [list(map(str.strip, map(itemgetter(header.index(attr)), records)))
               for attr in schema.attrs]

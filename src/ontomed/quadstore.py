@@ -9,17 +9,28 @@ slow every load and copy. Other shapes filter a bucket or all quads.
 
 Terms are strings (see :class:`Iri`), so the hash and equality tests behind
 every index, and the sort in ``save``, run in C; a term's order is the order
-of its text. ``load`` keeps a per-file map from token to term, so it builds
-one object per distinct token. ``copy`` clones the quad set and each index
-set by set, which reuses the hashes the sets already hold.
-``save`` writes through a temporary file in the same directory and then
-replaces the target, so a reader sees either the old file or the new one.
+of its text.
+
+``load`` works in bulk. It sets aside the lines that start with "<", which
+can only be quad records, and reads the few others (blank lines, comments,
+prefix declarations, indented records) one by one. It splits all records at
+once and checks each record's token count, then each distinct token's
+brackets, and builds one term per distinct token. It fills the
+graph-plus-predicate index quad by quad and each graph's set as the union of
+that graph's buckets. Only when a check fails does a line-by-line scan run,
+to report the first bad line in file order. ``copy`` clones the quad set and
+each index set by set, which reuses the hashes the sets already hold.
+``save`` formats the sorted quads with one ``join``, writes through a
+temporary file in the same directory and then replaces the target, so a
+reader sees either the old file or the new one.
 """
 
 from __future__ import annotations
 
 import os
 from collections import defaultdict
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -145,13 +156,12 @@ class Dataset:
 
     def save(self, path: str | Path) -> None:
         """Write the prefix header followed by one quad record per line."""
-        lines = [
-            f"@prefix {prefix}: <{namespace}>"
+        header = "".join(
+            f"@prefix {prefix}: <{namespace}>\n"
             for prefix, namespace in sorted(self.prefixes.namespaces().items())
-        ]
-        for g, s, p, o in sorted(self._quads):
-            lines.append(f"<{g}> <{s}> <{p}> <{o}>")
-        write_replacing(path, "\n".join(lines) + "\n")
+        )
+        records = "".join(map(_RECORD.__mod__, sorted(self._quads)))
+        write_replacing(path, header + records)
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
@@ -160,33 +170,76 @@ class Dataset:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidIri(f"{path}: not UTF-8 text: {exc}") from exc
-        terms: dict[str, Iri] = {}   # token, brackets included -> its one Iri
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        lines = text.splitlines()
+        del text
+        quad_lines: list[str] = []
+        for raw in lines:
+            # A line that starts with "<" can only be a quad record. The rest
+            # are blank, comments, prefix declarations, indented records or bad.
+            if raw[:1] == "<":
+                quad_lines.append(raw)
+                continue
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("@prefix"):
                 parts = line.split(None, 2)
                 if len(parts) != 3 or not parts[1].endswith(":"):
-                    raise InvalidIri(f"{path}:{lineno}: malformed prefix declaration")
+                    raise _first_error(path, lines)
                 ds.prefixes.register(parts[1][:-1], parts[2].strip("<>"))
                 continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise InvalidIri(f"{path}:{lineno}: malformed quad record")
-            quad = []
-            for token in fields:
-                iri = terms.get(token)
-                if iri is None:
-                    if not (token.startswith("<") and token.endswith(">")):
-                        raise InvalidIri(f"{path}:{lineno}: malformed quad record")
-                    try:
-                        iri = terms[token] = Iri(token[1:-1])
-                    except InvalidIri as exc:
-                        raise InvalidIri(f"{path}:{lineno}: {exc}") from None
-                quad.append(iri)
-            ds._add(Quad(*quad))
+            quad_lines.append(line)
+        records = list(map(str.split, quad_lines))
+        del quad_lines
+        if not {4}.issuperset(map(len, records)):
+            raise _first_error(path, lines)
+        tokens = list(chain.from_iterable(records))
+        del records
+        distinct = set(tokens)
+        if "<>" in distinct or not all(t[0] == "<" and t[-1] == ">" for t in distinct):
+            raise _first_error(path, lines)
+        del lines
+        terms = {token: Iri(token[1:-1]) for token in distinct}
+        it = map(terms.__getitem__, tokens)
+        ds._quads = set(map(_new_quad, zip(it, it, it, it)))
+        del tokens, it
+        by_gp = ds._by_gp
+        for q in ds._quads:
+            by_gp[q[0], q[2]].add(q)
+        by_g = ds._by_g
+        for (graph, _), bucket in by_gp.items():
+            by_g[graph] |= bucket
         return ds
+
+
+_RECORD = "<%s> <%s> <%s> <%s>\n"
+_new_quad = partial(tuple.__new__, Quad)
+
+
+def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:
+    """The error for the first bad line of a quad file, in file order.
+
+    ``load`` calls this only once one of its bulk checks has failed, so some
+    line is bad.
+    """
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("@prefix"):
+            parts = line.split(None, 2)
+            if len(parts) != 3 or not parts[1].endswith(":"):
+                return InvalidIri(f"{path}:{lineno}: malformed prefix declaration")
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            return InvalidIri(f"{path}:{lineno}: malformed quad record")
+        for token in fields:
+            if not (token.startswith("<") and token.endswith(">")):
+                return InvalidIri(f"{path}:{lineno}: malformed quad record")
+            if token == "<>":
+                return InvalidIri(f"{path}:{lineno}: empty IRI")
+    raise AssertionError(f"{path}: a bulk check failed, yet no line is bad")
 
 
 def _clone_index(index: dict) -> defaultdict:

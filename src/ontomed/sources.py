@@ -18,6 +18,7 @@ few integer operations per walk.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
@@ -58,6 +59,11 @@ class SourceId:
         return source_iri(self.name)
 
 
+# Matches exactly the characters for which str.isspace is true, the ones
+# str.split() separates the fields of a quad record on.
+_SPACE = re.compile(r"\s")
+
+
 @dataclass(frozen=True)
 class WrapperSchema:
     """A wrapper w(a_ID; a_nID) together with its owning source."""
@@ -77,7 +83,7 @@ class WrapperSchema:
         # would be saved into a workspace that can no longer be loaded.
         for kind, name in (("wrapper", self.name), ("source", self.source.name),
                            *(("attribute", attr) for attr in self.attrs)):
-            if any(ch.isspace() for ch in name):
+            if _SPACE.search(name):
                 raise InvalidWalk(f"wrapper {self.name}: {kind} name {name!r} contains whitespace")
 
     @property

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from itertools import combinations
+from pathlib import Path
 
-from ontomed.errors import InvalidWalk
-from ontomed.quadstore import Dataset
+from ontomed.errors import InvalidIri, InvalidWalk
+from ontomed.quadstore import Dataset, Quad
 from ontomed.sources import canonical_join, wrapper_schemas
 from ontomed.terms import (
     GLOBAL_GRAPH,
@@ -184,3 +185,40 @@ def nested_loop_join(relations: list[tuple[list[str], list[tuple[str, ...]]]],
     conds = [(index(*a), index(*b)) for a, b in joins]
     kept = [r for r in rows if all(r[i] == r[j] for i, j in conds)]
     return columns, kept
+
+
+def reference_load(path) -> Dataset:
+    """Load a quad file line by line, adding each quad on its own: the
+    reference ``Dataset.load`` must agree with, in its result or its error."""
+    ds = Dataset()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidIri(f"{path}: not UTF-8 text: {exc}") from exc
+    terms: dict[str, Iri] = {}   # token, brackets included -> its one Iri
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("@prefix"):
+            parts = line.split(None, 2)
+            if len(parts) != 3 or not parts[1].endswith(":"):
+                raise InvalidIri(f"{path}:{lineno}: malformed prefix declaration")
+            ds.prefixes.register(parts[1][:-1], parts[2].strip("<>"))
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise InvalidIri(f"{path}:{lineno}: malformed quad record")
+        quad = []
+        for token in fields:
+            iri = terms.get(token)
+            if iri is None:
+                if not (token.startswith("<") and token.endswith(">")):
+                    raise InvalidIri(f"{path}:{lineno}: malformed quad record")
+                try:
+                    iri = terms[token] = Iri(token[1:-1])
+                except InvalidIri as exc:
+                    raise InvalidIri(f"{path}:{lineno}: {exc}") from None
+            quad.append(iri)
+        ds._add(Quad(*quad))
+    return ds

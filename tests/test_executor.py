@@ -58,6 +58,13 @@ class TestLoadRelation:
         with pytest.raises(MalformedRow, match=expected):
             load_relation(WrapperBinding(releases["W1"].wrapper, path))
 
+    def test_malformed_row_after_multiline_field_reports_its_line(self, tmp_path, releases):
+        path = tmp_path / "w1q.csv"
+        path.write_text('VoDmonitorId,lagRatio\n1,"two\nlines"\n3,4\n5\n', encoding="utf-8")
+        expected = f"^{re.escape(str(path))}:5: expected 2 values, found 1$"
+        with pytest.raises(MalformedRow, match=expected):
+            load_relation(WrapperBinding(releases["W1"].wrapper, path))
+
     def test_blank_lines_skipped_and_values_stripped(self, tmp_path, releases):
         path = tmp_path / "w1s.csv"
         path.write_text(" VoDmonitorId , lagRatio\n\n 12 ,0.75 \n\n18,0.1\n", encoding="utf-8")

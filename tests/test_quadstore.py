@@ -5,6 +5,7 @@ import hashlib
 import os
 import pickle
 import random
+import re
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,6 +17,8 @@ from ontomed.bench import build_chain_instance
 from ontomed.errors import InvalidIri, UnknownPrefix
 from ontomed.quadstore import Dataset, Quad
 from ontomed.terms import Iri, PrefixTable
+
+from oracles import reference_load
 
 
 def q4(g, s, p, o):
@@ -261,3 +264,94 @@ class TestPersistence:
             ds.save(path)
         assert path.read_text(encoding="utf-8") == "<g> <s> <p> <o>\n"
         assert [p.name for p in tmp_path.iterdir()] == ["d.quads"]
+
+
+_GOOD = ("<http://x/a>", "<http://x/b>", "<http://x/a/b>", "<urn:c>", "<http://x/\u00e9>")
+_BAD = ("http://x/a>", "<http://x/a", "<>", "<>", "<", "x")
+_GAPS = (" ", "\t", "   ", " \t ", "\xa0")
+_INDENTS = ("", "", " ", "\t", "\xa0")
+# Each of these ends a line for str.splitlines; "\u2028" and "\x1c" are
+# whitespace to str.split as well.
+_ENDS = ("\n", "\n", "\r\n", "\u2028", "\x1c")
+
+
+@st.composite
+def _record(draw, count=4, bad=False):
+    tokens = draw(st.lists(st.sampled_from(_GOOD), min_size=count, max_size=count))
+    if bad:
+        tokens[draw(st.integers(0, count - 1))] = draw(st.sampled_from(_BAD))
+    text = tokens[0]
+    for token in tokens[1:]:
+        text += draw(st.sampled_from(_GAPS)) + token
+    return draw(st.sampled_from(_INDENTS)) + text + draw(st.sampled_from(("", " ", "\t")))
+
+
+_prefix = st.builds(
+    "{}@prefix{}{}:{}<{}>".format,
+    st.sampled_from(_INDENTS), st.sampled_from(_GAPS), st.sampled_from(("ex", "G", "p")),
+    st.sampled_from(_GAPS), st.sampled_from(("http://x/", "http://y/", "urn:z:")))
+_good_line = st.one_of(
+    _record(), _record(), _prefix,
+    st.sampled_from(("", "  ", "\t", "# c", "  # <a> <b> <c> <d>", "#<a> <b>")))
+_bad_line = st.one_of(
+    _record(count=3), _record(count=5), _record(bad=True), _record(bad=True),
+    st.sampled_from(("@prefix ex <http://x/>", "@prefix ex:", " @prefix", "@prefixes: a b")))
+
+
+@st.composite
+def _quad_files(draw):
+    lines = draw(st.lists(_good_line, max_size=25))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_bad_line))
+    return "".join(line + draw(st.sampled_from(_ENDS)) for line in lines)
+
+
+class TestBulkLoad:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_quad_files())
+    def test_load_agrees_with_line_by_line_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("quads") / "f.quads"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_load(path)
+        except InvalidIri as exc:
+            with pytest.raises(InvalidIri) as got:
+                Dataset.load(path)
+            assert str(got.value) == str(exc)
+            return
+        ds = Dataset.load(path)
+        assert ds.quads() == expected.quads()
+        assert ds._by_g == expected._by_g and ds._by_gp == expected._by_gp
+        assert ds.prefixes.namespaces() == expected.prefixes.namespaces()
+        terms = [term for quad in ds for term in quad]
+        assert all(type(term) is Iri for term in terms)
+        assert len({id(term) for term in terms}) == len(set(terms))
+
+    @staticmethod
+    def _large_file(tmp_path, bad: dict[int, str]):
+        """A 2,000-line quad file with the lines numbered in ``bad`` replaced."""
+        lines = ["@prefix ex: <http://x/>"] + [
+            f"<http://x/g{i % 7}> <http://x/s{i}> <http://x/p{i % 5}> <http://x/o{i % 3}>"
+            for i in range(1, 2000)]
+        for lineno, line in bad.items():
+            lines[lineno - 1] = line
+        path = tmp_path / "large.quads"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("line, message", [
+        ("<http://x/g> <http://x/s> <http://x/p>", "malformed quad record"),
+        ("<http://x/g> <http://x/s> http://x/p> <http://x/o>", "malformed quad record"),
+        ("<http://x/g> <> <http://x/p> <http://x/o>", "empty IRI"),
+        ("@prefix ex <http://x/>", "malformed prefix declaration"),
+    ], ids=["token-count", "bracket", "empty-iri", "prefix"])
+    def test_bad_line_in_large_file_reports_its_number(self, tmp_path, line, message):
+        path = self._large_file(tmp_path, {1013: line})
+        with pytest.raises(InvalidIri, match=f"^{re.escape(str(path))}:1013: {message}$"):
+            Dataset.load(path)
+
+    def test_first_bad_line_in_file_order_wins(self, tmp_path):
+        path = self._large_file(tmp_path, {900: "<http://x/g> <http://x/s> <http://x/p>",
+                                           1100: "@prefix ex <http://x/>"})
+        with pytest.raises(InvalidIri, match=f"^{re.escape(str(path))}:900: malformed quad record$"):
+            Dataset.load(path)

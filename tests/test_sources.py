@@ -2,6 +2,7 @@
 the compiled catalog, coverage and minimality."""
 
 import pickle
+import sys
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from ontomed.sources import (
     SourceId,
     Walk,
     WrapperSchema,
+    _SPACE,
     coverage,
     minimality,
     wrapper_schemas,
@@ -160,6 +162,18 @@ class TestWalkValidity:
     def test_schema_rejects_overlapping_roles(self):
         with pytest.raises(InvalidWalk):
             WrapperSchema("w", SourceId("d"), ("a",), ("a",))
+
+    def test_name_check_refuses_exactly_the_record_separators(self):
+        # Over every code point: the regex the schema tests names with
+        # matches the characters str.isspace accepts, which are the ones
+        # str.split() separates a quad record's fields on.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = "".join(filter(str.isspace, every))
+        assert "".join(_SPACE.findall(every)) == spaces
+        assert "".join(every.split()) == every.translate(dict.fromkeys(map(ord, spaces)))
+        for ch in ("\u00a0", "\u2028", "\x1c", "\u3000"):
+            with pytest.raises(InvalidWalk, match="contains whitespace"):
+                WrapperSchema(f"w{ch}1", SourceId("d"), ("a",), ())
 
 
 class TestCatalogDerivation:
