@@ -2,7 +2,8 @@
 
 Wrapper data lives in comma-separated files with a header row naming the
 attributes. Joins compare raw string values. A single walk is evaluated with
-bag semantics; the union across walks removes duplicate rows.
+bag semantics and projected to the output ends its binding names, in order;
+the union across walks removes duplicate rows.
 
 The walks of one union share their work: a query reads each bound file once,
 builds each hash table once, and each walk restarts from the longest join
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidWalk, MalformedRow, MissingColumn, NoWalks, UnboundWrapper
 from .sources import JoinEnd, Ucq, Walk, WrapperSchema
@@ -117,7 +118,7 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[str]], Row]:
     return lambda row: ()
 
 
-class _SharedBindings(Mapping[str, WrapperBinding]):
+class _SharedBindings:
     """Wrapper bindings plus the work the walks of one union share.
 
     Holds each loaded relation, each right-side hash table, the join results
@@ -126,21 +127,12 @@ class _SharedBindings(Mapping[str, WrapperBinding]):
     """
 
     def __init__(self, bindings: Mapping[str, WrapperBinding]):
-        self._bindings = bindings
+        self.bindings = bindings
         self.relations: dict[str, Relation] = {}
         # (wrapper, kept attributes, key attributes) -> key -> kept rows
         self.tables: dict[tuple, dict[object, list[Row]]] = {}
         self.prefixes: list[tuple[tuple, list[Row]]] = []
         self.extended: dict[tuple, set[Row]] = {}
-
-    def __getitem__(self, name: str) -> WrapperBinding:
-        return self._bindings[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
 
     def hash_table(self, name: str, keep: tuple[str, ...],
                    key_attrs: tuple[str, ...]) -> dict[object, list[Row]]:
@@ -162,29 +154,30 @@ class _SharedBindings(Mapping[str, WrapperBinding]):
 
 
 def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
-              output: Sequence[JoinEnd] | None = None) -> Relation:
-    """Equi-join the walk's wrappers, with bag semantics.
+              output: Sequence[JoinEnd]) -> Relation:
+    """Equi-join the walk's wrappers, with bag semantics, projected to ``output``.
 
-    With ``output=None`` the result keeps every projected and identifier
-    attribute, in join order, under qualified names ("wrapper.attribute").
-    Given ``output``, (wrapper, attribute) ends, the result has one column per
-    end, in that order, and each join step carries only the columns that the
-    output or a later join key reads. A walk whose join graph is disconnected
-    raises ``InvalidWalk``.
+    ``output`` lists (wrapper, attribute) ends, each a projected or identifier
+    attribute of the walk; the result has one column per end, in that order,
+    named "wrapper.attribute". Each join step carries only the columns that
+    the output or a later join key reads. A walk whose join graph is
+    disconnected raises ``InvalidWalk``, and an end the walk does not keep
+    raises ``MissingColumn``.
 
-    Only ``eval_ucq``, which passes its shared bindings and an output, gets
-    the final-step pruning: there the rows a skipped prefix row would yield
-    are already in the union. Called with a plain mapping, the result is the
-    walk's whole bag.
+    Only ``eval_ucq``, which passes its shared bindings, gets the final-step
+    pruning: there the rows a skipped prefix row would yield are already in
+    the union. With a plain mapping, ``eval_walk`` starts from fresh shared
+    state, so it prunes nothing and returns the walk's whole bag over
+    ``output``.
     """
     shared = bindings if isinstance(bindings, _SharedBindings) else _SharedBindings(bindings)
     relations = shared.relations
     for name in w.names:
-        if name not in bindings:
+        if name not in shared.bindings:
             raise UnboundWrapper(f"wrapper {name} has no data binding")
         if name not in relations:
-            relations[name] = load_relation(bindings[name])
-    plan, layout = _plan(w, shared, output)
+            relations[name] = load_relation(shared.bindings[name])
+    plan = _plan(w, shared, output)
 
     # Restart at the longest prefix shared with the previous walk.
     stack = shared.prefixes
@@ -202,7 +195,7 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
             rows = list(map(_tuple_getter([rel.column_index(a) for a in keep]), rel.rows))
         else:
             prefix = rows
-            if output is not None and i == last:
+            if i == last:
                 extended = shared.extended.setdefault((name, keep, key_attrs, left, pick), set())
                 if extended:
                     prefix = list(filterfalse(extended.__contains__, prefix))
@@ -216,11 +209,11 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
             extended.update(prefix)
             break
         stack.append((step_key, rows))
-    return Relation(columns=[f"{wrapper}.{attr}" for wrapper, attr in layout], rows=rows)
+    return Relation(columns=[f"{wrapper}.{attr}" for wrapper, attr in output], rows=rows)
 
 
-def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd] | None):
-    """The walk's hash-join steps, and the ends its result rows hold.
+def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
+    """The walk's hash-join steps, the last of which picks the ``output`` ends.
 
     Each step adds the first remaining wrapper that joins the prefix. A step
     is (prefix key, wrapper, kept attributes, right key attributes, left key
@@ -243,24 +236,24 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd] | None):
         joined.add(name)
         order.append((name, tuple(conds)))
 
-    # The ends live after each step: every projected and identifier end, or
-    # only those that the output or a later step's left join key reads.
+    # The ends live after each step: the projected and identifier ends that
+    # the output or a later step's left join key reads.
     projections = w.projections()
     kept = {(name, attr) for name in names
-            for attr in (*projections.get(name, ()), *shared[name].wrapper.id_attrs)}
-    live = [kept] * len(order)
-    if output is not None:
-        needed = set(output)
-        for i in range(len(order) - 1, -1, -1):
-            live[i] = kept & needed
-            needed |= {left for left, _ in order[i][1]}
+            for attr in (*projections.get(name, ()), *shared.bindings[name].wrapper.id_attrs)}
+    live = []
+    needed = set(output)
+    for _, conds in reversed(order):
+        live.append(kept & needed)
+        needed |= {left for left, _ in conds}
+    live.reverse()
 
     plan = []
     layout: list[JoinEnd] = []
     for i, (name, conds) in enumerate(order):
         keep = tuple(a for a in shared.relations[name].columns if (name, a) in live[i])
         row_ends = layout + [(name, a) for a in keep]
-        if output is not None and i == len(order) - 1:
+        if i == len(order) - 1:
             target = list(output)
             for wrapper, attr in target:
                 if (wrapper, attr) not in row_ends:
@@ -272,7 +265,7 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd] | None):
         plan.append(((name, conds, keep, pick), name, keep,
                      tuple(attr for _, (_, attr) in conds), left, pick))
         layout = target
-    return plan, layout
+    return plan
 
 
 def _join_conds(w: Walk, joined: set[str], name: str) -> list[tuple[JoinEnd, JoinEnd]]:

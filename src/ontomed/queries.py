@@ -10,7 +10,6 @@ from __future__ import annotations
 import graphlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, TypeVar
 
 from .errors import (
     CyclicPattern,
@@ -22,9 +21,6 @@ from .errors import (
 from .quadstore import Dataset, Triple
 from .sources import wrapper_schemas
 from .terms import G_FEATURE, G_HAS_FEATURE, GLOBAL_GRAPH, RDF_TYPE, Iri
-
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -232,21 +228,12 @@ def _expand_checked(tok: _Token, prefixes) -> Iri:
 
 
 def _check_connected(phi: set[Triple]) -> None:
-    vertices = {s for s, _, _ in phi} | {o for _, _, o in phi}
-    if not connected(vertices, ((s, o) for s, _, o in phi)):
-        raise DisconnectedPattern("the pattern does not form a connected subgraph")
-
-
-def connected(nodes: Iterable[T], edges: Iterable[tuple[T, T]]) -> bool:
-    """True iff the undirected graph is connected (an empty one is). Edges
-    with an endpoint outside ``nodes`` are ignored."""
-    adjacency: dict[T, set[T]] = {n: set() for n in nodes}
-    for a, b in edges:
-        if a in adjacency and b in adjacency:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    if not adjacency:
-        return True
+    """Raise DisconnectedPattern unless the triples' subjects and objects form
+    one connected undirected graph."""
+    adjacency: dict[Iri, set[Iri]] = {}
+    for s, _, o in phi:
+        adjacency.setdefault(s, set()).add(o)
+        adjacency.setdefault(o, set()).add(s)
     start = next(iter(adjacency))
     seen = {start}
     frontier = [start]
@@ -255,7 +242,8 @@ def connected(nodes: Iterable[T], edges: Iterable[tuple[T, T]]) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen) == len(adjacency)
+    if len(seen) != len(adjacency):
+        raise DisconnectedPattern("the pattern does not form a connected subgraph")
 
 
 def render_omq(q: OmqQuery, ds: Dataset) -> str:

@@ -166,6 +166,10 @@ class JoinPlan:
                     continue
                 for name, attr in joinable:
                     if name in reachable:
+                        # ``reachable`` is a subset of ``merged.names``, so
+                        # ``add_wrapper`` returns ``merged``. The call stays:
+                        # perfbench/tracing.py and a rewriter test count the
+                        # candidates built through it.
                         found.append(merged.add_wrapper(name).with_join((name, attr), held))
                         if trace is not None:
                             trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"

@@ -85,35 +85,36 @@ def joined_walk():
     return w.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
 
 
+# Every projected and identifier end of ``joined_walk``.
+JOINED_ENDS = [("W1", "VoDmonitorId"), ("W1", "lagRatio"),
+               ("W3", "TargetApp"), ("W3", "MonitorId")]
+
+
 class TestEvalWalk:
     def test_hand_joined_rows(self, demo_bindings):
-        rel = eval_walk(joined_walk(), demo_bindings)
+        rel = eval_walk(joined_walk(), demo_bindings, JOINED_ENDS)
         names = rel.columns
         pick = [names.index("W1.lagRatio"), names.index("W1.VoDmonitorId"),
                 names.index("W3.TargetApp")]
         got = {tuple(r[i] for i in pick) for r in rel.rows}
         assert got == {("0.75", "12", "1"), ("0.90", "12", "1"), ("0.1", "18", "2")}
 
-    def test_single_wrapper_keeps_ids(self, demo_bindings):
-        rel = eval_walk(Walk.single("W1", ["lagRatio"]), demo_bindings)
-        assert rel.columns == ["W1.VoDmonitorId", "W1.lagRatio"]
-
     def test_no_matching_keys(self, tmp_path, releases, demo_bindings):
         path = tmp_path / "w3x.csv"
         write_csv(path, ["TargetApp", "MonitorId", "FeedbackId"], [("9", "99", "999")])
         bindings = dict(demo_bindings)
         bindings["W3"] = WrapperBinding(releases["W3"].wrapper, path)
-        assert eval_walk(joined_walk(), bindings).rows == []
+        assert eval_walk(joined_walk(), bindings, JOINED_ENDS).rows == []
 
     def test_unbound_wrapper(self, demo_bindings):
         bindings = {k: v for k, v in demo_bindings.items() if k != "W3"}
         with pytest.raises(UnboundWrapper):
-            eval_walk(joined_walk(), bindings)
+            eval_walk(joined_walk(), bindings, JOINED_ENDS)
 
     def test_disconnected_walk_rejected(self, demo_bindings):
         w = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["TargetApp"]))
         with pytest.raises(InvalidWalk):
-            eval_walk(w, demo_bindings)
+            eval_walk(w, demo_bindings, [("W1", "lagRatio"), ("W3", "TargetApp")])
 
     def test_matches_nested_loop_oracle(self, tmp_path, releases):
         rng = random.Random(20240818)
@@ -129,7 +130,7 @@ class TestEvalWalk:
                 "W1": WrapperBinding(releases["W1"].wrapper, tmp_path / "w1.csv"),
                 "W3": WrapperBinding(releases["W3"].wrapper, tmp_path / "w3.csv"),
             }
-            rel = eval_walk(joined_walk(), bindings)
+            rel = eval_walk(joined_walk(), bindings, JOINED_ENDS)
             cols, expected = nested_loop_join(
                 [(["VoDmonitorId", "lagRatio"], w1_rows),
                  (["TargetApp", "MonitorId", "FeedbackId"], w3_rows)],
@@ -192,6 +193,17 @@ class TestEvalUcq:
         text = eval_ucq(ucq, bindings).render()
         assert text == 'p,q\n"a,b","say ""hi"""\nc,d'
         assert list(csv.reader(io.StringIO(text))) == [["p", "q"], ["a,b", 'say "hi"'], ["c", "d"]]
+
+    # W1 has lagRatio but the walk does not project it; W1 has no bufferingRatio.
+    @pytest.mark.parametrize("attr", ["lagRatio", "bufferingRatio"])
+    def test_output_end_the_walk_does_not_keep_rejected(self, demo_bindings, attr):
+        walk = Walk.single("W1").merge(Walk.single("W3", ["TargetApp"]))
+        walk = walk.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+        lag, app = Iri("http://a/lag"), Iri("http://a/app")
+        ucq = Ucq(walks=[walk], output_features=(lag, app),
+                  bindings=[{lag: ("W1", attr), app: ("W3", "TargetApp")}])
+        with pytest.raises(MissingColumn, match=rf"^no column named W1\.{attr}$"):
+            eval_ucq(ucq, demo_bindings)
 
     def test_zero_walks_rejected(self, demo_bindings):
         empty = Ucq(walks=[], output_features=(), bindings=[])
@@ -381,6 +393,7 @@ class TestSharedUnion:
         assert built == [2, 0]
 
     def test_direct_eval_walk_returns_the_whole_bag(self, tmp_path):
+        # With plain bindings nothing is pruned, even after eval_ucq ran.
         rng = random.Random(7)
         for trial in range(20):
             tables = chain_tables(rng)
@@ -393,6 +406,3 @@ class TestSharedUnion:
                 rel = eval_walk(walk, bindings, output)
                 assert rel.columns == [f"{w}.{a}" for w, a in output]
                 assert rel.rows == expected, f"trial {trial}"
-                full = eval_walk(walk, bindings)
-                pick = [full.column_index(c) for c in rel.columns]
-                assert [tuple(r[i] for i in pick) for r in full.rows] == expected
