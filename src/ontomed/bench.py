@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .quadstore import Dataset, Quad
 from .releases import Release, apply_release
 from .rewriter import rewrite
-from .sources import SourceId, WrapperSchema
+from .sources import WrapperSchema
 from .terms import (
     G_CONCEPT,
     G_FEATURE,
@@ -26,6 +26,7 @@ from .terms import (
     SC_IDENTIFIER,
     SOURCE_GRAPH,
     Iri,
+    source_iri,
 )
 
 BENCH_NS = "http://example.org/bench/"
@@ -90,7 +91,7 @@ def chain_release(i: int, j: int) -> Release:
         feature_map[f"id{i - 1}"] = _feature(f"id{i - 1}")
     wrapper = WrapperSchema(
         name=f"w_{i}_{j}",
-        source=SourceId(f"src_{i}_{j}"),
+        source=f"src_{i}_{j}",
         id_attrs=tuple(sorted(attrs_id)),
         non_id_attrs=(f"metric{i}",),
     )
@@ -154,7 +155,7 @@ class GrowthRecord:
 def release_bound(r: Release, ds: Dataset) -> int:
     """Worst-case quads one release can add to ``ds``: one more when it
     registers a new source."""
-    new_source = not ds.match(SOURCE_GRAPH, subject=r.wrapper.source.iri,
+    new_source = not ds.match(SOURCE_GRAPH, subject=source_iri(r.wrapper.source),
                               predicate=RDF_TYPE, object=S_DATA_SOURCE)
     return 3 + 2 * len(r.wrapper.attrs) + len(r.subgraph) + len(r.feature_map) + new_source
 
@@ -202,7 +203,7 @@ def synthetic_release_stream() -> tuple[Dataset, list[tuple[str, Release]]]:
         g(f, RDF_TYPE, G_FEATURE)
         g(svc, G_HAS_FEATURE, f)
 
-    source = SourceId("stream")
+    source = "stream"
 
     def make(version: int, non_id: list[str], fmap: dict[str, str]) -> Release:
         subgraph = {(svc, G_HAS_FEATURE, sid)}

@@ -153,7 +153,10 @@ def _cmd_bench(args) -> int:
         raise WorkspaceError(f"{directory}: not a directory of release descriptors")
     releases = []
     for path in sorted(directory.glob("*.json")):
-        releases.append((path.stem, load_release(path, ws.dataset)))
+        release = load_release(path, ws.dataset)
+        releases.append((path.stem, release))
+        if release.data_file:
+            ws.bind(release.wrapper.name, release.data_file)
     print("release,added,bound,cumulative,global_quads")
     ws.dataset, records = run_growth_bench(ws.dataset, releases)
     for rec in records:

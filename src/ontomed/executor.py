@@ -271,7 +271,7 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
 def _join_conds(w: Walk, joined: set[str], name: str) -> list[tuple[JoinEnd, JoinEnd]]:
     """Join conditions oriented as (prefix endpoint, new-wrapper endpoint)."""
     conds = []
-    for a, b in w.sorted_joins:
+    for a, b in w.joins:
         if a[0] in joined and b[0] == name:
             conds.append((a, b))
         elif b[0] in joined and a[0] == name:

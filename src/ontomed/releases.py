@@ -21,7 +21,7 @@ from .errors import (
     UnknownPrefix,
 )
 from .quadstore import Dataset, Quad, Triple
-from .sources import SourceId, WrapperSchema
+from .sources import WrapperSchema
 from .terms import (
     G_HAS_FEATURE,
     GLOBAL_GRAPH,
@@ -37,6 +37,7 @@ from .terms import (
     SOURCE_GRAPH,
     Iri,
     mapping_graph_iri,
+    source_iri,
 )
 
 
@@ -98,7 +99,7 @@ def apply_release(ds: Dataset, r: Release) -> tuple[Dataset, GrowthStats]:
 
     out = ds.copy()
     stats = GrowthStats()
-    src = wrapper.source.iri
+    src = source_iri(wrapper.source)
 
     if out._add(Quad(SOURCE_GRAPH, src, RDF_TYPE, S_DATA_SOURCE)):
         stats.source += 1
@@ -136,7 +137,7 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
         w = raw["wrapper"]
         wrapper = WrapperSchema(
             name=_string(w["name"], "wrapper.name"),
-            source=SourceId(_string(w["source"], "wrapper.source")),
+            source=_string(w["source"], "wrapper.source"),
             id_attrs=_strings(w.get("id_attributes", []), "wrapper.id_attributes"),
             non_id_attrs=_strings(w.get("non_id_attributes", []), "wrapper.non_id_attributes"),
         )
@@ -150,8 +151,8 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
             raise TypeError(f"feature_map must be an object, not {feature_map!r}")
         feature_map = {a: expand(_string(f, f"feature_map[{a!r}]")) for a, f in feature_map.items()}
         data_file = w.get("data_file")
-        if data_file is not None:
-            _string(data_file, "wrapper.data_file")
+        if data_file is not None and "\0" in _string(data_file, "wrapper.data_file"):
+            raise ValueError("wrapper.data_file holds a NUL character")
     except (KeyError, TypeError, ValueError, InvalidIri, InvalidWalk, UnknownPrefix) as exc:
         raise InvalidRelease(f"{path}: malformed release descriptor: {exc}") from exc
     return Release(
@@ -179,7 +180,7 @@ def save_release(r: Release, path: str | Path, ds: Dataset) -> None:
     doc = {
         "wrapper": {
             "name": r.wrapper.name,
-            "source": r.wrapper.source.name,
+            "source": r.wrapper.source,
             "id_attributes": list(r.wrapper.id_attrs),
             "non_id_attributes": list(r.wrapper.non_id_attrs),
             **({"data_file": r.data_file} if r.data_file else {}),

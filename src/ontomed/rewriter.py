@@ -28,7 +28,6 @@ from .queries import OmqQuery, parse_omq, topological_concepts, well_formed_rewr
 from .sources import (
     Catalog,
     JoinEnd,
-    SourceId,
     Ucq,
     Walk,
     coverage,
@@ -224,7 +223,7 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
         return []
     catalog = wrapper_schemas(ds)
 
-    def compiled(walks: list[Walk]) -> list[tuple[Walk, frozenset[str], frozenset[SourceId]]]:
+    def compiled(walks: list[Walk]) -> list[tuple[Walk, frozenset[str], frozenset[str]]]:
         return [(w, frozenset(w.names), frozenset(catalog[name].source for name in w.names))
                 for w in walks]
 
@@ -234,7 +233,7 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
         plan = _join_plan(x.query.phi, concept, processed, catalog)
         rights = compiled(p.per_concept[concept])
         joined: list[Walk] = []
-        seen: set[tuple] = set()
+        seen: set[Walk] = set()
         error: NoJoinPath | MissingIdAttribute | None = None
         for left, left_names, left_sources in compiled(current):
             for right, right_names, right_sources in rights:
@@ -249,9 +248,8 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                 if not (candidates or shared):
                     error = plan.error
                 for cand in candidates:
-                    sig = cand.signature()
-                    if sig not in seen:
-                        seen.add(sig)
+                    if cand not in seen:
+                        seen.add(cand)
                         joined.append(cand)
         if not joined:
             raise error or NoJoinPath(
@@ -294,11 +292,18 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
     for w in kept:
         k = w.key()
         by_key[k] = by_key[k].merge(w) if k in by_key else w
-    final = sorted(by_key.values(), key=lambda w: (w.steps, w.sorted_joins))
+    final = sorted(by_key.values())
 
     catalog = wrapper_schemas(ds)
     step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]] = {}
     bindings = [_bind_features(catalog, w, wf.pi, step_bindings) for w in final]
+    wanted = len(set(wf.pi))
+    for w, binding in zip(final, bindings):
+        # Phase 2 never projects a feature whose subject is not typed as a
+        # concept (rule V1), yet a walk can still cover the pattern.
+        if len(binding) < wanted:
+            unbound = next(f for f in wf.pi if f not in binding)
+            raise NoWrapperForConcept(f"walk {w.render_body()} binds no attribute to <{unbound}>")
     return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings)
 
 

@@ -3,9 +3,9 @@
 A walk is a select-project-join expression over wrappers: restricted
 projection (identifier attributes are never dropped) and restricted
 equi-joins (identifier attributes only), with pairwise-distinct sources.
-Walks are stored canonically so that equivalence is a plain equality test,
-and compiled when built: a walk carries its wrapper names and its sorted
-joins, so the rewriter, the renderer and the executor read fields instead of
+Each walk is stored as a named tuple of three canonical tuples: its steps,
+its wrapper names and its sorted joins. Equivalence is then plain tuple
+equality, the rewriter, the renderer and the executor read fields instead of
 rebuilding them, and merging a one-wrapper walk is a bisection insert.
 
 The catalog compiles a snapshot's source and mapping graphs, and the
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidWalk, MissingMapping, NotCovering
 from .quadstore import Dataset, Triple
@@ -50,15 +50,6 @@ JoinEnd = tuple[str, str]            # (wrapper name, attribute name)
 Join = tuple[JoinEnd, JoinEnd]       # canonically sorted endpoint pair
 
 
-@dataclass(frozen=True, order=True)
-class SourceId:
-    name: str
-
-    @property
-    def iri(self) -> Iri:
-        return source_iri(self.name)
-
-
 # Matches exactly the characters for which str.isspace is true, the ones
 # str.split() separates the fields of a quad record on.
 _SPACE = re.compile(r"\s")
@@ -69,7 +60,7 @@ class WrapperSchema:
     """A wrapper w(a_ID; a_nID) together with its owning source."""
 
     name: str
-    source: SourceId
+    source: str
     id_attrs: tuple[str, ...]
     non_id_attrs: tuple[str, ...]
 
@@ -81,7 +72,7 @@ class WrapperSchema:
             raise InvalidWalk(f"wrapper {self.name}: no attributes")
         # A quad record separates its IRIs by whitespace, so such a name
         # would be saved into a workspace that can no longer be loaded.
-        for kind, name in (("wrapper", self.name), ("source", self.source.name),
+        for kind, name in (("wrapper", self.name), ("source", self.source),
                            *(("attribute", attr) for attr in self.attrs)):
             if _SPACE.search(name):
                 raise InvalidWalk(f"wrapper {self.name}: {kind} name {name!r} contains whitespace")
@@ -95,38 +86,30 @@ class WrapperSchema:
         return self.id_attrs + self.non_id_attrs
 
     def attr_iri(self, attr_name: str) -> Iri:
-        return attribute_iri(self.source.iri, attr_name)
+        return attribute_iri(source_iri(self.source), attr_name)
 
 
 def canonical_join(a: JoinEnd, b: JoinEnd) -> Join:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True, slots=True)
-class Walk:
-    """Canonical walk value: per-wrapper projections plus an unordered join set.
+class Walk(NamedTuple):
+    """Canonical walk value: three tuples, its steps, names and joins.
 
     ``steps`` holds one (wrapper name, sorted projected attributes) pair per
-    wrapper, sorted by name; ``Walk.single`` and the builders below keep that
-    form, and ``merge`` relies on it. A walk is compiled once, when built:
-    ``names`` is its wrapper names in step order and ``sorted_joins`` its
-    joins in canonical order. Both follow from ``steps`` and ``joins``, so
-    equality, hashing, ``key`` and ``signature`` read only those two.
+    wrapper, sorted by name; ``names`` is the wrapper names in step order;
+    ``joins`` is the canonical join pairs, sorted. ``Walk.single`` and the
+    builders below keep that form, and ``merge`` relies on it. Equality,
+    hashing and order are the tuple's, so they follow (steps, joins).
     """
 
     steps: tuple[tuple[str, tuple[str, ...]], ...]
-    joins: frozenset[Join] = frozenset()
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    sorted_joins: tuple[Join, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(name for name, _ in self.steps))
-        object.__setattr__(self, "sorted_joins", tuple(sorted(self.joins)))
+    names: tuple[str, ...]
+    joins: tuple[Join, ...]
 
     @staticmethod
     def single(wrapper_name: str, projected: Iterable[str] = ()) -> "Walk":
-        return _walk(((wrapper_name, tuple(sorted(set(projected)))),), frozenset(),
-                     (wrapper_name,), ())
+        return Walk(((wrapper_name, tuple(sorted(set(projected)))),), (wrapper_name,), ())
 
     # --- accessors ---------------------------------------------------------
 
@@ -147,35 +130,28 @@ class Walk:
         steps, names = self.steps, self.names
         for step in other.steps:
             steps, names = _insert_step(steps, names, step)
-        joins = self.joins | other.joins
-        sorted_joins = (self.sorted_joins if len(joins) == len(self.joins)
-                        else tuple(sorted(joins)))
-        return _walk(steps, joins, names, sorted_joins)
+        joins = self.joins
+        if other.joins and other.joins != joins:
+            joins = tuple(sorted({*joins, *other.joins}))
+        return Walk(steps, names, joins)
 
     def add_wrapper(self, wrapper_name: str) -> "Walk":
         if wrapper_name in self.names:
             return self
-        steps, names = _insert_step(self.steps, self.names, (wrapper_name, ()))
-        return _walk(steps, self.joins, names, self.sorted_joins)
+        return Walk(*_insert_step(self.steps, self.names, (wrapper_name, ())), self.joins)
 
     def with_join(self, left: JoinEnd, right: JoinEnd) -> "Walk":
-        join = canonical_join(left, right)
-        if join in self.joins:
+        join, joins = canonical_join(left, right), self.joins
+        i = bisect_left(joins, join)
+        if i < len(joins) and joins[i] == join:
             return self
-        sorted_joins = self.sorted_joins
-        i = bisect_left(sorted_joins, join)
-        return _walk(self.steps, self.joins | {join}, self.names,
-                     sorted_joins[:i] + (join,) + sorted_joins[i:])
+        return Walk(self.steps, self.names, joins[:i] + (join,) + joins[i:])
 
     # --- structure ---------------------------------------------------------
 
     def key(self) -> tuple[frozenset[str], frozenset[Join]]:
         """Equivalence key: wrapper set and join-condition set, projections ignored."""
-        return (frozenset(self.names), self.joins)
-
-    def signature(self) -> tuple:
-        """Full identity including projections (used for intra-phase dedup)."""
-        return (self.steps, self.joins)
+        return (frozenset(self.names), frozenset(self.joins))
 
     def render(self) -> str:
         """Textual algebra: the projections, then the join body."""
@@ -188,28 +164,13 @@ class Walk:
         names = self.names
         position = {name: i for i, name in enumerate(names)}
         conds: list[list[str]] = [[] for _ in names]
-        for (wl, al), (wr, ar) in self.sorted_joins:
+        for (wl, al), (wr, ar) in self.joins:
             if wl in position and wr in position:
                 conds[max(position[wl], position[wr])].append(f"{wl}.{al}={wr}.{ar}")
         parts = list(names[:1])
         for name, placed in zip(names[1:], conds[1:]):
             parts.append(f"⋈[{','.join(placed)}] {name}" if placed else f"⋈ {name}")
         return "( " + " ".join(parts) + " )"
-
-
-_set_steps, _set_joins, _set_names, _set_sorted_joins = (
-    Walk.__dict__[name].__set__ for name in ("steps", "joins", "names", "sorted_joins"))
-
-
-def _walk(steps, joins, names, sorted_joins) -> Walk:
-    """A walk from its fields, the cached ones already computed. The slot
-    setters write past the frozen ``__setattr__``."""
-    walk = object.__new__(Walk)
-    _set_steps(walk, steps)
-    _set_joins(walk, joins)
-    _set_names(walk, names)
-    _set_sorted_joins(walk, sorted_joins)
-    return walk
 
 
 def _insert_step(steps, names, step):
@@ -299,7 +260,7 @@ class Catalog(Mapping[str, WrapperSchema]):
                 (id_attrs if feature in identifiers else non_id_attrs).append(attr)
             self._schemas[name] = WrapperSchema(
                 name=name,
-                source=SourceId(src[len(source_ns):]),
+                source=src[len(source_ns):],
                 id_attrs=tuple(sorted(id_attrs)),
                 non_id_attrs=tuple(sorted(non_id_attrs)),
             )

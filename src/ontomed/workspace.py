@@ -56,8 +56,9 @@ class Workspace:
                 data_files = json.loads(bindings_path.read_text(encoding="utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise WorkspaceError(f"{bindings_path}: malformed bindings file: {exc}") from None
+            # The OS refuses a path holding a NUL character.
             if not (isinstance(data_files, dict)
-                    and all(isinstance(v, str) for v in data_files.values())):
+                    and all(isinstance(v, str) and "\0" not in v for v in data_files.values())):
                 raise WorkspaceError(
                     f"{bindings_path}: expected an object mapping wrapper names to data files")
         return cls(root=root, dataset=ds, data_files=data_files)

@@ -7,7 +7,7 @@ import pytest
 from ontomed.executor import WrapperBinding
 from ontomed.quadstore import Dataset, Quad
 from ontomed.releases import Release, apply_release
-from ontomed.sources import SourceId, WrapperSchema
+from ontomed.sources import WrapperSchema
 from ontomed.terms import (
     G_CONCEPT,
     G_FEATURE,
@@ -84,12 +84,12 @@ MONITOR_SUBGRAPH = frozenset({
 def make_releases() -> dict[str, Release]:
     return {
         "W1": Release(
-            WrapperSchema("W1", SourceId("D1"), ("VoDmonitorId",), ("lagRatio",)),
+            WrapperSchema("W1", "D1", ("VoDmonitorId",), ("lagRatio",)),
             MONITOR_SUBGRAPH,
             {"VoDmonitorId": iri("sup:monitorId"), "lagRatio": iri("sup:lagRatio")},
         ),
         "W2": Release(
-            WrapperSchema("W2", SourceId("D2"), ("FGId",), ("tweet",)),
+            WrapperSchema("W2", "D2", ("FGId",), ("tweet",)),
             frozenset({
                 (iri("sup:FeedbackGathering"), iri("sup:generatesFeedback"), iri("sup:UserFeedback")),
                 (iri("sup:FeedbackGathering"), G_HAS_FEATURE, iri("sup:feedbackGatheringId")),
@@ -98,7 +98,7 @@ def make_releases() -> dict[str, Release]:
             {"FGId": iri("sup:feedbackGatheringId"), "tweet": iri("sup:description")},
         ),
         "W3": Release(
-            WrapperSchema("W3", SourceId("D3"), ("TargetApp", "MonitorId", "FeedbackId"), ()),
+            WrapperSchema("W3", "D3", ("TargetApp", "MonitorId", "FeedbackId"), ()),
             frozenset({
                 (iri("sc:SoftwareApplication"), iri("sup:hasMonitor"), iri("sup:Monitor")),
                 (iri("sc:SoftwareApplication"), iri("sup:hasFGTool"), iri("sup:FeedbackGathering")),
@@ -113,7 +113,7 @@ def make_releases() -> dict[str, Release]:
             },
         ),
         "W4": Release(
-            WrapperSchema("W4", SourceId("D1"), ("VoDmonitorId",), ("bufferingRatio",)),
+            WrapperSchema("W4", "D1", ("VoDmonitorId",), ("bufferingRatio",)),
             MONITOR_SUBGRAPH,
             {"VoDmonitorId": iri("sup:monitorId"), "bufferingRatio": iri("sup:lagRatio")},
         ),

@@ -12,7 +12,7 @@ import random
 
 from ontomed.quadstore import Dataset, Quad
 from ontomed.releases import Release, apply_release
-from ontomed.sources import SourceId, WrapperSchema
+from ontomed.sources import WrapperSchema
 from ontomed.terms import (
     G_CONCEPT,
     G_FEATURE,
@@ -78,7 +78,7 @@ def make_instance(rng: random.Random):
                 subgraph.add((_iri(f"C{i - 1}"), _iri(f"e{i}"), c))
         wrapper = WrapperSchema(
             name=f"w{k}",
-            source=SourceId(f"s{rng.randrange(n_sources)}"),
+            source=f"s{rng.randrange(n_sources)}",
             id_attrs=tuple(id_attrs),
             non_id_attrs=tuple(non_id_attrs),
         )

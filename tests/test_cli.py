@@ -166,7 +166,8 @@ class TestMalformedInputs:
         line = one_line_error(capsys)
         assert line.startswith(f"error: {path}:3: ") and "field limit" in line
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"W1": 5}'])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"W1": 5}',
+                                      '{"W1": "data/\\u0000w1.csv"}'])
     def test_malformed_bindings_file(self, loaded_ws, capsys, text):
         (loaded_ws / "bindings.json").write_text(text, encoding="utf-8")
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
@@ -192,6 +193,9 @@ class TestMalformedInputs:
                      id="wrapper-name-list"),
         pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"], "source": ["D1"]}}),
                      id="source-list"),
+        pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"],
+                                                       "data_file": "data/\0w1.csv"}}),
+                     id="data-file-nul"),
     ])
     def test_malformed_release_descriptor(self, ws, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -228,6 +232,20 @@ class TestMalformedInputs:
         assert main(["-w", str(ws), "release", str(bad)]) == 2
         assert "whitespace" in one_line_error(capsys)
         assert {name: (ws / name).read_bytes() for name in before} == before
+
+    def test_feature_of_untyped_concept(self, loaded_ws, capsys):
+        # Without its rdf:type quad, sc:SoftwareApplication is no concept, so
+        # no walk projects its feature; the query fails instead of crashing.
+        path = loaded_ws / "ontology.quads"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        typed = [line for line in lines if "<http://schema.org/SoftwareApplication> <http://"
+                 "www.w3.org/1999/02/22-rdf-syntax-ns#type>" in line]
+        assert len(typed) == 1
+        lines.remove(typed[0])
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 3
+        assert "binds no attribute to <http://www.supersede.eu/ontology/applicationId>" in (
+            one_line_error(capsys))
 
     def test_non_utf8_query_file(self, loaded_ws, tmp_path, capsys):
         bad = tmp_path / "bad.rq"
@@ -366,6 +384,27 @@ class TestBench:
         assert len(lines) == 5
         # The global graph never grows while releases accumulate.
         assert len({line.split(",")[4] for line in lines[1:]}) == 1
+
+    def test_growth_bench_binds_data_files(self, ws, tmp_path, capsys):
+        # The bench registers the same wrappers as one release per
+        # descriptor, data bindings included, so the query answers alike.
+        released = tmp_path / "released"
+        assert main(["init", str(released), "--global-graph", str(DEMO / "global.quads")]) == 0
+        shutil.copytree(DEMO / "data", released / "data")
+        for name in ("w1", "w2", "w3", "w4"):
+            assert main(["-w", str(released), "release",
+                         str(DEMO / "releases" / f"{name}.json")]) == 0
+        assert main(["-w", str(ws), "bench", "growth",
+                     "--releases", str(DEMO / "releases")]) == 0
+        assert ((ws / "bindings.json").read_text(encoding="utf-8")
+                == (released / "bindings.json").read_text(encoding="utf-8"))
+        capsys.readouterr()
+        answers = []
+        for root in (released, ws):
+            assert main(["-w", str(root), "query", str(DEMO / "query.rq")]) == 0
+            answers.append(capsys.readouterr().out)
+        assert "2 walk(s)" in answers[0]
+        assert answers[0] == answers[1]
 
 
 # The demo workflow in a fresh interpreter, in a fresh directory: init, all

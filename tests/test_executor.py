@@ -13,7 +13,7 @@ from ontomed import executor
 from ontomed.errors import InvalidWalk, MalformedRow, MissingColumn, NoWalks, UnboundWrapper
 from ontomed.executor import WrapperBinding, eval_ucq, eval_walk, load_relation
 from ontomed.rewriter import rewrite
-from ontomed.sources import SourceId, Ucq, Walk, WrapperSchema
+from ontomed.sources import Ucq, Walk, WrapperSchema
 from ontomed.terms import Iri
 
 from conftest import MONITOR_QUERY, W1_ROWS, write_csv
@@ -171,7 +171,7 @@ class TestEvalUcq:
         assert set(a.rows) == set(b.rows)
 
     def test_clashing_column_names_fall_back_to_the_iri(self, tmp_path):
-        schema = WrapperSchema("W", SourceId("S"), ("p",), ("q", "r"))
+        schema = WrapperSchema("W", "S", ("p",), ("q", "r"))
         write_csv(tmp_path / "w.csv", ["p", "q", "r"], [("1", "2", "3")])
         bindings = {"W": WrapperBinding(schema, tmp_path / "w.csv")}
         ax, bx, y = Iri("http://a/x"), Iri("http://b/x"), Iri("http://c/y")
@@ -184,7 +184,7 @@ class TestEvalUcq:
         assert rel.render() == "y,x\n3,1"
 
     def test_render_quotes_values_that_need_it(self, tmp_path):
-        schema = WrapperSchema("W", SourceId("S"), ("p",), ("q",))
+        schema = WrapperSchema("W", "S", ("p",), ("q",))
         (tmp_path / "w.csv").write_text('p,q\n"a,b","say ""hi"""\nc,d\n', encoding="utf-8")
         bindings = {"W": WrapperBinding(schema, tmp_path / "w.csv")}
         fp, fq = Iri("http://a/p"), Iri("http://a/q")
@@ -215,7 +215,7 @@ class TestEvalUcq:
 # identifiers, so walks are A⋈B or A⋈B⋈C, with C joined on either identifier,
 # and consecutive walks share join prefixes.
 CHAIN_SCHEMAS = {
-    name: WrapperSchema(name, SourceId(f"S{name}"), ids, (value,))
+    name: WrapperSchema(name, f"S{name}", ids, (value,))
     for concept, ids, value in (("A", ("aid",), "x"), ("B", ("aid", "bid"), "y"),
                                 ("C", ("aid", "bid"), "z"))
     for name in (f"{concept}1", f"{concept}2")

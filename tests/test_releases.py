@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ontomed.errors import DanglingFeatureMap, DuplicateWrapper, SubgraphNotInGlobal
 from ontomed.quadstore import Quad
 from ontomed.releases import Release, apply_release, load_release, save_release
-from ontomed.sources import SourceId, WrapperSchema
+from ontomed.sources import WrapperSchema
 from ontomed.terms import (
     GLOBAL_GRAPH,
     MAPPINGS_GRAPH,
@@ -56,9 +56,9 @@ class TestApplyRelease:
         for r in releases.values():
             ds, stats = apply_release(ds, r)
             bound = 3 + 2 * len(r.wrapper.attrs) + len(r.subgraph) + len(r.feature_map)
-            if r.wrapper.source.name not in registered:
+            if r.wrapper.source not in registered:
                 bound += 1
-                registered.add(r.wrapper.source.name)
+                registered.add(r.wrapper.source)
             assert stats.total <= bound
 
     def test_global_graph_untouched(self, global_ds, releases):

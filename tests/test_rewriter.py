@@ -19,7 +19,6 @@ from ontomed.rewriter import (
     rewrite,
 )
 from ontomed.sources import (
-    SourceId,
     Ucq,
     Walk,
     WrapperSchema,
@@ -77,7 +76,7 @@ class TestIntraConcept:
         # A fifth wrapper maps the Monitor subgraph but drops the metric from
         # its correspondence, so it cannot stand in for the metric's concept.
         w5 = Release(
-            WrapperSchema("W5", SourceId("D5"), ("monId",), ("noise",)),
+            WrapperSchema("W5", "D5", ("monId",), ("noise",)),
             MONITOR_SUBGRAPH,
             {"monId": iri("sup:monitorId")},
         )
@@ -103,7 +102,7 @@ class TestInterConcept:
         p = intra_concept_generation(x, pre_evolution_ds)
         walks = inter_concept_generation(p, x, pre_evolution_ds)
         join = frozenset({((("W1", "VoDmonitorId"), ("W3", "MonitorId")))})
-        assert sorted(w.signature() for w in walks) == sorted([
+        assert sorted((w.steps, frozenset(w.joins)) for w in walks) == sorted([
             (((("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("TargetApp",)))), join),
             (((("W1", ("lagRatio",)), ("W3", ("MonitorId", "TargetApp")))), join),
         ])
@@ -140,12 +139,12 @@ class TestInterConcept:
         # between them, so the join cannot be discovered.
         ds = global_ds
         ds, _ = apply_release(ds, Release(
-            WrapperSchema("WA", SourceId("DA"), ("monId",), ()),
+            WrapperSchema("WA", "DA", ("monId",), ()),
             frozenset({(iri("sup:Monitor"), G_HAS_FEATURE, iri("sup:monitorId"))}),
             {"monId": iri("sup:monitorId")},
         ))
         ds, _ = apply_release(ds, Release(
-            WrapperSchema("WB", SourceId("DB"), (), ("lag",)),
+            WrapperSchema("WB", "DB", (), ("lag",)),
             frozenset({(iri("sup:InfoMonitor"), G_HAS_FEATURE, iri("sup:lagRatio"))}),
             {"lag": iri("sup:lagRatio")},
         ))
@@ -165,10 +164,10 @@ class TestInterConcept:
         # the Monitor identifier, so no pair can join across that edge.
         ds = global_ds
         for release in (
-            Release(WrapperSchema("WA", SourceId("DA"), ("monId",), ()),
+            Release(WrapperSchema("WA", "DA", ("monId",), ()),
                     frozenset({(iri("sup:Monitor"), G_HAS_FEATURE, iri("sup:monitorId"))}),
                     {"monId": iri("sup:monitorId")}),
-            Release(WrapperSchema("WB", SourceId("DB"), (), ("lag",)),
+            Release(WrapperSchema("WB", "DB", (), ("lag",)),
                     frozenset({(iri("sup:InfoMonitor"), G_HAS_FEATURE, iri("sup:lagRatio")),
                                (iri("sup:Monitor"), iri("sup:generatesQoS"), iri("sup:InfoMonitor"))}),
                     {"lag": iri("sup:lagRatio")}),
@@ -246,7 +245,7 @@ class TestRewrite:
     def test_deterministic(self, post_evolution_ds):
         first = rewrite(MONITOR_QUERY, post_evolution_ds)
         second = rewrite(MONITOR_QUERY, post_evolution_ds)
-        assert [w.signature() for w in first.walks] == [w.signature() for w in second.walks]
+        assert first.walks == second.walks
         assert first.bindings == second.bindings
 
     def test_output_order_follows_select(self, pre_evolution_ds):
@@ -257,12 +256,12 @@ class TestRewrite:
         # The same wrapper projects different attributes in the two walks, so
         # a memo shared across walks must key on the whole step.
         features = (iri("sup:applicationId"), iri("sup:lagRatio"))
-        join = frozenset({(("W1", "VoDmonitorId"), ("W3", "MonitorId"))})
+        join = ((("W1", "VoDmonitorId"), ("W3", "MonitorId")),)
         walks = [
             Walk(steps=(("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("MonitorId", "TargetApp"))),
-                 joins=join),
+                 names=("W1", "W3"), joins=join),
             Walk(steps=(("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("MonitorId",))),
-                 joins=join),
+                 names=("W1", "W3"), joins=join),
         ]
         catalog, memo = wrapper_schemas(pre_evolution_ds), {}
         for w in walks:

@@ -16,7 +16,6 @@ from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
 from ontomed.sources import (
     Catalog,
-    SourceId,
     Walk,
     WrapperSchema,
     _SPACE,
@@ -33,9 +32,9 @@ from oracles import validate_walk
 
 def make_catalog():
     return {
-        "W1": WrapperSchema("W1", SourceId("D1"), ("VoDmonitorId",), ("lagRatio",)),
-        "W3": WrapperSchema("W3", SourceId("D3"), ("TargetApp", "MonitorId", "FeedbackId"), ()),
-        "W4": WrapperSchema("W4", SourceId("D1"), ("VoDmonitorId",), ("bufferingRatio",)),
+        "W1": WrapperSchema("W1", "D1", ("VoDmonitorId",), ("lagRatio",)),
+        "W3": WrapperSchema("W3", "D3", ("TargetApp", "MonitorId", "FeedbackId"), ()),
+        "W4": WrapperSchema("W4", "D1", ("VoDmonitorId",), ("bufferingRatio",)),
     }
 
 
@@ -79,21 +78,23 @@ class TestCompiledWalk:
                 walk, joins = walk.with_join(a, b), joins | {tuple(sorted((a, b)))}
             pool.append((walk, (steps, joins)))
 
+        # The model's canonical form: sorted steps, and the joins sorted.
+        pool = [(walk, (tuple(sorted((name, tuple(sorted(attrs))) for name, attrs in steps.items())),
+                        tuple(sorted(joins))))
+                for walk, (steps, joins) in pool]
         for walk, (steps, joins) in pool:
-            assert walk.steps == tuple(sorted((name, tuple(sorted(attrs)))
-                                              for name, attrs in steps.items()))
-            assert walk.joins == joins
-            assert walk.names == tuple(name for name, _ in walk.steps)
-            assert walk.sorted_joins == tuple(sorted(walk.joins))
-            direct = Walk(steps=walk.steps, joins=walk.joins)
-            assert (direct.names, direct.sorted_joins) == (walk.names, walk.sorted_joins)
+            names = tuple(name for name, _ in steps)
+            assert (walk.steps, walk.names, walk.joins) == (steps, names, joins)
+            direct = Walk(steps=steps, names=names, joins=joins)
             assert direct == walk and hash(direct) == hash(walk)
-            assert direct.key() == walk.key() == (frozenset(steps), joins)
-            assert direct.signature() == walk.signature() == (walk.steps, walk.joins)
+            assert walk.key() == (frozenset(names), frozenset(joins))
             assert direct.render() == walk.render()
             assert pickle.loads(pickle.dumps(walk)) == walk
-        for (a, _), (b, _) in product(pool, repeat=2):
-            assert (a == b) == (a.signature() == b.signature())
+        # Equality, hashing and order follow (steps, joins).
+        for (a, model_a), (b, model_b) in product(pool, repeat=2):
+            assert (a == b) == (model_a == model_b)
+            assert (a < b) == (model_a < model_b)
+            assert a != b or hash(a) == hash(b)
         with pytest.raises(AttributeError):
             walk.names = ()
 
@@ -113,7 +114,7 @@ class TestWalkStructure:
         b = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["MonitorId"]))
         b = b.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
         assert a.key() == b.key()
-        assert a.signature() != b.signature()
+        assert a != b
 
     def test_equivalence_distinguishes_wrappers_and_joins(self):
         a = joined_walk()
@@ -161,7 +162,7 @@ class TestWalkValidity:
 
     def test_schema_rejects_overlapping_roles(self):
         with pytest.raises(InvalidWalk):
-            WrapperSchema("w", SourceId("d"), ("a",), ("a",))
+            WrapperSchema("w", "d", ("a",), ("a",))
 
     def test_name_check_refuses_exactly_the_record_separators(self):
         # Over every code point: the regex the schema tests names with
@@ -173,7 +174,7 @@ class TestWalkValidity:
         assert "".join(every.split()) == every.translate(dict.fromkeys(map(ord, spaces)))
         for ch in ("\u00a0", "\u2028", "\x1c", "\u3000"):
             with pytest.raises(InvalidWalk, match="contains whitespace"):
-                WrapperSchema(f"w{ch}1", SourceId("d"), ("a",), ())
+                WrapperSchema(f"w{ch}1", "d", ("a",), ())
 
 
 class TestCatalogDerivation:
@@ -199,7 +200,7 @@ class TestCatalogDerivation:
         for f in features:
             ds._add(Quad(GLOBAL_GRAPH, c, G_HAS_FEATURE, f))
         ds, _ = apply_release(ds, Release(
-            WrapperSchema("W", SourceId("D"), (), ("x", "y", "z")),
+            WrapperSchema("W", "D", (), ("x", "y", "z")),
             frozenset((c, G_HAS_FEATURE, f) for f in features),
             dict(zip(("x", "y", "z"), features)),
         ))
