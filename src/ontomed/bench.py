@@ -176,68 +176,3 @@ def run_growth_bench(ds: Dataset, releases: list[tuple[str, Release]]) -> tuple[
             global_quads=len(ds.match(GLOBAL_GRAPH)),
         ))
     return ds, records
-
-
-def synthetic_release_stream() -> tuple[Dataset, list[tuple[str, Release]]]:
-    """One major release followed by fourteen minor ones over a single source.
-
-    Minor releases mix attribute additions, renames (a fresh attribute mapped
-    to the feature the old one served), and deletions (the attribute simply
-    absent from the new wrapper version).
-    """
-    ds = Dataset()
-    ds.prefixes.register("bench", BENCH_NS)
-    svc = Iri(BENCH_NS + "Service")
-    sid = _feature("serviceId")
-
-    def g(s: Iri, p: Iri, o: Iri) -> None:
-        ds._add(Quad(GLOBAL_GRAPH, s, p, o))
-
-    g(svc, RDF_TYPE, G_CONCEPT)
-    g(sid, RDF_TYPE, G_FEATURE)
-    g(sid, RDFS_SUBCLASS_OF, SC_IDENTIFIER)
-    g(svc, G_HAS_FEATURE, sid)
-    feature_names = [f"f{k}" for k in range(1, 8)]
-    for name in feature_names:
-        f = _feature(name)
-        g(f, RDF_TYPE, G_FEATURE)
-        g(svc, G_HAS_FEATURE, f)
-
-    source = "stream"
-
-    def make(version: int, non_id: list[str], fmap: dict[str, str]) -> Release:
-        subgraph = {(svc, G_HAS_FEATURE, sid)}
-        feature_map = {"sid": sid}
-        for attr, feat in fmap.items():
-            subgraph.add((svc, G_HAS_FEATURE, _feature(feat)))
-            feature_map[attr] = _feature(feat)
-        wrapper = WrapperSchema(
-            name=f"v{version}",
-            source=source,
-            id_attrs=("sid",),
-            non_id_attrs=tuple(sorted(non_id)),
-        )
-        return Release(wrapper=wrapper, subgraph=frozenset(subgraph), feature_map=feature_map)
-
-    releases: list[tuple[str, Release]] = []
-    # Major release: the initial schema.
-    attrs = {"a1": "f1", "a2": "f2", "a3": "f3"}
-    releases.append(("major v1", make(1, list(attrs), dict(attrs))))
-    plan = [
-        ("add", ("a4", "f4")), ("add", ("a5", "f5")), ("rename", ("a1", "b1")),
-        ("delete", "a2"), ("add", ("a6", "f6")), ("rename", ("a3", "b3")),
-        ("delete", "a5"), ("add", ("a2", "f2")), ("rename", ("a4", "b4")),
-        ("add", ("a7", "f7")), ("delete", "a6"), ("rename", ("b1", "c1")),
-        ("add", ("a5", "f5")), ("delete", "a7"),
-    ]
-    for k, (kind, arg) in enumerate(plan, start=2):
-        if kind == "add":
-            attr, feat = arg
-            attrs[attr] = feat
-        elif kind == "rename":
-            old, new = arg
-            attrs[new] = attrs.pop(old)
-        else:
-            attrs.pop(arg)
-        releases.append((f"minor v{k} ({kind})", make(k, list(attrs), dict(attrs))))
-    return ds, releases

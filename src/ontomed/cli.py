@@ -85,12 +85,12 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_release(args) -> int:
-    ws = Workspace.load(_workspace_root(args))
-    release = load_release(args.descriptor, ws.dataset)
-    ws.dataset, stats = apply_release(ws.dataset, release)
-    if release.data_file:
-        ws.bind(release.wrapper.name, release.data_file)
-    ws.save()
+    with Workspace.locked(_workspace_root(args)) as ws:
+        release = load_release(args.descriptor, ws.dataset)
+        ws.dataset, stats = apply_release(ws.dataset, release)
+        if release.data_file:
+            ws.bind(release.wrapper.name, release.data_file)
+        ws.save()
     print(f"registered wrapper {release.wrapper.name}")
     print(stats.render())
     return EXIT_OK
@@ -147,21 +147,21 @@ def _cmd_bench(args) -> int:
         for rec in run_walk_bench(args.concepts, args.wrappers):
             print(f"{rec.wrappers},{rec.walk_count},{rec.elapsed:.4f}")
         return EXIT_OK
-    ws = Workspace.load(_workspace_root(args))
     directory = Path(args.releases)
-    if not directory.is_dir():
-        raise WorkspaceError(f"{directory}: not a directory of release descriptors")
-    releases = []
-    for path in sorted(directory.glob("*.json")):
-        release = load_release(path, ws.dataset)
-        releases.append((path.stem, release))
-        if release.data_file:
-            ws.bind(release.wrapper.name, release.data_file)
-    print("release,added,bound,cumulative,global_quads")
-    ws.dataset, records = run_growth_bench(ws.dataset, releases)
-    for rec in records:
-        print(f"{rec.label},{rec.added},{rec.bound},{rec.cumulative},{rec.global_quads}")
-    ws.save()
+    with Workspace.locked(_workspace_root(args)) as ws:
+        if not directory.is_dir():
+            raise WorkspaceError(f"{directory}: not a directory of release descriptors")
+        releases = []
+        for path in sorted(directory.glob("*.json")):
+            release = load_release(path, ws.dataset)
+            releases.append((path.stem, release))
+            if release.data_file:
+                ws.bind(release.wrapper.name, release.data_file)
+        print("release,added,bound,cumulative,global_quads")
+        ws.dataset, records = run_growth_bench(ws.dataset, releases)
+        for rec in records:
+            print(f"{rec.label},{rec.added},{rec.bound},{rec.cumulative},{rec.global_quads}")
+        ws.save()
     return EXIT_OK
 
 

@@ -246,25 +246,6 @@ def _check_connected(phi: set[Triple]) -> None:
         raise DisconnectedPattern("the pattern does not form a connected subgraph")
 
 
-def render_omq(q: OmqQuery, ds: Dataset) -> str:
-    """Serialize a query back into the accepted template shape."""
-    compact = ds.prefixes.compact
-    variables = [f"?v{i}" for i in range(1, len(q.pi) + 1)]
-    lines = [
-        "SELECT " + " ".join(variables),
-        f"FROM <{GLOBAL_GRAPH}>",
-        "WHERE {",
-        "  VALUES (" + " ".join(variables) + ") { ("
-        + " ".join(compact(e) for e in q.pi) + ") }",
-    ]
-    triples = sorted(q.phi)
-    for i, (s, p, o) in enumerate(triples):
-        dot = " ." if i < len(triples) - 1 else ""
-        lines.append(f"  {compact(s)} {compact(p)} {compact(o)}{dot}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # --- well-formedness repair --------------------------------------------------
 
 def concept_edges(phi: frozenset[Triple] | set[Triple]) -> set[Triple]:

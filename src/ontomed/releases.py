@@ -173,19 +173,3 @@ def _strings(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of strings, not {value!r}")
     return tuple(_string(v, what) for v in value)
-
-
-def save_release(r: Release, path: str | Path, ds: Dataset) -> None:
-    compact = ds.prefixes.compact
-    doc = {
-        "wrapper": {
-            "name": r.wrapper.name,
-            "source": r.wrapper.source,
-            "id_attributes": list(r.wrapper.id_attrs),
-            "non_id_attributes": list(r.wrapper.non_id_attrs),
-            **({"data_file": r.data_file} if r.data_file else {}),
-        },
-        "subgraph": sorted([compact(s), compact(p), compact(o)] for s, p, o in r.subgraph),
-        "feature_map": {a: compact(f) for a, f in sorted(r.feature_map.items())},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -13,8 +13,10 @@ plan per concept (connecting edge, joinable providers per identifier, and
 the one error a pair that cannot join meets) and each walk's wrapper-name
 set and source set once per concept, so that each pair of walks is checked
 by two set operations; walks carry their names and sorted joins from when
-they were built; the filter compares per-wrapper bitmasks; and output
-binding memoises each step.
+they were built. The stages after phase 3 read tables built once per query:
+the filter looks up each wrapper's bitmask over the numbered pattern triples,
+the dedupe keys on the walk's own canonical names and joins, and output
+binding memoises, per step, the ends of the requested features only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .queries import OmqQuery, parse_omq, topological_concepts, well_formed_rewr
 from .sources import (
     Catalog,
     JoinEnd,
+    LavMasks,
     Ucq,
     Walk,
     coverage,
@@ -281,21 +284,24 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
     if trace is not None:
         trace.phase3_walks = list(walks)
 
+    catalog = wrapper_schemas(ds)
+    masks = LavMasks(wf.phi, catalog)
     kept = []
     for w in walks:
-        if coverage(w, wf, ds) and minimality(w, wf, ds):
+        if coverage(w, masks) and minimality(w, masks):
             kept.append(w)
         elif trace is not None:
             trace.notes.append(f"dropped non-minimal or non-covering walk {w.render()}")
 
+    # names and joins are canonical, so equal keys mean equal walks up to
+    # projections.
     by_key: dict[tuple, Walk] = {}
     for w in kept:
-        k = w.key()
+        k = w.names, w.joins
         by_key[k] = by_key[k].merge(w) if k in by_key else w
     final = sorted(by_key.values())
 
-    catalog = wrapper_schemas(ds)
-    step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]] = {}
+    step_bindings: dict[tuple[str, tuple[str, ...]], tuple[tuple[Iri, JoinEnd], ...]] = {}
     bindings = [_bind_features(catalog, w, wf.pi, step_bindings) for w in final]
     wanted = len(set(wf.pi))
     for w, binding in zip(final, bindings):
@@ -312,20 +318,23 @@ def _features_of(phi) -> list[Iri]:
 
 
 def _bind_features(catalog: Catalog, walk: Walk, features: tuple[Iri, ...],
-                   step_bindings: dict[tuple[str, tuple[str, ...]], dict[Iri, JoinEnd]],
+                   step_bindings: dict[tuple[str, tuple[str, ...]], tuple[tuple[Iri, JoinEnd], ...]],
                    ) -> dict[Iri, JoinEnd]:
     """Bind each feature to the least (wrapper, attribute) of the walk mapped
-    to it. ``step_bindings`` memoises, per step, each feature's least end."""
+    to it. ``step_bindings`` memoises, per step, the least end of each of
+    ``features`` the step projects, as (feature, end) pairs."""
     least: dict[Iri, JoinEnd] = {}
     for step in walk.steps:
         bound = step_bindings.get(step)
         if bound is None:
             name, attrs = step
-            bound = {}
+            first: dict[Iri, JoinEnd] = {}
             for attr in sorted(attrs):
-                bound.setdefault(catalog.feature(name, attr), (name, attr))
-            step_bindings[step] = bound
-        for f, end in bound.items():
+                f = catalog.feature(name, attr)
+                if f in features:
+                    first.setdefault(f, (name, attr))
+            bound = step_bindings[step] = tuple(first.items())
+        for f, end in bound:
             have = least.get(f)
             if have is None or end < have:
                 least[f] = end

@@ -11,9 +11,10 @@ rebuilding them, and merging a one-wrapper walk is a bisection insert.
 The catalog compiles a snapshot's source and mapping graphs, and the
 identifier facts of its global graph, once: the wrapper schemas plus the
 attribute, feature, identifier and LAV indexes the rewriter reads. Coverage
-and minimality number the query's pattern triples once and hold each
-wrapper's LAV graph as an integer bitmask over them, so both tests are a
-few integer operations per walk.
+and minimality read one table built per query, which numbers the pattern's
+triples once and holds each wrapper's LAV graph as an integer bitmask over
+them, so both tests are a few integer operations and dictionary lookups per
+walk. ``Ucq.render`` likewise formats each join once per union.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidWalk, MissingMapping, NotCovering
@@ -149,10 +148,6 @@ class Walk(NamedTuple):
 
     # --- structure ---------------------------------------------------------
 
-    def key(self) -> tuple[frozenset[str], frozenset[Join]]:
-        """Equivalence key: wrapper set and join-condition set, projections ignored."""
-        return (frozenset(self.names), frozenset(self.joins))
-
     def render(self) -> str:
         """Textual algebra: the projections, then the join body."""
         attrs = sorted(f"{w}.{a}" for w, a in self.projected_pairs())
@@ -161,16 +156,28 @@ class Walk(NamedTuple):
     def render_body(self) -> str:
         """The wrappers in canonical order, each with the joins whose later
         endpoint it is, in parentheses."""
-        names = self.names
-        position = {name: i for i, name in enumerate(names)}
-        conds: list[list[str]] = [[] for _ in names]
-        for (wl, al), (wr, ar) in self.joins:
-            if wl in position and wr in position:
-                conds[max(position[wl], position[wr])].append(f"{wl}.{al}={wr}.{ar}")
-        parts = list(names[:1])
-        for name, placed in zip(names[1:], conds[1:]):
-            parts.append(f"⋈[{','.join(placed)}] {name}" if placed else f"⋈ {name}")
-        return "( " + " ".join(parts) + " )"
+        return _render_body(self, {})
+
+
+def _render_body(walk: Walk, texts: dict[Join, str]) -> str:
+    """``Walk.render_body``, with ``texts`` caching each join's text across
+    the walks of one union. A canonical join's endpoints are ordered and the
+    names sorted, so a join's later endpoint is its second; a join with an
+    endpoint outside the walk is not shown."""
+    names = walk.names
+    placed: dict[str, list[str]] = {}
+    for join in walk.joins:
+        (wl, al), (wr, ar) = join
+        if wl in names:
+            text = texts.get(join)
+            if text is None:
+                text = texts[join] = f"{wl}.{al}={wr}.{ar}"
+            placed.setdefault(wr, []).append(text)
+    parts = list(names[:1])
+    for name in names[1:]:
+        conds = placed.get(name)
+        parts.append(f"⋈[{','.join(conds)}] {name}" if conds else f"⋈ {name}")
+    return "( " + " ".join(parts) + " )"
 
 
 def _insert_step(steps, names, step):
@@ -308,41 +315,42 @@ def wrapper_schemas(ds: Dataset) -> Catalog:
 
 # --- coverage and minimality -------------------------------------------------
 
-def _lav_masks(walk: Walk, q, ds: Dataset) -> tuple[list[int], int]:
-    """Each of the walk's wrappers' LAV graph as a bitmask over the query's
-    pattern triples, numbered once per pattern, plus the mask of all of them."""
-    def build():
-        bits = {t: 1 << i for i, t in enumerate(sorted(q.phi))}
-        return bits, {}
+class LavMasks(dict):
+    """Per wrapper name, its LAV graph as a bitmask over a pattern's triples,
+    which are numbered once; each mask is built on its first lookup, and an
+    unknown wrapper raises MissingMapping. ``full`` masks every triple."""
 
-    bits, by_wrapper = ds.derived(("lav_masks", q.phi), build)
-    masks = []
-    for name in walk.names:
-        mask = by_wrapper.get(name)
-        if mask is None:
-            lav = wrapper_schemas(ds).lav_triples(name)
-            mask = by_wrapper[name] = sum(bits[t] for t in lav if t in bits)
-        masks.append(mask)
-    return masks, (1 << len(bits)) - 1
+    def __init__(self, phi: Iterable[Triple], catalog: Catalog):
+        super().__init__()
+        self._bits = {t: 1 << i for i, t in enumerate(phi)}
+        self._catalog = catalog
+        self.full = (1 << len(self._bits)) - 1
+
+    def __missing__(self, name: str) -> int:
+        bits = self._bits
+        mask = self[name] = sum(bits[t] for t in self._catalog.lav_triples(name) if t in bits)
+        return mask
 
 
-def coverage(walk: Walk, q, ds: Dataset) -> bool:
+def coverage(walk: Walk, masks: LavMasks) -> bool:
     """True iff the union of the walk's LAV graphs contains every pattern triple."""
-    masks, full = _lav_masks(walk, q, ds)
-    return reduce(or_, masks, 0) == full
+    once = 0
+    for name in walk.names:
+        once |= masks[name]
+    return once == masks.full
 
 
-def minimality(walk: Walk, q, ds: Dataset) -> bool:
+def minimality(walk: Walk, masks: LavMasks) -> bool:
     """True iff dropping any wrapper breaks coverage. Requires a covering walk."""
-    masks, full = _lav_masks(walk, q, ds)
+    held = [masks[name] for name in walk.names]
     once = twice = 0          # the triples held by one wrapper or more, and by two or more
-    for mask in masks:
+    for mask in held:
         twice |= once & mask
         once |= mask
-    if once != full:
+    if once != masks.full:
         raise NotCovering("minimality asked for a non-covering walk")
     # A wrapper can be dropped iff another wrapper holds each of its triples.
-    return all(mask & ~twice for mask in masks)
+    return all(mask & ~twice for mask in held)
 
 
 # --- the rewriter's final form ----------------------------------------------
@@ -356,10 +364,9 @@ class Ucq:
     bindings: list[dict[Iri, JoinEnd]]
 
     def render(self) -> str:
+        texts: dict[Join, str] = {}
         lines = []
         for walk, binding in zip(self.walks, self.bindings):
-            cols = ",".join(
-                f"{binding[f][0]}.{binding[f][1]}" for f in self.output_features
-            )
-            lines.append("Π{" + cols + "}" + walk.render_body())
+            cols = ",".join([".".join(binding[f]) for f in self.output_features])
+            lines.append("Π{" + cols + "}" + _render_body(walk, texts))
         return "\n".join(lines)

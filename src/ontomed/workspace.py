@@ -3,14 +3,21 @@
 A workspace directory holds ``ontology.quads`` (the serialized dataset) and
 ``bindings.json`` (wrapper name to data file). Data file paths resolve
 relative to the workspace directory unless absolute. Both files are written
-through a temporary file and a rename, never in place.
+through a temporary file and a rename, never in place. A command that loads,
+modifies and saves the workspace holds an exclusive ``fcntl.flock`` on
+``ontomed.lock`` meanwhile (POSIX only), so two such commands run one after
+the other instead of one losing the other's update; readers take no lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .errors import UnboundWrapper, WorkspaceError
 from .executor import WrapperBinding
@@ -19,6 +26,7 @@ from .sources import wrapper_schemas
 
 ONTOLOGY_FILE = "ontology.quads"
 BINDINGS_FILE = "bindings.json"
+LOCK_FILE = "ontomed.lock"
 
 
 @dataclass
@@ -45,10 +53,7 @@ class Workspace:
     @classmethod
     def load(cls, root: str | Path) -> "Workspace":
         root = Path(root)
-        ontology = root / ONTOLOGY_FILE
-        if not ontology.exists():
-            raise WorkspaceError(f"{root}: not a workspace (missing {ONTOLOGY_FILE})")
-        ds = Dataset.load(ontology)
+        ds = Dataset.load(_ontology_path(root))
         bindings_path = root / BINDINGS_FILE
         data_files = {}
         if bindings_path.exists():
@@ -62,6 +67,24 @@ class Workspace:
                 raise WorkspaceError(
                     f"{bindings_path}: expected an object mapping wrapper names to data files")
         return cls(root=root, dataset=ds, data_files=data_files)
+
+    @classmethod
+    @contextmanager
+    def locked(cls, root: str | Path) -> Iterator["Workspace"]:
+        """The workspace, loaded under an exclusive lock held until the block
+        ends; the block saves what it changes."""
+        root = Path(root)
+        _ontology_path(root)
+        path = root / LOCK_FILE
+        try:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError as exc:
+            raise WorkspaceError(f"cannot create lock file {path}: {exc.strerror}") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield cls.load(root)
+        finally:
+            os.close(fd)        # closing the descriptor releases the lock
 
     def save(self) -> None:
         """Replace the quads first, then the bindings.
@@ -91,3 +114,10 @@ class Workspace:
                 path = self.root / path
             out[name] = WrapperBinding(wrapper=schema, data_path=path)
         return out
+
+
+def _ontology_path(root: Path) -> Path:
+    ontology = root / ONTOLOGY_FILE
+    if not ontology.exists():
+        raise WorkspaceError(f"{root}: not a workspace (missing {ONTOLOGY_FILE})")
+    return ontology

@@ -1,4 +1,6 @@
-"""Randomized small integration instances for oracle-equivalence checks.
+"""Test inputs: randomized small integration instances for oracle-equivalence
+checks, a synthetic release stream, and writers for queries and release
+descriptors.
 
 Instances are chains of concepts where every wrapper maps a contiguous range
 of complete concepts (all their features, one identifier each, plus the edges
@@ -8,9 +10,13 @@ agreement with plain triple-containment coverage.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
+from ontomed.bench import BENCH_NS
 from ontomed.quadstore import Dataset, Quad
+from ontomed.queries import OmqQuery
 from ontomed.releases import Release, apply_release
 from ontomed.sources import WrapperSchema
 from ontomed.terms import (
@@ -100,3 +106,107 @@ def make_instance(rng: random.Random):
         + " .\n".join("  " + t for t in triples) + "\n}"
     )
     return ds, query
+
+
+def render_omq(q: OmqQuery, ds: Dataset) -> str:
+    """Serialize a query back into the accepted template shape."""
+    compact = ds.prefixes.compact
+    variables = [f"?v{i}" for i in range(1, len(q.pi) + 1)]
+    lines = [
+        "SELECT " + " ".join(variables),
+        f"FROM <{GLOBAL_GRAPH}>",
+        "WHERE {",
+        "  VALUES (" + " ".join(variables) + ") { ("
+        + " ".join(compact(e) for e in q.pi) + ") }",
+    ]
+    triples = sorted(q.phi)
+    for i, (s, p, o) in enumerate(triples):
+        dot = " ." if i < len(triples) - 1 else ""
+        lines.append(f"  {compact(s)} {compact(p)} {compact(o)}{dot}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def save_release(r: Release, path: str | Path, ds: Dataset) -> None:
+    """Write a release descriptor that ``load_release`` reads back."""
+    compact = ds.prefixes.compact
+    doc = {
+        "wrapper": {
+            "name": r.wrapper.name,
+            "source": r.wrapper.source,
+            "id_attributes": list(r.wrapper.id_attrs),
+            "non_id_attributes": list(r.wrapper.non_id_attrs),
+            **({"data_file": r.data_file} if r.data_file else {}),
+        },
+        "subgraph": sorted([compact(s), compact(p), compact(o)] for s, p, o in r.subgraph),
+        "feature_map": {a: compact(f) for a, f in sorted(r.feature_map.items())},
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def synthetic_release_stream() -> tuple[Dataset, list[tuple[str, Release]]]:
+    """One major release followed by fourteen minor ones over a single source.
+
+    Minor releases mix attribute additions, renames (a fresh attribute mapped
+    to the feature the old one served), and deletions (the attribute simply
+    absent from the new wrapper version).
+    """
+    ds = Dataset()
+    ds.prefixes.register("bench", BENCH_NS)
+    svc = Iri(BENCH_NS + "Service")
+    sid = Iri(BENCH_NS + "serviceId")
+
+    def feature(name: str) -> Iri:
+        return Iri(BENCH_NS + name)
+
+    def g(s: Iri, p: Iri, o: Iri) -> None:
+        ds._add(Quad(GLOBAL_GRAPH, s, p, o))
+
+    g(svc, RDF_TYPE, G_CONCEPT)
+    g(sid, RDF_TYPE, G_FEATURE)
+    g(sid, RDFS_SUBCLASS_OF, SC_IDENTIFIER)
+    g(svc, G_HAS_FEATURE, sid)
+    feature_names = [f"f{k}" for k in range(1, 8)]
+    for name in feature_names:
+        f = feature(name)
+        g(f, RDF_TYPE, G_FEATURE)
+        g(svc, G_HAS_FEATURE, f)
+
+    source = "stream"
+
+    def make(version: int, non_id: list[str], fmap: dict[str, str]) -> Release:
+        subgraph = {(svc, G_HAS_FEATURE, sid)}
+        feature_map = {"sid": sid}
+        for attr, feat in fmap.items():
+            subgraph.add((svc, G_HAS_FEATURE, feature(feat)))
+            feature_map[attr] = feature(feat)
+        wrapper = WrapperSchema(
+            name=f"v{version}",
+            source=source,
+            id_attrs=("sid",),
+            non_id_attrs=tuple(sorted(non_id)),
+        )
+        return Release(wrapper=wrapper, subgraph=frozenset(subgraph), feature_map=feature_map)
+
+    releases: list[tuple[str, Release]] = []
+    # Major release: the initial schema.
+    attrs = {"a1": "f1", "a2": "f2", "a3": "f3"}
+    releases.append(("major v1", make(1, list(attrs), dict(attrs))))
+    plan = [
+        ("add", ("a4", "f4")), ("add", ("a5", "f5")), ("rename", ("a1", "b1")),
+        ("delete", "a2"), ("add", ("a6", "f6")), ("rename", ("a3", "b3")),
+        ("delete", "a5"), ("add", ("a2", "f2")), ("rename", ("a4", "b4")),
+        ("add", ("a7", "f7")), ("delete", "a6"), ("rename", ("b1", "c1")),
+        ("add", ("a5", "f5")), ("delete", "a7"),
+    ]
+    for k, (kind, arg) in enumerate(plan, start=2):
+        if kind == "add":
+            attr, feat = arg
+            attrs[attr] = feat
+        elif kind == "rename":
+            old, new = arg
+            attrs[new] = attrs.pop(old)
+        else:
+            attrs.pop(arg)
+        releases.append((f"minor v{k} ({kind})", make(k, list(attrs), dict(attrs))))
+    return ds, releases

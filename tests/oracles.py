@@ -22,6 +22,29 @@ from ontomed.terms import (
 WalkKey = tuple[frozenset[str], frozenset]
 
 
+def walk_key(walk) -> WalkKey:
+    """Equivalence key: wrapper set and join-condition set, projections ignored."""
+    return (frozenset(walk.names), frozenset(walk.joins))
+
+
+def reference_render_body(walk) -> str:
+    """The wrappers in canonical order, each with the joins whose later
+    endpoint it is, in parentheses: the renderer ``Walk.render_body`` must
+    agree with. Each join goes under the larger position of its two
+    endpoints' wrappers, and a join with an endpoint outside the walk is
+    not shown."""
+    names = walk.names
+    position = {name: i for i, name in enumerate(names)}
+    conds: list[list[str]] = [[] for _ in names]
+    for (wl, al), (wr, ar) in walk.joins:
+        if wl in position and wr in position:
+            conds[max(position[wl], position[wr])].append(f"{wl}.{al}={wr}.{ar}")
+    parts = list(names[:1])
+    for name, placed in zip(names[1:], conds[1:]):
+        parts.append(f"⋈[{','.join(placed)}] {name}" if placed else f"⋈ {name}")
+    return "( " + " ".join(parts) + " )"
+
+
 def _is_identifier(ds: Dataset, feature: Iri) -> bool:
     """True iff climbing rdfs:subClassOf from the feature reaches sc:identifier."""
     seen, frontier = {feature}, [feature]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomed.bench import run_growth_bench, run_walk_bench, synthetic_release_stream
+from ontomed.bench import run_growth_bench, run_walk_bench
 from ontomed.errors import (
     CyclicPattern,
     MissingIdAttribute,
@@ -21,7 +21,7 @@ from ontomed.errors import (
     NoWrapperForConcept,
 )
 from ontomed.executor import eval_ucq
-from ontomed.queries import parse_omq, render_omq, well_formed_rewrite
+from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.quadstore import Dataset, Quad
 from ontomed.releases import apply_release
 from ontomed.rewriter import RewriteTrace, rewrite
@@ -45,8 +45,8 @@ from conftest import (
     make_global_dataset,
     make_releases,
 )
-from generators import make_instance
-from oracles import brute_force_binding, brute_force_walk_keys
+from generators import make_instance, render_omq, synthetic_release_stream
+from oracles import brute_force_binding, brute_force_walk_keys, walk_key
 
 JOIN_13 = frozenset({(("W1", "VoDmonitorId"), ("W3", "MonitorId"))})
 JOIN_34 = frozenset({(("W3", "MonitorId"), ("W4", "VoDmonitorId"))})
@@ -58,7 +58,7 @@ def test_criterion_1_single_walk_and_execution(pre_evolution_ds, demo_bindings):
     result = eval_ucq(ucq, demo_bindings)
     elapsed = time.perf_counter() - start
     assert len(ucq.walks) == 1
-    assert ucq.walks[0].key() == (frozenset({"W1", "W3"}), JOIN_13)
+    assert walk_key(ucq.walks[0]) == (frozenset({"W1", "W3"}), JOIN_13)
     assert sorted(result.rows) == [("1", "0.75"), ("1", "0.90"), ("2", "0.1")]
     assert elapsed < 1.0
     print("criterion 1: pass — one conjunct (W1 join W3), three result rows, "
@@ -71,7 +71,7 @@ def test_criterion_2_release_extends_union_without_query_change(
     assert len(before.walks) == 1
     ds, stats = apply_release(pre_evolution_ds, releases["W4"])
     after = rewrite(MONITOR_QUERY, ds)
-    assert {w.key() for w in after.walks} == {
+    assert {walk_key(w) for w in after.walks} == {
         (frozenset({"W1", "W3"}), JOIN_13),
         (frozenset({"W3", "W4"}), JOIN_34),
     }
@@ -184,7 +184,7 @@ def test_criterion_7_randomized_oracle_equivalence():
             ucq = rewrite(query, ds)
         except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
             ucq = Ucq(walks=[], output_features=wf.pi, bindings=[])
-        assert {w.key() for w in ucq.walks} == expected
+        assert {walk_key(w) for w in ucq.walks} == expected
         for w, binding in zip(ucq.walks, ucq.bindings):
             assert binding == brute_force_binding(ds, w, ucq.output_features)
         checked += 1

@@ -12,7 +12,10 @@ import pytest
 import ontomed
 from ontomed import errors
 from ontomed.cli import main
+from ontomed.releases import apply_release, load_release
+from ontomed.sources import wrapper_schemas
 from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH
+from ontomed.workspace import LOCK_FILE, Workspace
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 W1_TEXT = (DEMO / "releases" / "w1.json").read_text(encoding="utf-8")
@@ -295,6 +298,64 @@ class TestCrashSafeSave:
         assert err == "" and "2 walk(s)" in out and "W4" in out
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(ontomed.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# A command in a fresh interpreter that says when it is about to run.
+_MAIN_RUN = """
+import sys
+from ontomed.cli import main
+print("started", flush=True)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestWorkspaceLock:
+    def test_release_waits_for_a_held_lock(self, ws):
+        # The test is a concurrent writer: it loads the workspace under the
+        # lock, starts a release of W2, and saves W1 only after that release
+        # had time to finish. Had the release not waited, this save would
+        # drop W2.
+        with Workspace.locked(ws) as held:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _MAIN_RUN, "-w", str(ws), "release",
+                 str(DEMO / "releases" / "w2.json")],
+                env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            try:
+                assert proc.stdout.readline() == "started\n"
+                with pytest.raises(subprocess.TimeoutExpired):
+                    proc.wait(timeout=1.0)
+                release = load_release(DEMO / "releases" / "w1.json", held.dataset)
+                held.dataset, _ = apply_release(held.dataset, release)
+                held.bind(release.wrapper.name, release.data_file)
+                held.save()
+            except BaseException:
+                proc.kill()
+                proc.communicate()
+                raise
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert "registered wrapper W2" in out
+        reloaded = Workspace.load(ws)
+        assert {"W1", "W2"} <= set(wrapper_schemas(reloaded.dataset))
+        assert set(reloaded.data_files) == {"W1", "W2"}
+
+    @pytest.mark.parametrize("argv", [
+        ["release", str(DEMO / "releases" / "w1.json")],
+        ["bench", "growth", "--releases", str(DEMO / "releases")],
+    ], ids=["release", "growth"])
+    def test_lock_file_that_cannot_be_created(self, ws, capsys, argv):
+        (ws / LOCK_FILE).mkdir()
+        quads = (ws / "ontology.quads").read_bytes()
+        assert main(["-w", str(ws), *argv]) == 4
+        assert "cannot create lock file" in one_line_error(capsys)
+        assert (ws / "ontology.quads").read_bytes() == quads
+
+
 def demo_answer(root: Path, capsys, edit=None, csv_header=None, flags=("--explain",)) -> str:
     """The demo query's output on a fresh workspace holding all four demo
     releases, each descriptor passed through ``edit(doc)`` first."""
@@ -426,13 +487,11 @@ class TestHashIndependence:
     def test_output_same_under_two_hash_seeds(self, tmp_path):
         # Terms are strings, and strings hash by a seeded hash, so set order
         # differs between processes; no output may follow it.
-        src = str(Path(ontomed.__file__).resolve().parent.parent)
         runs = []
         for seed in ("1", "2"):
             cwd = tmp_path / seed
             cwd.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = {**_src_env(), "PYTHONHASHSEED": seed}
             done = subprocess.run([sys.executable, "-c", _DEMO_RUN, str(DEMO)], cwd=cwd, env=env,
                                   capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr
@@ -458,13 +517,11 @@ class TestValidateOrder:
             f"<{GLOBAL_GRAPH}> <http://x/c{i}> <{G_HAS_FEATURE}> <http://x/f{i}>\n"
             for i in range(8)),
             encoding="utf-8")
-        src = str(Path(ontomed.__file__).resolve().parent.parent)
         outputs = []
         for seed in ("1", "2"):
             cwd = tmp_path / seed
             cwd.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = {**_src_env(), "PYTHONHASHSEED": seed}
             done = subprocess.run([sys.executable, "-c", _VALIDATE_RUN, str(edges)], cwd=cwd,
                                   env=env, capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr

@@ -12,10 +12,11 @@ from ontomed.errors import (
     UnknownIri,
 )
 from ontomed.quadstore import Quad
-from ontomed.queries import OmqQuery, parse_omq, render_omq, well_formed_rewrite
+from ontomed.queries import OmqQuery, parse_omq, well_formed_rewrite
 from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDENTIFIER
 
 from conftest import CONCEPT_PROJECTION_QUERY, MONITOR_QUERY, iri
+from generators import render_omq
 
 
 class TestParse:

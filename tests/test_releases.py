@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ontomed.errors import DanglingFeatureMap, DuplicateWrapper, SubgraphNotInGlobal
 from ontomed.quadstore import Quad
-from ontomed.releases import Release, apply_release, load_release, save_release
+from ontomed.releases import Release, apply_release, load_release
 from ontomed.sources import WrapperSchema
 from ontomed.terms import (
     GLOBAL_GRAPH,
@@ -19,6 +19,7 @@ from ontomed.terms import (
 from ontomed.vocab import validate_ontology
 
 from conftest import MONITOR_SUBGRAPH, iri, make_releases
+from generators import save_release
 
 
 class TestApplyRelease:

@@ -8,6 +8,7 @@ import pytest
 
 from ontomed.bench import build_chain_instance, chain_query
 from ontomed.errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
+from ontomed.quadstore import Dataset
 from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
 from ontomed.rewriter import (
@@ -19,6 +20,7 @@ from ontomed.rewriter import (
     rewrite,
 )
 from ontomed.sources import (
+    LavMasks,
     Ucq,
     Walk,
     WrapperSchema,
@@ -30,7 +32,7 @@ from ontomed.terms import G_HAS_FEATURE
 
 from conftest import MONITOR_QUERY, MONITOR_SUBGRAPH, iri
 from generators import make_instance
-from oracles import brute_force_binding, brute_force_walk_keys, validate_walk
+from oracles import brute_force_binding, brute_force_walk_keys, validate_walk, walk_key
 
 
 @pytest.fixture
@@ -202,7 +204,7 @@ class TestRewrite:
     def test_single_union_before_evolution(self, pre_evolution_ds):
         ucq = rewrite(MONITOR_QUERY, pre_evolution_ds)
         assert len(ucq.walks) == 1
-        assert ucq.walks[0].key() == (
+        assert walk_key(ucq.walks[0]) == (
             frozenset({"W1", "W3"}),
             frozenset({(("W1", "VoDmonitorId"), ("W3", "MonitorId"))}),
         )
@@ -214,12 +216,12 @@ class TestRewrite:
     def test_two_unions_after_evolution(self, post_evolution_ds):
         ucq = rewrite(MONITOR_QUERY, post_evolution_ds)
         assert len(ucq.walks) == 2
-        keys = {w.key() for w in ucq.walks}
+        keys = {walk_key(w) for w in ucq.walks}
         assert keys == {
             (frozenset({"W1", "W3"}), frozenset({(("W1", "VoDmonitorId"), ("W3", "MonitorId"))})),
             (frozenset({"W3", "W4"}), frozenset({(("W3", "MonitorId"), ("W4", "VoDmonitorId"))})),
         }
-        by_key = {w.key(): b for w, b in zip(ucq.walks, ucq.bindings)}
+        by_key = {walk_key(w): b for w, b in zip(ucq.walks, ucq.bindings)}
         second = by_key[(frozenset({"W3", "W4"}),
                          frozenset({(("W3", "MonitorId"), ("W4", "VoDmonitorId"))}))]
         assert second[iri("sup:lagRatio")] == ("W4", "bufferingRatio")
@@ -233,14 +235,15 @@ class TestRewrite:
         """
         ucq = rewrite(text, pre_evolution_ds)
         assert len(ucq.walks) == 1
-        assert ucq.walks[0].key() == (frozenset({"W2"}), frozenset())
+        assert walk_key(ucq.walks[0]) == (frozenset({"W2"}), frozenset())
 
     def test_all_emitted_walks_cover_minimally(self, post_evolution_ds, wf_query):
         ucq = rewrite(MONITOR_QUERY, post_evolution_ds)
         wf = well_formed_rewrite(post_evolution_ds, parse_omq(MONITOR_QUERY, post_evolution_ds))
+        masks = LavMasks(wf.phi, wrapper_schemas(post_evolution_ds))
         for w in ucq.walks:
-            assert coverage(w, wf, post_evolution_ds)
-            assert minimality(w, wf, post_evolution_ds)
+            assert coverage(w, masks)
+            assert minimality(w, masks)
 
     def test_deterministic(self, post_evolution_ds):
         first = rewrite(MONITOR_QUERY, post_evolution_ds)
@@ -268,6 +271,26 @@ class TestRewrite:
             assert (_bind_features(catalog, w, features, memo)
                     == brute_force_binding(pre_evolution_ds, w, features))
 
+    def test_derived_lookups_do_not_grow_with_walks(self, monkeypatch):
+        # The tables the stages after phase 3 read are built once per query,
+        # so a rewrite of 81 walks makes as many snapshot lookups as one of 1.
+        keys = []
+        derived = Dataset.derived
+
+        def counted(self, key, builder):
+            keys.append(key)
+            return derived(self, key, builder)
+
+        monkeypatch.setattr(Dataset, "derived", counted)
+        counts = []
+        for wrappers in (1, 3):
+            ds = build_chain_instance(4, wrappers)
+            keys.clear()
+            ucq = rewrite(chain_query(4), ds)
+            counts.append((len(ucq.walks), len(keys)))
+        assert [walks for walks, _ in counts] == [1, 81]
+        assert counts[0][1] == counts[1][1]
+
     def test_trace_phases_recorded(self, pre_evolution_ds):
         trace = RewriteTrace()
         rewrite(MONITOR_QUERY, pre_evolution_ds, trace)
@@ -289,7 +312,7 @@ class TestOracleEquivalence:
                 ucq = rewrite(query, ds)
             except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
                 ucq = Ucq(walks=[], output_features=wf.pi, bindings=[])
-            assert {w.key() for w in ucq.walks} == expected
+            assert {walk_key(w) for w in ucq.walks} == expected
             for w, binding in zip(ucq.walks, ucq.bindings):
                 validate_walk(w, wrapper_schemas(ds))
                 assert binding == brute_force_binding(ds, w, ucq.output_features)

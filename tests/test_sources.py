@@ -2,6 +2,7 @@
 the compiled catalog, coverage and minimality."""
 
 import pickle
+import random
 import sys
 from itertools import product
 
@@ -16,6 +17,8 @@ from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
 from ontomed.sources import (
     Catalog,
+    LavMasks,
+    Ucq,
     Walk,
     WrapperSchema,
     _SPACE,
@@ -27,7 +30,8 @@ from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDEN
 from ontomed.vocab import validate_ontology
 
 from conftest import MONITOR_QUERY
-from oracles import validate_walk
+from generators import make_instance
+from oracles import _lav_triples, reference_render_body, validate_walk, walk_key
 
 
 def make_catalog():
@@ -87,9 +91,13 @@ class TestCompiledWalk:
             assert (walk.steps, walk.names, walk.joins) == (steps, names, joins)
             direct = Walk(steps=steps, names=names, joins=joins)
             assert direct == walk and hash(direct) == hash(walk)
-            assert walk.key() == (frozenset(names), frozenset(joins))
+            assert walk_key(walk) == (frozenset(names), frozenset(joins))
             assert direct.render() == walk.render()
+            assert walk.render_body() == reference_render_body(walk)
             assert pickle.loads(pickle.dumps(walk)) == walk
+        # A union formats each join once for all of its walks.
+        ucq = Ucq(walks=[walk for walk, _ in pool], output_features=(), bindings=[{} for _ in pool])
+        assert ucq.render().split("\n") == ["Π{}" + reference_render_body(walk) for walk, _ in pool]
         # Equality, hashing and order follow (steps, joins).
         for (a, model_a), (b, model_b) in product(pool, repeat=2):
             assert (a == b) == (model_a == model_b)
@@ -113,13 +121,13 @@ class TestWalkStructure:
         a = joined_walk()
         b = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["MonitorId"]))
         b = b.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
-        assert a.key() == b.key()
+        assert walk_key(a) == walk_key(b)
         assert a != b
 
     def test_equivalence_distinguishes_wrappers_and_joins(self):
         a = joined_walk()
         c = Walk.single("W4").merge(Walk.single("W3")).with_join(("W4", "VoDmonitorId"), ("W3", "MonitorId"))
-        assert a.key() != c.key()
+        assert walk_key(a) != walk_key(c)
 
     def test_connectivity(self):
         # A walk's join graph must span its wrappers; the oracle's validity
@@ -243,26 +251,60 @@ class TestCatalogDerivation:
 
 class TestCoverageMinimality:
     @pytest.fixture
-    def wf_query(self, pre_evolution_ds):
-        return well_formed_rewrite(pre_evolution_ds, parse_omq(MONITOR_QUERY, pre_evolution_ds))
+    def masks(self, pre_evolution_ds):
+        wf = well_formed_rewrite(pre_evolution_ds, parse_omq(MONITOR_QUERY, pre_evolution_ds))
+        return LavMasks(wf.phi, wrapper_schemas(pre_evolution_ds))
 
-    def test_joined_walk_covers_and_is_minimal(self, pre_evolution_ds, wf_query):
+    def test_joined_walk_covers_and_is_minimal(self, masks):
         w = joined_walk()
-        assert coverage(w, wf_query, pre_evolution_ds)
-        assert minimality(w, wf_query, pre_evolution_ds)
+        assert coverage(w, masks)
+        assert minimality(w, masks)
 
-    def test_single_wrapper_does_not_cover(self, pre_evolution_ds, wf_query):
-        assert not coverage(Walk.single("W1"), wf_query, pre_evolution_ds)
+    def test_single_wrapper_does_not_cover(self, masks):
+        assert not coverage(Walk.single("W1"), masks)
 
-    def test_superfluous_wrapper_breaks_minimality(self, pre_evolution_ds, wf_query):
+    def test_superfluous_wrapper_breaks_minimality(self, masks):
         w = joined_walk().merge(Walk.single("W2")).with_join(("W2", "FGId"), ("W3", "FeedbackId"))
-        assert coverage(w, wf_query, pre_evolution_ds)
-        assert not minimality(w, wf_query, pre_evolution_ds)
+        assert coverage(w, masks)
+        assert not minimality(w, masks)
 
-    def test_minimality_requires_coverage(self, pre_evolution_ds, wf_query):
+    def test_minimality_requires_coverage(self, masks):
         with pytest.raises(NotCovering):
-            minimality(Walk.single("W1"), wf_query, pre_evolution_ds)
+            minimality(Walk.single("W1"), masks)
 
-    def test_unmapped_wrapper_raises(self, pre_evolution_ds, wf_query):
+    def test_unmapped_wrapper_raises(self, masks):
         with pytest.raises(MissingMapping):
-            coverage(Walk.single("ghost"), wf_query, pre_evolution_ds)
+            coverage(Walk.single("ghost"), masks)
+
+    def test_unmapped_wrapper_raises_on_every_lookup(self, masks):
+        walk = joined_walk().merge(Walk.single("ghost"))
+        for _ in range(2):
+            with pytest.raises(MissingMapping, match="ghost"):
+                minimality(walk, masks)
+        assert "ghost" not in masks
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_masks_agree_with_triple_containment(self, data):
+        # The reference reads each wrapper's mapping graph from the quads and
+        # compares plain triple sets.
+        ds, query = make_instance(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+        wf = well_formed_rewrite(ds, parse_omq(query, ds))
+        masks = LavMasks(wf.phi, wrapper_schemas(ds))
+        names = sorted(wrapper_schemas(ds))
+        goal = set(wf.phi)
+        for _ in range(4):
+            chosen = data.draw(st.sets(st.sampled_from(names), min_size=1))
+            walk = Walk.single(min(chosen))
+            for name in chosen:
+                walk = walk.add_wrapper(name)
+            lav = {name: _lav_triples(ds, name) for name in chosen}
+            covers = goal <= set().union(*lav.values())
+            assert coverage(walk, masks) == covers
+            if not covers:
+                with pytest.raises(NotCovering):
+                    minimality(walk, masks)
+                continue
+            minimal = all(not goal <= set().union(*(lav[m] for m in chosen if m != dropped))
+                          for dropped in chosen)
+            assert minimality(walk, masks) == minimal
