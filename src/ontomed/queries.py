@@ -87,10 +87,14 @@ class _Parser:
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def last(self) -> _Token:
+        """The last token: where an error at the end of the text is reported."""
+        return self.tokens[-1] if self.tokens else _Token("ws", "", 1, 1)
+
     def next(self, expect: str | None = None) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("ws", "", 1, 1)
+            last = self.last()
             raise OmqSyntaxError("unexpected end of query", last.line, last.column)
         if expect is not None and tok.text.lower() != expect:
             raise OmqSyntaxError(f"expected {expect!r}, found {tok.text!r}", tok.line, tok.column)
@@ -128,22 +132,25 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
         prefixes.register(name.text[:-1], ns.text[1:-1])
 
     p.next("select")
-    variables: list[str] = []
+    select_vars: list[_Token] = []
     while True:
         tok = p.peek()
         if tok is None:
-            raise OmqSyntaxError("unexpected end of query after SELECT", 1, 1)
+            last = p.last()
+            raise OmqSyntaxError("unexpected end of query after SELECT", last.line, last.column)
         if tok.kind == "var":
-            variables.append(p.next().text)
+            select_vars.append(p.next())
         elif tok.text == ",":
             p.next()
         else:
             break
-    if not variables:
+    if not select_vars:
         tok = p.peek()
         raise OmqSyntaxError("SELECT lists no variables", tok.line, tok.column)
-    if len(set(variables)) != len(variables):
-        raise OmqSyntaxError("duplicate SELECT variable", 1, 1)
+    variables = [tok.text for tok in select_vars]
+    repeat = next((tok for i, tok in enumerate(select_vars) if tok.text in variables[:i]), None)
+    if repeat is not None:
+        raise OmqSyntaxError("duplicate SELECT variable", repeat.line, repeat.column)
 
     p.next("from")
     from_tok = p.next()
@@ -157,9 +164,10 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
     p.next("{")
     p.next("values")
     p.next("(")
-    value_vars: list[str] = []
+    value_tokens: list[_Token] = []
     while p.peek() is not None and p.peek().kind == "var":
-        value_vars.append(p.next().text)
+        value_tokens.append(p.next())
+    value_vars = [tok.text for tok in value_tokens]
     p.next(")")
     p.next("{")
     p.next("(")
@@ -176,16 +184,23 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
         raise OmqSyntaxError("multi-row VALUES is outside the accepted template", closing.line, closing.column)
     if closing.text != "}":
         raise OmqSyntaxError(f"expected '}}', found {closing.text!r}", closing.line, closing.column)
-    if set(value_vars) != set(variables) or len(bound) != len(variables):
-        raise OmqSyntaxError("VALUES must bind every SELECT variable exactly once", 1, 1)
+    # Reported at the first VALUES variable that SELECT lacks or that
+    # repeats, else at the first SELECT variable that VALUES lacks.
+    offending = [tok for i, tok in enumerate(value_tokens)
+                 if tok.text not in variables or tok.text in value_vars[:i]]
+    offending += [tok for tok in select_vars if tok.text not in bound]
+    if offending:
+        raise OmqSyntaxError("VALUES must bind every SELECT variable exactly once",
+                             offending[0].line, offending[0].column)
 
     phi: set[Triple] = set()
     while True:
         tok = p.peek()
         if tok is None:
-            raise OmqSyntaxError("missing closing '}' of WHERE", 1, 1)
+            last = p.last()
+            raise OmqSyntaxError("missing closing '}' of WHERE", last.line, last.column)
         if tok.text == "}":
-            p.next()
+            close = p.next()
             break
         terms = []
         for _ in range(3):
@@ -204,7 +219,7 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
     if trailing is not None:
         raise OmqSyntaxError(f"unexpected trailing {trailing.text!r}", trailing.line, trailing.column)
     if not phi:
-        raise OmqSyntaxError("WHERE holds no triple patterns", 1, 1)
+        raise OmqSyntaxError("WHERE holds no triple patterns", close.line, close.column)
 
     known = ds.terms_of_graph(GLOBAL_GRAPH)
     for s, pr, o in sorted(phi):

@@ -8,15 +8,16 @@ to the analyst's requested features.
 
 Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
-W^C walks, so per-walk work is kept to lookups: phase 3 computes one join
+W^C walks, so per-walk work is kept to lookups. Phase 3 computes one join
 plan per concept (connecting edge, joinable providers per identifier, and
-the one error a pair that cannot join meets) and each walk's wrapper-name
-set and source set once per concept, so that each pair of walks is checked
-by two set operations; walks carry their names and sorted joins from when
-they were built. The stages after phase 3 read tables built once per query:
-the filter looks up each wrapper's bitmask over the numbered pattern triples,
-the dedupe keys on the walk's own canonical names and joins, and output
-binding memoises, per step, the ends of the requested features only.
+the one error a pair that cannot join meets), and decides what a pair of
+walks yields once per class of pairs: the right walk and the few facts of
+the left walk that the outcome reads. Each pair looks its outcome up and
+builds its walks, which carry their names and sorted joins. The stages
+after phase 3 read tables built once per query: the filter decides coverage
+and minimality once per tuple of wrapper bitmasks over the numbered pattern
+triples, the dedupe keys on the walk's own canonical names and joins, and
+output binding memoises, per step, the ends of the requested features only.
 """
 
 from __future__ import annotations
@@ -150,14 +151,15 @@ class JoinPlan:
     targets: tuple[tuple[bool, tuple[tuple[Mapping[str, str], tuple[JoinEnd, ...]], ...]], ...]
     error: NoJoinPath | MissingIdAttribute
 
-    def candidates(self, merged: Walk, left: Walk, right: Walk, left_names: frozenset[str],
-                   right_names: frozenset[str], trace: RewriteTrace | None) -> list[Walk]:
-        """Join candidates for two walks with distinct sources that share no
-        wrapper, given their name sets: a provider in the walk opposite the
-        identifier's holder connects them."""
+    def joins(self, left: Walk, right: Walk, left_names: frozenset[str],
+              right_names: frozenset[str]) -> list[tuple[JoinEnd, JoinEnd]]:
+        """The joins, as (provider end, holder end), that connect two walks
+        with distinct sources that share no wrapper, given their name sets:
+        a provider in the walk opposite the identifier's holder connects them.
+        The first end of the edge that yields a join decides."""
         for at_concept, features in self.targets:
             side, reachable = (right, left_names) if at_concept else (left, right_names)
-            found: list[Walk] = []
+            found: list[tuple[JoinEnd, JoinEnd]] = []
             for attrs, joinable in features:
                 # Steps are sorted by name, so the first match is the least holder.
                 for name in side.names:
@@ -166,16 +168,7 @@ class JoinPlan:
                         break
                 else:
                     continue
-                for name, attr in joinable:
-                    if name in reachable:
-                        # ``reachable`` is a subset of ``merged.names``, so
-                        # ``add_wrapper`` returns ``merged``. The call stays:
-                        # perfbench/tracing.py and a rewriter test count the
-                        # candidates built through it.
-                        found.append(merged.add_wrapper(name).with_join((name, attr), held))
-                        if trace is not None:
-                            trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
-                                               f" via <{self.edge[1]}>")
+                found += [(end, held) for end in joinable if end[0] in reachable]
             if found:
                 return found
         return []
@@ -216,40 +209,70 @@ def _join_plan(phi, concept: Iri, processed: set[Iri], catalog: Catalog) -> Join
 
 def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                              trace: RewriteTrace | None = None) -> list[Walk]:
-    """Join partial walks across concepts into full candidate walks: one join
-    plan per concept, and each walk's name set and source set computed once
-    per concept, so that each pair of walks is tested by set operations. A
-    pair whose merged walk has pairwise-distinct sources and that shares no
-    wrapper joins on the edge's head identifier, or else its tail's. When no
-    pair joins, the plan's error is raised if some pair shared no wrapper."""
+    """Join partial walks across concepts into full candidate walks.
+
+    A pair of walks whose merged walk has pairwise-distinct sources yields
+    it when they share a wrapper, and else joins on the edge's head
+    identifier, or failing that its tail's. When no pair joins, the plan's
+    error is raised if some pair shared no wrapper.
+
+    What a pair yields, its join notes included, depends on the right walk
+    and on the left walk's interface: its names that provide the edge or
+    have a right walk's source (the right walks' own names among them), and,
+    for each identifier of the edge's end in the processed prefix, its least
+    name that maps it. (Left walks have distinct sources, so the merged
+    walk's are distinct iff left and right share as many sources as names.)
+    So the outcome is decided once per interface and right walk, and each
+    pair looks it up and builds its candidates.
+    """
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
-
-    def compiled(walks: list[Walk]) -> list[tuple[Walk, frozenset[str], frozenset[str]]]:
-        return [(w, frozenset(w.names), frozenset(catalog[name].source for name in w.names))
-                for w in walks]
-
+    source = {name: schema.source for name, schema in catalog.items()}
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
         plan = _join_plan(x.query.phi, concept, processed, catalog)
-        rights = compiled(p.per_concept[concept])
+        rights = [(w, frozenset(w.names), frozenset(source[name] for name in w.names))
+                  for w in p.per_concept[concept]]
+        # A left walk's interface keeps its names that provide the edge or
+        # have a right walk's source; the right walks' own names are among them.
+        right_sources = frozenset().union(*(sources for _, _, sources in rights))
+        relevant = {name for name, src in source.items() if src in right_sources}
+        relevant.update(name for _, features in plan.targets for _, joinable in features
+                        for name, _ in joinable)
+        holders = [attrs for at_concept, features in plan.targets if not at_concept
+                   for attrs, _ in features]
+        decided: dict[tuple, list] = {}
         joined: list[Walk] = []
         seen: set[Walk] = set()
         error: NoJoinPath | MissingIdAttribute | None = None
-        for left, left_names, left_sources in compiled(current):
-            for right, right_names, right_sources in rights:
-                shared = not left_names.isdisjoint(right_names)
-                candidates: list[Walk] = []
-                # The merged walk's sources are distinct iff there are as
-                # many of them as it has wrappers.
-                if len(left_sources | right_sources) == len(left_names | right_names):
-                    merged = left.merge(right)
-                    candidates = [merged] if shared else plan.candidates(
-                        merged, left, right, left_names, right_names, trace)
-                if not (candidates or shared):
+        for left in current:
+            names = left.names
+            interface = (tuple(name for name in names if name in relevant),
+                         tuple(next((name for name in names if name in attrs), None)
+                               for attrs in holders))
+            outcomes = decided.get(interface)
+            if outcomes is None:
+                outcomes, meets_error = _pair_outcomes(plan, left, rights, source, trace)
+                decided[interface] = outcomes
+                if meets_error:
                     error = plan.error
+            for (right, _, _), outcome in zip(rights, outcomes):
+                if outcome is None:
+                    continue
+                joins, notes = outcome
+                merged = left.merge(right)
+                if not joins:
+                    candidates = [merged]
+                else:
+                    # The provider is in ``merged``, so ``add_wrapper``
+                    # returns ``merged``. The call stays: perfbench/tracing.py
+                    # and a rewriter test count the candidates built through it.
+                    candidates = [merged.add_wrapper(end[0]).with_join(end, held)
+                                  for end, held in joins]
+                    if trace is not None:
+                        trace.notes += notes
                 for cand in candidates:
                     if cand not in seen:
                         seen.add(cand)
@@ -260,6 +283,37 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
         current = joined
         processed.add(concept)
     return current
+
+
+def _pair_outcomes(plan: JoinPlan, left: Walk, rights, source: Mapping[str, str],
+                   trace: RewriteTrace | None) -> tuple[list, bool]:
+    """Per right walk, what its pair with ``left`` yields: None for nothing,
+    ``((), ())`` for the merged walk itself when they share a wrapper, else
+    the joins of the merged walk and their trace notes. Also whether some
+    pair that shares no wrapper does not join, and so meets the plan's error."""
+    left_names = frozenset(left.names)
+    left_sources = frozenset(source[name] for name in left.names)
+    outcomes: list = []
+    meets_error = False
+    for right, right_names, right_sources in rights:
+        shared = not left_names.isdisjoint(right_names)
+        joins = []
+        # The merged walk's sources are distinct iff there are as many of
+        # them as it has wrappers.
+        if len(left_sources | right_sources) == len(left_names | right_names):
+            if shared:
+                outcomes.append(((), ()))
+                continue
+            joins = plan.joins(left, right, left_names, right_names)
+        if not joins:
+            outcomes.append(None)
+            meets_error = meets_error or not shared
+            continue
+        notes = () if trace is None else tuple(
+            f"join {name}.{attr} = {held[0]}.{held[1]} via <{plan.edge[1]}>"
+            for (name, attr), held in joins)
+        outcomes.append((tuple(joins), notes))
+    return outcomes, meets_error
 
 
 # --- composition ------------------------------------------------------------
@@ -285,10 +339,17 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
         trace.phase3_walks = list(walks)
 
     catalog = wrapper_schemas(ds)
+    # Coverage and minimality read only the walk's masks in name order, so
+    # they are decided once per tuple of masks, on its first walk.
     masks = LavMasks(wf.phi, catalog)
+    verdicts: dict[tuple[int, ...], bool] = {}
     kept = []
     for w in walks:
-        if coverage(w, masks) and minimality(w, masks):
+        key = tuple(map(masks.__getitem__, w.names))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = coverage(w, masks) and minimality(w, masks)
+        if verdict:
             kept.append(w)
         elif trace is not None:
             trace.notes.append(f"dropped non-minimal or non-covering walk {w.render()}")
@@ -297,8 +358,9 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
     # projections.
     by_key: dict[tuple, Walk] = {}
     for w in kept:
-        k = w.names, w.joins
-        by_key[k] = by_key[k].merge(w) if k in by_key else w
+        have = by_key.setdefault((w.names, w.joins), w)
+        if have is not w:
+            by_key[w.names, w.joins] = have.merge(w)
     final = sorted(by_key.values())
 
     step_bindings: dict[tuple[str, tuple[str, ...]], tuple[tuple[Iri, JoinEnd], ...]] = {}

@@ -108,6 +108,81 @@ def make_instance(rng: random.Random):
     return ds, query
 
 
+def make_wide_instance(rng: random.Random):
+    """A wider random chain instance than ``make_instance``: 4 concepts, 3 to
+    8 wrappers over fewer sources, each edge most often mapped by a wrapper
+    spanning its 2 concepts, and the other wrappers spanning 1 or 2. A
+    spanning wrapper may lack the attribute of one of its features, and so
+    map an edge without answering one of its concepts. Returns (dataset,
+    query text)."""
+    concepts = 4
+    has_metric = [rng.random() < 0.8 for _ in range(concepts)]
+    # Only a spanning wrapper maps an edge.
+    ranges = [(i, i + 1) for i in range(1, concepts) if rng.random() < 0.85]
+    for _ in range(rng.randint(max(1, 3 - len(ranges)), 8 - len(ranges))):
+        a = rng.randint(1, concepts)
+        ranges.append((a, min(concepts, a + (rng.random() < 0.5))))
+    rng.shuffle(ranges)
+    n_sources = rng.randint(len(ranges) // 2 + 1, len(ranges) - 1)
+    wrappers = [(a, b, f"s{rng.randrange(n_sources)}",
+                 rng.choice((f"id{a}", f"id{b}", f"m{a}", f"m{b}"))
+                 if b > a and rng.random() < 0.3 else None)
+                for a, b in ranges]
+    projected = [(f"m{i}", i) for i in range(1, concepts + 1)
+                 if has_metric[i - 1] and rng.random() < 0.7] or [("id1", 1)]
+    return chain_with_wrappers(has_metric, wrappers, projected)
+
+
+def chain_with_wrappers(has_metric: list[bool], wrappers, projected):
+    """A chain C1 -> ... -> Cn, n = len(has_metric), each concept with an
+    identifier and, where ``has_metric`` says so, a metric feature, and a
+    query over the whole chain that projects ``projected`` ((feature name,
+    concept number) pairs). ``wrappers`` holds (first concept, last concept,
+    source, the one feature it has no attribute for or None) per wrapper,
+    named w0, w1, ...; each maps its concepts' features and the edges
+    between them. Returns (dataset, query text)."""
+    concepts = len(has_metric)
+    ds = Dataset()
+    ds.prefixes.register("r", NS)
+    for i in range(1, concepts + 1):
+        c, ident = _iri(f"C{i}"), _iri(f"id{i}")
+        quads = [(c, RDF_TYPE, G_CONCEPT), (ident, RDF_TYPE, G_FEATURE),
+                 (ident, RDFS_SUBCLASS_OF, SC_IDENTIFIER), (c, G_HAS_FEATURE, ident)]
+        if has_metric[i - 1]:
+            quads += [(_iri(f"m{i}"), RDF_TYPE, G_FEATURE), (c, G_HAS_FEATURE, _iri(f"m{i}"))]
+        if i > 1:
+            quads.append((_iri(f"C{i - 1}"), _iri(f"e{i}"), c))
+        for s, p, o in quads:
+            ds._add(Quad(GLOBAL_GRAPH, s, p, o))
+
+    for k, (a, b, source, unmapped) in enumerate(wrappers):
+        subgraph, id_attrs, non_id_attrs, feature_map = set(), [], [], {}
+        for i in range(a, b + 1):
+            c = _iri(f"C{i}")
+            subgraph.add((c, G_HAS_FEATURE, _iri(f"id{i}")))
+            if f"id{i}" != unmapped:
+                id_attrs.append(f"id{i}")
+                feature_map[f"id{i}"] = _iri(f"id{i}")
+            if has_metric[i - 1]:
+                subgraph.add((c, G_HAS_FEATURE, _iri(f"m{i}")))
+                if f"m{i}" != unmapped:
+                    non_id_attrs.append(f"m{i}")
+                    feature_map[f"m{i}"] = _iri(f"m{i}")
+            if i > a:
+                subgraph.add((_iri(f"C{i - 1}"), _iri(f"e{i}"), c))
+        wrapper = WrapperSchema(f"w{k}", source, tuple(id_attrs), tuple(non_id_attrs))
+        ds, _ = apply_release(ds, Release(wrapper, frozenset(subgraph), feature_map))
+
+    variables = [f"?v{i}" for i in range(len(projected))]
+    triples = [f"r:C{i - 1} r:e{i} r:C{i}" for i in range(2, concepts + 1)]
+    triples += [f"r:C{i} <{G_HAS_FEATURE}> r:{p}" for p, i in projected]
+    query = ("SELECT " + " ".join(variables) + "\nFROM G:\nWHERE {\n"
+             "  VALUES (" + " ".join(variables) + ") { ("
+             + " ".join(f"r:{p}" for p, _ in projected) + ") }\n"
+             + " .\n".join("  " + t for t in triples) + "\n}")
+    return ds, query
+
+
 def render_omq(q: OmqQuery, ds: Dataset) -> str:
     """Serialize a query back into the accepted template shape."""
     compact = ds.prefixes.compact

@@ -5,8 +5,9 @@ from __future__ import annotations
 from itertools import combinations
 from pathlib import Path
 
-from ontomed.errors import InvalidIri, InvalidWalk
+from ontomed.errors import InvalidIri, InvalidWalk, NoJoinPath
 from ontomed.quadstore import Dataset, Quad
+from ontomed.rewriter import _join_plan
 from ontomed.sources import canonical_join, wrapper_schemas
 from ontomed.terms import (
     GLOBAL_GRAPH,
@@ -25,6 +26,78 @@ WalkKey = tuple[frozenset[str], frozenset]
 def walk_key(walk) -> WalkKey:
     """Equivalence key: wrapper set and join-condition set, projections ignored."""
     return (frozenset(walk.names), frozenset(walk.joins))
+
+
+def reference_inter_concept_generation(p, x, ds, trace=None):
+    """Phase 3 pair by pair: the loop ``rewriter.inter_concept_generation``
+    must agree with in its walks and their order, its trace notes, and its
+    error. Every (left, right) pair is tested by set operations on its own
+    name and source sets, and a pair that shares no wrapper runs
+    ``_reference_candidates``. The join plan is the rewriter's."""
+    if not x.concepts:
+        return []
+    catalog = wrapper_schemas(ds)
+
+    def compiled(walks):
+        return [(w, frozenset(w.names), frozenset(catalog[name].source for name in w.names))
+                for w in walks]
+
+    current = list(p.per_concept[x.concepts[0]])
+    processed = {x.concepts[0]}
+    for concept in x.concepts[1:]:
+        plan = _join_plan(x.query.phi, concept, processed, catalog)
+        rights = compiled(p.per_concept[concept])
+        joined = []
+        seen = set()
+        error = None
+        for left, left_names, left_sources in compiled(current):
+            for right, right_names, right_sources in rights:
+                shared = not left_names.isdisjoint(right_names)
+                candidates = []
+                # The merged walk's sources are distinct iff there are as
+                # many of them as it has wrappers.
+                if len(left_sources | right_sources) == len(left_names | right_names):
+                    merged = left.merge(right)
+                    candidates = [merged] if shared else _reference_candidates(
+                        plan, merged, left, right, left_names, right_names, trace)
+                if not (candidates or shared):
+                    error = plan.error
+                for cand in candidates:
+                    if cand not in seen:
+                        seen.add(cand)
+                        joined.append(cand)
+        if not joined:
+            raise error or NoJoinPath(
+                f"no wrapper materializes an edge joining <{concept}> to the query prefix")
+        current = joined
+        processed.add(concept)
+    return current
+
+
+def _reference_candidates(plan, merged, left, right, left_names, right_names, trace):
+    """Join candidates for two walks with distinct sources that share no
+    wrapper, given their name sets: a provider in the walk opposite the
+    identifier's holder connects them."""
+    for at_concept, features in plan.targets:
+        side, reachable = (right, left_names) if at_concept else (left, right_names)
+        found = []
+        for attrs, joinable in features:
+            # Steps are sorted by name, so the first match is the least holder.
+            for name in side.names:
+                if name in attrs:
+                    held = (name, attrs[name])
+                    break
+            else:
+                continue
+            for name, attr in joinable:
+                if name in reachable:
+                    found.append(merged.add_wrapper(name).with_join((name, attr), held))
+                    if trace is not None:
+                        trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
+                                           f" via <{plan.edge[1]}>")
+        if found:
+            return found
+    return []
 
 
 def reference_render_body(walk) -> str:

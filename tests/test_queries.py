@@ -84,6 +84,35 @@ class TestParse:
         with pytest.raises(OmqSyntaxError):
             parse_omq(text, global_ds)
 
+    @pytest.mark.parametrize("text, message", [
+        # End of text right after SELECT's variables: the last token.
+        ("SELECT ?x ?y", "unexpected end of query after SELECT (line 1, column 11)"),
+        # The repeated variable.
+        ("SELECT ?x\n  ?y ?x\nFROM G: WHERE { }", "duplicate SELECT variable (line 2, column 6)"),
+        # A VALUES variable that SELECT lacks.
+        (MONITOR_QUERY.replace("VALUES (?x ?y)", "VALUES (?x ?z)"),
+         "VALUES must bind every SELECT variable exactly once (line 5, column 14)"),
+        # A SELECT variable that VALUES lacks.
+        (MONITOR_QUERY.replace("VALUES (?x ?y)", "VALUES (?x)").replace(
+            "(sup:applicationId sup:lagRatio)", "(sup:applicationId)"),
+         "VALUES must bind every SELECT variable exactly once (line 2, column 11)"),
+        # A repeated VALUES variable.
+        (MONITOR_QUERY.replace("VALUES (?x ?y)", "VALUES (?x ?x ?y)").replace(
+            "(sup:applicationId sup:lagRatio)", "(sup:applicationId sup:lagRatio sup:lagRatio)"),
+         "VALUES must bind every SELECT variable exactly once (line 5, column 14)"),
+        # A query that ends before WHERE's closing brace: its last token.
+        ("SELECT ?x\nFROM G: WHERE {\n  VALUES (?x) { (sup:lagRatio) }\n"
+         "  sup:InfoMonitor G:hasFeature sup:lagRatio\n",
+         "missing closing '}' of WHERE (line 4, column 32)"),
+        # WHERE's closing brace.
+        ("SELECT ?x\nFROM G: WHERE {\n  VALUES (?x) { (sup:lagRatio) }\n}",
+         "WHERE holds no triple patterns (line 4, column 1)"),
+    ])
+    def test_error_reports_the_offending_position(self, global_ds, text, message):
+        with pytest.raises(OmqSyntaxError) as err:
+            parse_omq(text, global_ds)
+        assert str(err.value) == message
+
     def test_from_must_name_global_graph(self, global_ds):
         text = MONITOR_QUERY.replace("FROM G:", "FROM S:")
         with pytest.raises(OmqSyntaxError):

@@ -5,7 +5,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ontomed import rewriter
 from ontomed.bench import build_chain_instance, chain_query
 from ontomed.errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from ontomed.quadstore import Dataset
@@ -31,8 +34,14 @@ from ontomed.sources import (
 from ontomed.terms import G_HAS_FEATURE
 
 from conftest import MONITOR_QUERY, MONITOR_SUBGRAPH, iri
-from generators import make_instance
-from oracles import brute_force_binding, brute_force_walk_keys, validate_walk, walk_key
+from generators import chain_with_wrappers, make_instance, make_wide_instance
+from oracles import (
+    brute_force_binding,
+    brute_force_walk_keys,
+    reference_inter_concept_generation,
+    validate_walk,
+    walk_key,
+)
 
 
 @pytest.fixture
@@ -200,6 +209,58 @@ class TestInterConcept:
                                   f"<{iri('sup:Monitor')}> and <{iri('sup:InfoMonitor')}>")
 
 
+class TestPhase3Reference:
+    """Phase 3 decides a pair's outcome once per left interface and right
+    walk; the pair-by-pair reference decides it for every pair."""
+
+    @staticmethod
+    def runs(ds, query):
+        """Phase 3 of the engine without and with a trace, then of the
+        reference with one: per run the walks, or the error class and
+        message, and the notes. None when phase 2 already fails."""
+        x = query_expansion(well_formed_rewrite(ds, parse_omq(query, ds)), ds)
+        try:
+            p = intra_concept_generation(x, ds)
+        except NoWrapperForConcept:
+            return None
+        runs = []
+        for phase3, trace in ((inter_concept_generation, None),
+                              (inter_concept_generation, RewriteTrace()),
+                              (reference_inter_concept_generation, RewriteTrace())):
+            try:
+                out = phase3(p, x, ds, trace)
+            except (NoJoinPath, MissingIdAttribute) as exc:
+                out = (type(exc), str(exc))
+            runs.append((out, None if trace is None else trace.notes))
+        return runs
+
+    @pytest.mark.parametrize("generator", [make_instance, make_wide_instance])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_pair_by_pair_reference(self, generator, seed):
+        runs = self.runs(*generator(random.Random(seed)))
+        if runs is not None:
+            untraced, traced, reference = runs
+            assert traced == reference
+            assert untraced[0] == traced[0]
+
+    def test_chain_decides_once_per_class(self, monkeypatch):
+        # chain(5, 5) has 3,900 pairs. A left walk differs from the others
+        # of its step only in the wrapper that holds the previous concept's
+        # identifier, so each of the 4 steps has 5 interfaces: 100 decisions.
+        decided = []
+        pair_outcomes = rewriter._pair_outcomes
+
+        def counted(plan, left, rights, *args):
+            decided.append(len(rights))
+            return pair_outcomes(plan, left, rights, *args)
+
+        monkeypatch.setattr(rewriter, "_pair_outcomes", counted)
+        ds = build_chain_instance(5, 5)
+        assert len(rewrite(chain_query(5), ds).walks) == 5 ** 5
+        assert decided == [5] * 20
+
+
 class TestRewrite:
     def test_single_union_before_evolution(self, pre_evolution_ds):
         ucq = rewrite(MONITOR_QUERY, pre_evolution_ds)
@@ -270,6 +331,53 @@ class TestRewrite:
         for w in walks:
             assert (_bind_features(catalog, w, features, memo)
                     == brute_force_binding(pre_evolution_ds, w, features))
+
+    @staticmethod
+    def check_filter_classes(ds, query, monkeypatch):
+        """Rewrite with a trace while counting coverage calls, and check the
+        kept walks and the "dropped" notes against a per-walk filter of the
+        phase-3 walks. Returns (dropped walks, mask tuples, phase-3 walks)."""
+        calls = []
+        monkeypatch.setattr(rewriter, "coverage", lambda w, m: calls.append(w) or coverage(w, m))
+        trace = RewriteTrace()
+        try:
+            ucq = rewrite(query, ds, trace)
+        except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
+            return 0, 0, 0
+        wf = well_formed_rewrite(ds, parse_omq(query, ds))
+        masks = LavMasks(wf.phi, wrapper_schemas(ds))
+        kept, dropped, by_key = [], [], {}
+        for w in trace.phase3_walks:
+            if coverage(w, masks) and minimality(w, masks):
+                kept.append(w)
+            else:
+                dropped.append(f"dropped non-minimal or non-covering walk {w.render()}")
+        for w in kept:
+            k = w.names, w.joins
+            by_key[k] = by_key[k].merge(w) if k in by_key else w
+        assert ucq.walks == sorted(by_key.values())
+        assert [n for n in trace.notes if n.startswith("dropped ")] == dropped
+        classes = {tuple(masks[n] for n in w.names) for w in trace.phase3_walks}
+        assert len(calls) == len(classes)
+        return len(dropped), len(classes), len(trace.phase3_walks)
+
+    def test_filter_decides_once_per_mask_tuple(self, monkeypatch):
+        # w0 and w1 span C1-C2 with equal masks, as do w2 and w3 on C2, so
+        # a walk joining w0 to w2 is non-minimal and shares its masks with
+        # the walk joining w1 to w3.
+        ds, query = chain_with_wrappers(
+            [True, True, True],
+            [(1, 2, "s0", None), (1, 2, "s1", None), (2, 2, "s2", None), (2, 2, "s3", None),
+             (2, 3, "s4", None), (3, 3, "s5", None)],
+            [("m1", 1), ("m3", 3)])
+        dropped, classes, walks = self.check_filter_classes(ds, query, monkeypatch)
+        assert dropped > 0 and classes < walks
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_filter_classes_on_wide_instances(self, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check_filter_classes(*make_wide_instance(random.Random(seed)), monkeypatch)
 
     def test_derived_lookups_do_not_grow_with_walks(self, monkeypatch):
         # The tables the stages after phase 3 read are built once per query,
