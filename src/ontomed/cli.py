@@ -2,11 +2,18 @@
 
 Exit codes: 0 success, 2 validation or release violations, 3 query errors,
 4 I/O and workspace errors.
+
+`main` runs each command with the cyclic garbage collector paused and then
+restores the caller's setting. What a command allocates in bulk (quads,
+walks, rows, hash-table buckets, catalog dicts) holds no reference cycles,
+so the collector's passes would only traverse it and free nothing. Garbage
+a command leaves is collected by the first pass after `main` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -175,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         "stats": _cmd_stats,
         "bench": _cmd_bench,
     }
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except OntomedError as exc:
@@ -183,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

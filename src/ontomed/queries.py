@@ -172,12 +172,14 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
     p.next("{")
     p.next("(")
     bound: dict[str, Iri] = {}
+    bound_at: dict[str, _Token] = {}
     for var in value_vars:
         tok = p.next()
         p.check_allowed(tok)
         if tok.kind not in ("iriref", "word"):
             raise OmqSyntaxError(f"VALUES must bind {var} to an IRI", tok.line, tok.column)
         bound[var] = _expand_checked(tok, prefixes)
+        bound_at[var] = tok
     p.next(")")
     closing = p.next()
     if closing.text == "(":
@@ -228,9 +230,11 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
                 raise UnknownIri(f"term <{term}> does not occur in the global graph")
     vertices = {s for s, _, _ in phi} | {o for _, _, o in phi}
     pi = tuple(bound[v] for v in variables)
-    for element in pi:
+    for var, element in zip(variables, pi):
         if element not in vertices:
-            raise OmqSyntaxError(f"projected <{element}> is not a vertex of the pattern")
+            tok = bound_at[var]
+            raise OmqSyntaxError(f"projected <{element}> is not a vertex of the pattern",
+                                 tok.line, tok.column)
     _check_connected(phi)
     return OmqQuery(pi=pi, phi=frozenset(phi))
 

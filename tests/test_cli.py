@@ -1,5 +1,6 @@
 """Command-line interface: workflows over the bundled demo, exit codes."""
 
+import gc
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ontomed
-from ontomed import errors
+from ontomed import cli, errors
 from ontomed.cli import main
 from ontomed.releases import apply_release, load_release
 from ontomed.sources import wrapper_schemas
@@ -466,6 +467,57 @@ class TestBench:
             answers.append(capsys.readouterr().out)
         assert "2 walk(s)" in answers[0]
         assert answers[0] == answers[1]
+
+
+class TestCollectorPause:
+    """`main` runs a command with the cyclic collector paused, then restores
+    the caller's setting however the command ends."""
+
+    def test_commands_run_with_the_collector_paused(self, loaded_ws, monkeypatch, capsys):
+        seen = []
+
+        def recording(real):
+            def record(*args):
+                seen.append((real.__name__, gc.isenabled()))
+                return real(*args)
+            return record
+
+        monkeypatch.setattr(cli, "eval_ucq", recording(cli.eval_ucq))
+        monkeypatch.setattr(cli, "validate_ontology", recording(cli.validate_ontology))
+        gc.enable()
+        try:
+            assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 0
+            assert main(["-w", str(loaded_ws), "validate"]) == 0
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [("eval_ucq", False), ("validate_ontology", False)]
+
+    @pytest.mark.parametrize("argv, code", [
+        (lambda ws: ["-w", str(ws), "stats"], 0),
+        # No wrapper is registered, so the query cannot be rewritten.
+        (lambda ws: ["-w", str(ws), "query", str(DEMO / "query.rq")], 3),
+        (lambda ws: ["-w", str(ws / "nowhere"), "stats"], 4),
+        (lambda ws: ["-w", str(ws), "stats", "--no-such-option"], 2),
+    ], ids=["ok", "query-error", "missing-workspace", "argparse-exit"])
+    def test_collector_enabled_again_after_main(self, ws, capsys, argv, code):
+        gc.enable()
+        try:
+            try:
+                assert main(argv(ws)) == code
+            except SystemExit as exc:
+                assert exc.code == code
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_disabled_by_the_caller_stays_disabled(self, ws, capsys):
+        gc.disable()
+        try:
+            assert main(["-w", str(ws), "stats"]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 # The demo workflow in a fresh interpreter, in a fresh directory: init, all

@@ -107,6 +107,10 @@ class TestParse:
         # WHERE's closing brace.
         ("SELECT ?x\nFROM G: WHERE {\n  VALUES (?x) { (sup:lagRatio) }\n}",
          "WHERE holds no triple patterns (line 4, column 1)"),
+        # The VALUES IRI that the pattern lacks.
+        (MONITOR_QUERY.replace(" .\n  sup:InfoMonitor G:hasFeature sup:lagRatio", ""),
+         "projected <http://www.supersede.eu/ontology/lagRatio> is not a vertex of the pattern"
+         " (line 5, column 39)"),
     ])
     def test_error_reports_the_offending_position(self, global_ds, text, message):
         with pytest.raises(OmqSyntaxError) as err:
