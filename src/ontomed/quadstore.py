@@ -2,10 +2,15 @@
 
 Datasets are snapshots: the public operations never mutate their input, they
 return a fresh dataset instead. Readers may therefore share a dataset freely.
-There are two indexes, by graph and by graph plus predicate, the two shapes
-the program looks up. A loop that needs a subject or an object groups its
-bucket once before it starts, so an index by subject or by object would only
-slow every load and copy. Other shapes filter a bucket or all quads.
+The quads sit in an insertion-ordered dict: a loaded file's order, then the
+quads added since. There are two indexes, by graph and by graph plus
+predicate, the two shapes the program looks up. They are built from the
+quads by the first lookup that needs one, so a command that only adds quads
+and saves, such as a release, never builds them. A point lookup, with all
+four positions bound, reads the quad dict. A loop that needs a subject or an
+object groups its bucket once before it starts, so an index by subject or by
+object would only slow every index build and copy. Other shapes filter a
+bucket or all quads.
 
 Terms are strings (see :class:`Iri`), so the hash and equality tests behind
 every index, and the sort in ``save``, run in C; a term's order is the order
@@ -15,14 +20,15 @@ of its text.
 can only be quad records, and reads the few others (blank lines, comments,
 prefix declarations, indented records) one by one. It splits all records at
 once and checks each record's token count, then each distinct token's
-brackets, and builds one term per distinct token. It fills the
-graph-plus-predicate index quad by quad and each graph's set as the union of
-that graph's buckets. Only when a check fails does a line-by-line scan run,
-to report the first bad line in file order. ``copy`` clones the quad set and
-each index set by set, which reuses the hashes the sets already hold.
-``save`` formats the sorted quads with one ``join``, writes through a
-temporary file in the same directory and then replaces the target, so a
-reader sees either the old file or the new one.
+brackets, and builds one term per distinct token. Only when a check fails
+does a line-by-line scan run, to report the first bad line in file order.
+``copy`` clones the quad dict, and the indexes set by set once they exist,
+which reuses the hashes the dict and sets already hold. ``save`` sorts the
+quads, formats them with one ``join``, writes through a temporary file in
+the same directory and then replaces the target, so a reader sees either the
+old file or the new one. A store loaded from a saved file holds one long
+sorted run plus the quads added since, and the sort, a TimSort, merges such
+runs in near-linear time.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import os
 from collections import defaultdict
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -45,9 +52,6 @@ class Quad(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Iri
-
-    def triple(self) -> Triple:
-        return (self.subject, self.predicate, self.object)
 
 
 def write_replacing(path: str | Path, text: str) -> None:
@@ -71,9 +75,11 @@ class Dataset:
 
     def __init__(self, prefixes: PrefixTable | None = None):
         self.prefixes = prefixes.copy() if prefixes is not None else PrefixTable()
-        self._quads: set[Quad] = set()
-        self._by_g: dict[Iri, set[Quad]] = defaultdict(set)
-        self._by_gp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
+        # Keys only: a dict keeps insertion order where a set would not.
+        self._quads: dict[Quad, None] = {}
+        # Both indexes, or None until the first lookup that needs them.
+        self._by_g: dict[Iri, set[Quad]] | None = None
+        self._by_gp: dict[tuple[Iri, Iri], set[Quad]] | None = None
         self._derived_cache: dict = {}
 
     # --- container protocol ------------------------------------------------
@@ -93,18 +99,35 @@ class Dataset:
         """Add a quad in place; returns True when the quad was new."""
         if q in self._quads:
             return False
-        self._quads.add(q)
-        self._by_g[q.graph].add(q)
-        self._by_gp[q.graph, q.predicate].add(q)
+        self._quads[q] = None
+        if self._by_gp is not None:
+            self._by_g[q.graph].add(q)
+            self._by_gp[q.graph, q.predicate].add(q)
         self._derived_cache.clear()
         return True
 
     def copy(self) -> "Dataset":
+        """A snapshot with the same quads in the same order. The indexes are
+        cloned only if this dataset has built them; otherwise the clone
+        builds its own at its first lookup."""
         clone = Dataset(self.prefixes)
-        clone._quads = set(self._quads)
-        clone._by_g = _clone_index(self._by_g)
-        clone._by_gp = _clone_index(self._by_gp)
+        clone._quads = self._quads.copy()
+        if self._by_gp is not None:
+            clone._by_g = _clone_index(self._by_g)
+            clone._by_gp = _clone_index(self._by_gp)
         return clone
+
+    def _indexes(self) -> tuple[dict[Iri, set[Quad]], dict[tuple[Iri, Iri], set[Quad]]]:
+        """The by-graph and by-(graph, predicate) indexes, built on first use."""
+        if self._by_gp is None:
+            by_gp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
+            for q in self._quads:
+                by_gp[q[0], q[2]].add(q)
+            by_g: dict[Iri, set[Quad]] = defaultdict(set)
+            for (graph, _), bucket in by_gp.items():
+                by_g[graph] |= bucket
+            self._by_g, self._by_gp = by_g, by_gp
+        return self._by_g, self._by_gp
 
     # --- queries -----------------------------------------------------------
 
@@ -120,11 +143,11 @@ class Dataset:
             if subject is not None and object is not None:
                 q = Quad(graph, subject, predicate, object)
                 return {q} if q in self._quads else set()
-            pool = self._by_gp.get((graph, predicate), ())
+            pool = self._indexes()[1].get((graph, predicate), ())
             if subject is None and object is None:
                 return set(pool)
         else:
-            pool = self._quads if graph is None else self._by_g.get(graph, ())
+            pool = self._quads if graph is None else self._indexes()[0].get(graph, ())
         return {q for q in pool
                 if (subject is None or q.subject == subject)
                 and (predicate is None or q.predicate == predicate)
@@ -144,13 +167,10 @@ class Dataset:
             return value
 
     def graph_triples(self, graph: Iri) -> frozenset[Triple]:
-        return frozenset(q.triple() for q in self._by_g.get(graph, set()))
+        return frozenset(map(_TRIPLE, self._indexes()[0].get(graph, ())))
 
     def terms_of_graph(self, graph: Iri) -> frozenset[Iri]:
-        terms: set[Iri] = set()
-        for q in self._by_g.get(graph, set()):
-            terms.update((q.subject, q.predicate, q.object))
-        return frozenset(terms)
+        return frozenset(chain.from_iterable(map(_TRIPLE, self._indexes()[0].get(graph, ()))))
 
     # --- persistence -------------------------------------------------------
 
@@ -201,19 +221,13 @@ class Dataset:
         del lines
         terms = {token: Iri(token[1:-1]) for token in distinct}
         it = map(terms.__getitem__, tokens)
-        ds._quads = set(map(_new_quad, zip(it, it, it, it)))
-        del tokens, it
-        by_gp = ds._by_gp
-        for q in ds._quads:
-            by_gp[q[0], q[2]].add(q)
-        by_g = ds._by_g
-        for (graph, _), bucket in by_gp.items():
-            by_g[graph] |= bucket
+        ds._quads = dict.fromkeys(map(_new_quad, zip(it, it, it, it)))
         return ds
 
 
 _RECORD = "<%s> <%s> <%s> <%s>\n"
 _new_quad = partial(tuple.__new__, Quad)
+_TRIPLE = itemgetter(1, 2, 3)
 
 
 def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:

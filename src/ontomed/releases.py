@@ -89,9 +89,9 @@ def apply_release(ds: Dataset, r: Release) -> tuple[Dataset, GrowthStats]:
     Attribute nodes are shared within a source: a second release reusing an
     attribute name links it again but does not re-type it.
     """
-    missing = r.subgraph - ds.graph_triples(GLOBAL_GRAPH)
+    missing = [t for t in r.subgraph if not ds.match(GLOBAL_GRAPH, *t)]
     if missing:
-        s, p, o = sorted(missing)[0]
+        s, p, o = min(missing)
         raise SubgraphNotInGlobal(f"release subgraph triple <{s}> <{p}> <{o}> not in the global graph")
     wrapper = r.wrapper
     if ds.match(SOURCE_GRAPH, subject=wrapper.iri, predicate=RDF_TYPE, object=S_WRAPPER):

@@ -84,7 +84,8 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             names = ", ".join(sorted(owners))
             report.violations.append(Violation("V2", f, f"feature owned by {len(owners)} concepts: {names}"))
 
-    # V3: hasWrapper links DataSource to Wrapper; hasAttribute links Wrapper to Attribute.
+    # V3: hasWrapper links DataSource to Wrapper; hasAttribute links Wrapper to
+    # Attribute, and every wrapper has at least one attribute.
     wrapper_source: dict[Iri, set[Iri]] = {}
     for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER):
         wrapper_source.setdefault(q.object, set()).add(q.subject)
@@ -98,6 +99,8 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             report.violations.append(Violation("V3", q.subject, "hasAttribute subject is not a Wrapper"))
         if q.object not in attributes:
             report.violations.append(Violation("V3", q.object, "hasAttribute object is not an Attribute"))
+    for w in wrappers.difference(q.subject for q in has_attribute):
+        report.violations.append(Violation("V3", w, "Wrapper has no hasAttribute link"))
 
     # V4: each attribute maps to at most one feature.
     same_as: dict[Iri, set[Iri]] = {}

@@ -13,9 +13,20 @@ import pytest
 import ontomed
 from ontomed import cli, errors
 from ontomed.cli import main
+from ontomed.quadstore import Dataset
 from ontomed.releases import apply_release, load_release
 from ontomed.sources import wrapper_schemas
-from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH
+from ontomed.terms import (
+    G_HAS_FEATURE,
+    GLOBAL_GRAPH,
+    RDF_TYPE,
+    S_DATA_SOURCE,
+    S_HAS_WRAPPER,
+    S_WRAPPER,
+    SOURCE_GRAPH,
+    source_iri,
+    wrapper_iri,
+)
 from ontomed.workspace import LOCK_FILE, Workspace
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -97,6 +108,37 @@ class TestWorkflow:
     def test_workspace_env_variable(self, loaded_ws, capsys, monkeypatch):
         monkeypatch.setenv("ONTOMED_WORKSPACE", str(loaded_ws))
         assert main(["stats"]) == 0
+
+    def test_release_on_saved_workspace_builds_no_index(self, loaded_ws, capsys, monkeypatch):
+        # Load, apply and save: point lookups and the ordered quads suffice.
+        def refuse(ds):
+            raise AssertionError("a release built the quad store's indexes")
+        monkeypatch.setattr(Dataset, "_indexes", refuse)
+        assert main(["-w", str(loaded_ws), "release", str(DEMO / "releases" / "w4.json")]) == 0
+        monkeypatch.undo()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 0
+        assert "2 walk(s)" in capsys.readouterr().out
+
+    def test_validate_reports_wrapper_without_attributes(self, tmp_path, capsys):
+        # A source graph wrapper with no S:hasAttribute fails every query
+        # once the catalog compiles it, so validate must refuse it first.
+        quads = tmp_path / "global.quads"
+        quads.write_text((DEMO / "global.quads").read_text(encoding="utf-8") + "".join(
+            f"<{SOURCE_GRAPH}> <{s}> <{p}> <{o}>\n" for s, p, o in (
+                (wrapper_iri("W9"), RDF_TYPE, S_WRAPPER),
+                (source_iri("D9"), RDF_TYPE, S_DATA_SOURCE),
+                (source_iri("D9"), S_HAS_WRAPPER, wrapper_iri("W9")))),
+            encoding="utf-8")
+        root = tmp_path / "ws"
+        assert main(["init", str(root), "--global-graph", str(quads)]) == 0
+        shutil.copytree(DEMO / "data", root / "data")
+        for name in ("w1", "w2", "w3", "w4"):
+            assert main(["-w", str(root), "release", str(DEMO / "releases" / f"{name}.json")]) == 0
+        capsys.readouterr()
+        assert main(["-w", str(root), "query", str(DEMO / "query.rq")]) == 2
+        assert one_line_error(capsys) == "error: wrapper W9: no attributes"
+        assert main(["-w", str(root), "validate"]) == 2
+        assert capsys.readouterr().out == f"RULEV3 <{wrapper_iri('W9')}> Wrapper has no hasAttribute link\n"
 
 
 class TestExitCodes:

@@ -167,6 +167,38 @@ class TestDataset:
         ds._add(q4(EX + "g2", EX + "s", EX + "p", EX + "o2"))
         assert ds.graph_triples(Iri(EX + "g1")) == {(Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o"))}
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("add"), st.tuples(*[st.sampled_from("12")] * 4)),
+        st.tuples(st.just("copy"), st.none()),
+        st.tuples(st.just("match"), st.tuples(*[st.sampled_from((None, "1", "2", "X"))] * 4)),
+    ), max_size=30))
+    def test_interleaved_add_copy_match_agree_with_filter(self, ops):
+        # The indexes are built by the first match that needs one (graph
+        # bound, not all four positions bound), so the ops run both before
+        # and after they exist, in the dataset and in its copies.
+        ds, order, snapshots = Dataset(), [], []
+        for op, arg in ops:
+            if op == "add":
+                q = _combo_quad(*arg)
+                assert ds._add(q) == (q not in order)
+                if q not in order:
+                    order.append(q)
+            elif op == "copy":
+                snapshots.append((ds, list(order)))
+                ds = ds.copy()
+            else:
+                terms = tuple(None if v is None else Iri(EX + pos + v) for pos, v in zip("gspo", arg))
+                for d in [ds] + [old for old, _ in snapshots]:
+                    assert d.match(*terms) == _filtered(d, terms)
+                    if terms[0] is not None:
+                        in_graph = [q for q in d if q.graph == terms[0]]
+                        assert d.graph_triples(terms[0]) == {q[1:] for q in in_graph}
+                        assert d.terms_of_graph(terms[0]) == {t for q in in_graph for t in q[1:]}
+        assert list(ds) == order
+        for old, quads in snapshots:
+            assert list(old) == quads
+
     def test_derived_cache_invalidated_on_insert(self):
         ds = Dataset()
         ds._add(q4(EX + "g", EX + "s", EX + "p", EX + "o"))
@@ -243,6 +275,31 @@ class TestPersistence:
         again = tmp_path / "again.quads"
         Dataset.load(path).save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_save_ignores_insertion_order(self, tmp_path):
+        ds = build_chain_instance(3, 2)
+        canonical = tmp_path / "canonical.quads"
+        ds.save(canonical)
+        expected = canonical.read_bytes()
+        # The same records shuffled, one tab-separated, one indented, with a
+        # comment, a duplicate line and CRLF endings.
+        lines = expected.decode("utf-8").splitlines()
+        random.Random(5).shuffle(lines)
+        first, second = [i for i, line in enumerate(lines) if line.startswith("<")][:2]
+        lines[first] = lines[first].replace(" ", "\t", 1)
+        lines[second] = "  " + lines[second]
+        lines[3:3] = ["# a comment", lines[first]]
+        messy = tmp_path / "messy.quads"
+        messy.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        saved = tmp_path / "saved.quads"
+        Dataset.load(messy).save(saved)
+        assert saved.read_bytes() == expected
+        for order in (sorted(ds), sorted(ds, reverse=True)):
+            built = Dataset(ds.prefixes)
+            for q in order:
+                built._add(q)
+            built.save(saved)
+            assert saved.read_bytes() == expected
 
     def test_saved_bytes_pinned(self, tmp_path):
         # A 1,479-quad store, saved in the order of its terms' text: a change
@@ -321,7 +378,7 @@ class TestBulkLoad:
             return
         ds = Dataset.load(path)
         assert ds.quads() == expected.quads()
-        assert ds._by_g == expected._by_g and ds._by_gp == expected._by_gp
+        assert list(ds) == list(expected)
         assert ds.prefixes.namespaces() == expected.prefixes.namespaces()
         terms = [term for quad in ds for term in quad]
         assert all(type(term) is Iri for term in terms)
