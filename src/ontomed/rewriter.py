@@ -12,16 +12,19 @@ W^C walks, so per-walk work is kept to lookups. Phase 3 computes one join
 plan per concept (connecting edge, joinable providers per identifier, and
 the one error a pair that cannot join meets), and decides what a pair of
 walks yields once per class of pairs: the right walk and the few facts of
-the left walk that the outcome reads. Each pair looks its outcome up and
-builds its walks, which carry their names and sorted joins. The stages
-after phase 3 read tables built once per query: the filter decides coverage
-and minimality once per tuple of wrapper bitmasks over the numbered pattern
-triples, the dedupe keys on the walk's own canonical names and joins, and
-output binding memoises, per step, the ends of the requested features only.
+the left walk that the outcome reads. The outcome holds each candidate's
+provider and canonical join, so a pair only splices its right walk's one
+step and the join into the left walk's tuples, builds the walk in C, and
+dedupes it on one hash. The stages after phase 3 read tables built once per
+query: the filter decides coverage and minimality once per tuple of wrapper
+bitmasks over the numbered pattern triples, the dedupe keys on the walk's
+own canonical names and joins, and output binding reads, per step, the
+(feature position, least end) pairs of the requested features only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -34,6 +37,9 @@ from .sources import (
     LavMasks,
     Ucq,
     Walk,
+    _insert_step,
+    _new,
+    canonical_join,
     coverage,
     minimality,
     wrapper_schemas,
@@ -244,11 +250,13 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
         holders = [attrs for at_concept, features in plan.targets if not at_concept
                    for attrs, _ in features]
         decided: dict[tuple, list] = {}
-        joined: list[Walk] = []
-        seen: set[Walk] = set()
+        # Phase 2's walks have one step and no joins; ``joined`` dedupes the
+        # candidates on one hash each and keeps them in first-seen order.
+        right_steps = [w.steps[0] for w in p.per_concept[concept]]
+        joined: dict[Walk, None] = {}
         error: NoJoinPath | MissingIdAttribute | None = None
         for left in current:
-            names = left.names
+            steps, names, joins = left
             interface = (tuple(name for name in names if name in relevant),
                          tuple(next((name for name in names if name in attrs), None)
                                for attrs in holders))
@@ -258,29 +266,29 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                 decided[interface] = outcomes
                 if meets_error:
                     error = plan.error
-            for (right, _, _), outcome in zip(rights, outcomes):
+            for step, outcome in zip(right_steps, outcomes):
                 if outcome is None:
                     continue
-                joins, notes = outcome
-                merged = left.merge(right)
-                if not joins:
-                    candidates = [merged]
-                else:
-                    # The provider is in ``merged``, so ``add_wrapper``
-                    # returns ``merged``. The call stays: perfbench/tracing.py
-                    # and a rewriter test count the candidates built through it.
-                    candidates = [merged.add_wrapper(end[0]).with_join(end, held)
-                                  for end, held in joins]
-                    if trace is not None:
-                        trace.notes += notes
-                for cand in candidates:
-                    if cand not in seen:
-                        seen.add(cand)
-                        joined.append(cand)
+                built, notes = outcome
+                merged_steps, merged_names = _insert_step(steps, names, step)
+                if not built:
+                    joined[_new(Walk, (merged_steps, merged_names, joins))] = None
+                    continue
+                for provider, join in built:
+                    # The join links the left walk to the right one, so it
+                    # is not among the left walk's joins yet.
+                    i = bisect_left(joins, join)
+                    cand = _new(Walk, (merged_steps, merged_names, joins[:i] + (join,) + joins[i:]))
+                    # The provider is in ``cand``, so ``add_wrapper`` returns
+                    # ``cand``. The call stays: perfbench/tracing.py and a
+                    # rewriter test count the candidates built through it.
+                    joined[cand.add_wrapper(provider)] = None
+                if trace is not None:
+                    trace.notes += notes
         if not joined:
             raise error or NoJoinPath(
                 f"no wrapper materializes an edge joining <{concept}> to the query prefix")
-        current = joined
+        current = list(joined)
         processed.add(concept)
     return current
 
@@ -289,8 +297,9 @@ def _pair_outcomes(plan: JoinPlan, left: Walk, rights, source: Mapping[str, str]
                    trace: RewriteTrace | None) -> tuple[list, bool]:
     """Per right walk, what its pair with ``left`` yields: None for nothing,
     ``((), ())`` for the merged walk itself when they share a wrapper, else
-    the joins of the merged walk and their trace notes. Also whether some
-    pair that shares no wrapper does not join, and so meets the plan's error."""
+    the (provider, canonical join) of each candidate and their trace notes.
+    Also whether some pair that shares no wrapper does not join, and so
+    meets the plan's error."""
     left_names = frozenset(left.names)
     left_sources = frozenset(source[name] for name in left.names)
     outcomes: list = []
@@ -312,7 +321,7 @@ def _pair_outcomes(plan: JoinPlan, left: Walk, rights, source: Mapping[str, str]
         notes = () if trace is None else tuple(
             f"join {name}.{attr} = {held[0]}.{held[1]} via <{plan.edge[1]}>"
             for (name, attr), held in joins)
-        outcomes.append((tuple(joins), notes))
+        outcomes.append((tuple((end[0], canonical_join(end, held)) for end, held in joins), notes))
     return outcomes, meets_error
 
 
@@ -363,15 +372,7 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
             by_key[w.names, w.joins] = have.merge(w)
     final = sorted(by_key.values())
 
-    step_bindings: dict[tuple[str, tuple[str, ...]], tuple[tuple[Iri, JoinEnd], ...]] = {}
-    bindings = [_bind_features(catalog, w, wf.pi, step_bindings) for w in final]
-    wanted = len(set(wf.pi))
-    for w, binding in zip(final, bindings):
-        # Phase 2 never projects a feature whose subject is not typed as a
-        # concept (rule V1), yet a walk can still cover the pattern.
-        if len(binding) < wanted:
-            unbound = next(f for f in wf.pi if f not in binding)
-            raise NoWrapperForConcept(f"walk {w.render_body()} binds no attribute to <{unbound}>")
+    bindings = _bind_features(catalog, final, wf.pi)
     return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings)
 
 
@@ -379,25 +380,37 @@ def _features_of(phi) -> list[Iri]:
     return [o for _, p, o in phi if p == G_HAS_FEATURE]
 
 
-def _bind_features(catalog: Catalog, walk: Walk, features: tuple[Iri, ...],
-                   step_bindings: dict[tuple[str, tuple[str, ...]], tuple[tuple[Iri, JoinEnd], ...]],
-                   ) -> dict[Iri, JoinEnd]:
-    """Bind each feature to the least (wrapper, attribute) of the walk mapped
-    to it. ``step_bindings`` memoises, per step, the least end of each of
-    ``features`` the step projects, as (feature, end) pairs."""
-    least: dict[Iri, JoinEnd] = {}
-    for step in walk.steps:
-        bound = step_bindings.get(step)
-        if bound is None:
-            name, attrs = step
-            first: dict[Iri, JoinEnd] = {}
-            for attr in sorted(attrs):
-                f = catalog.feature(name, attr)
-                if f in features:
-                    first.setdefault(f, (name, attr))
-            bound = step_bindings[step] = tuple(first.items())
-        for f, end in bound:
-            have = least.get(f)
-            if have is None or end < have:
-                least[f] = end
-    return {f: least[f] for f in features if f in least}
+def _bind_features(catalog: Catalog, walks: list[Walk],
+                   features: tuple[Iri, ...]) -> list[dict[Iri, JoinEnd]]:
+    """Per walk, each of ``features`` bound to the least (wrapper, attribute)
+    of the walk mapped to it, in the order of ``features``. Each step's
+    (feature position, least end) pairs are computed on its first lookup.
+    Raises NoWrapperForConcept at the first walk that binds no attribute to
+    a feature: phase 2 never projects a feature whose subject is not typed
+    as a concept (rule V1), yet a walk can still cover the pattern."""
+    order = tuple(dict.fromkeys(features))
+    position = {f: i for i, f in enumerate(order)}
+    table: dict[tuple[str, tuple[str, ...]], tuple[tuple[int, JoinEnd], ...]] = {}
+    unbound: list[JoinEnd | None] = [None] * len(order)
+    bindings = []
+    for walk in walks:
+        ends = unbound.copy()
+        for step in walk.steps:
+            pairs = table.get(step)
+            if pairs is None:
+                name, attrs = step
+                least: dict[int, JoinEnd] = {}
+                for attr in sorted(attrs):
+                    i = position.get(catalog.feature(name, attr))
+                    if i is not None and i not in least:
+                        least[i] = (name, attr)
+                pairs = table[step] = tuple(least.items())
+            # Steps are sorted by name, so the first end met is the least.
+            for i, end in pairs:
+                if ends[i] is None:
+                    ends[i] = end
+        if None in ends:
+            raise NoWrapperForConcept(f"walk {walk.render_body()} binds no attribute to "
+                                      f"<{order[ends.index(None)]}>")
+        bindings.append(dict(zip(order, ends)))
+    return bindings

@@ -6,7 +6,9 @@ equi-joins (identifier attributes only), with pairwise-distinct sources.
 Each walk is stored as a named tuple of three canonical tuples: its steps,
 its wrapper names and its sorted joins. Equivalence is then plain tuple
 equality, the rewriter, the renderer and the executor read fields instead of
-rebuilding them, and merging a one-wrapper walk is a bisection insert.
+rebuilding them, and merging a one-wrapper walk is a bisection insert. The
+builders make each walk with ``tuple.__new__``, in C, since their fields are
+canonical already.
 
 The catalog compiles a snapshot's source and mapping graphs, and the
 identifier facts of its global graph, once: the wrapper schemas plus the
@@ -14,7 +16,8 @@ attribute, feature, identifier and LAV indexes the rewriter reads. Coverage
 and minimality read one table built per query, which numbers the pattern's
 triples once and holds each wrapper's LAV graph as an integer bitmask over
 them, so both tests are a few integer operations and dictionary lookups per
-walk. ``Ucq.render`` likewise formats each join once per union.
+walk. ``Ucq.render`` likewise formats each join once per union, with the
+fragment that places it under its later wrapper.
 """
 
 from __future__ import annotations
@@ -132,19 +135,19 @@ class Walk(NamedTuple):
         joins = self.joins
         if other.joins and other.joins != joins:
             joins = tuple(sorted({*joins, *other.joins}))
-        return Walk(steps, names, joins)
+        return _new(Walk, (steps, names, joins))
 
     def add_wrapper(self, wrapper_name: str) -> "Walk":
         if wrapper_name in self.names:
             return self
-        return Walk(*_insert_step(self.steps, self.names, (wrapper_name, ())), self.joins)
+        return _new(Walk, (*_insert_step(self.steps, self.names, (wrapper_name, ())), self.joins))
 
     def with_join(self, left: JoinEnd, right: JoinEnd) -> "Walk":
         join, joins = canonical_join(left, right), self.joins
         i = bisect_left(joins, join)
         if i < len(joins) and joins[i] == join:
             return self
-        return Walk(self.steps, self.names, joins[:i] + (join,) + joins[i:])
+        return _new(Walk, (self.steps, self.names, joins[:i] + (join,) + joins[i:]))
 
     # --- structure ---------------------------------------------------------
 
@@ -156,28 +159,49 @@ class Walk(NamedTuple):
     def render_body(self) -> str:
         """The wrappers in canonical order, each with the joins whose later
         endpoint it is, in parentheses."""
-        return _render_body(self, {})
+        return _render_bodies([self])[0]
 
 
-def _render_body(walk: Walk, texts: dict[Join, str]) -> str:
-    """``Walk.render_body``, with ``texts`` caching each join's text across
-    the walks of one union. A canonical join's endpoints are ordered and the
-    names sorted, so a join's later endpoint is its second; a join with an
-    endpoint outside the walk is not shown."""
-    names = walk.names
-    placed: dict[str, list[str]] = {}
-    for join in walk.joins:
+# ``_new(Walk, fields)`` builds a walk from a tuple of its three fields in C,
+# without the NamedTuple's Python-level ``__new__``; the builders pass fields
+# that are canonical already.
+_new = tuple.__new__
+
+
+class _JoinTexts(dict):
+    """Per canonical join, built on its first lookup: its earlier and its
+    later endpoint's wrapper, its text, and the body fragment that joins the
+    later wrapper on it alone. Names are sorted, so a canonical join's later
+    endpoint is its second."""
+
+    def __missing__(self, join: Join) -> tuple[str, str, str, str]:
         (wl, al), (wr, ar) = join
-        if wl in names:
-            text = texts.get(join)
-            if text is None:
-                text = texts[join] = f"{wl}.{al}={wr}.{ar}"
-            placed.setdefault(wr, []).append(text)
-    parts = list(names[:1])
-    for name in names[1:]:
-        conds = placed.get(name)
-        parts.append(f"⋈[{','.join(conds)}] {name}" if conds else f"⋈ {name}")
-    return "( " + " ".join(parts) + " )"
+        text = f"{wl}.{al}={wr}.{ar}"
+        entry = self[join] = (wl, wr, text, f"⋈[{text}] {wr}")
+        return entry
+
+
+def _render_bodies(walks: Iterable[Walk]) -> list[str]:
+    """``Walk.render_body`` of each walk, with each join's text formatted
+    once for all of them. A join is placed under its later wrapper, and a
+    join with an endpoint outside the walk is not shown."""
+    entry = _JoinTexts().__getitem__
+    bodies = []
+    for walk in walks:
+        names, joins = walk.names, walk.joins
+        placed = {later: fragment for earlier, later, _, fragment in map(entry, joins)
+                  if earlier in names}
+        if len(placed) < len(joins):
+            # A join is not shown, or a wrapper is the later endpoint of two.
+            conds: dict[str, list[str]] = {}
+            for earlier, later, text, _ in map(entry, joins):
+                if earlier in names:
+                    conds.setdefault(later, []).append(text)
+            placed = {later: f"⋈[{','.join(group)}] {later}" for later, group in conds.items()}
+        parts = list(names[:1])
+        parts += [placed.get(name) or "⋈ " + name for name in names[1:]]
+        bodies.append("( " + " ".join(parts) + " )")
+    return bodies
 
 
 def _insert_step(steps, names, step):
@@ -364,9 +388,8 @@ class Ucq:
     bindings: list[dict[Iri, JoinEnd]]
 
     def render(self) -> str:
-        texts: dict[Join, str] = {}
-        lines = []
-        for walk, binding in zip(self.walks, self.bindings):
-            cols = ",".join([".".join(binding[f]) for f in self.output_features])
-            lines.append("Π{" + cols + "}" + _render_body(walk, texts))
-        return "\n".join(lines)
+        """One line per walk: its output columns, then its body."""
+        features = self.output_features
+        return "\n".join([
+            "Π{" + ",".join([".".join(binding[f]) for f in features]) + "}" + body
+            for binding, body in zip(self.bindings, _render_bodies(self.walks))])

@@ -84,8 +84,9 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             names = ", ".join(sorted(owners))
             report.violations.append(Violation("V2", f, f"feature owned by {len(owners)} concepts: {names}"))
 
-    # V3: hasWrapper links DataSource to Wrapper; hasAttribute links Wrapper to
-    # Attribute, and every wrapper has at least one attribute.
+    # V3: hasWrapper links DataSource to Wrapper, and every wrapper has an
+    # owner; hasAttribute links Wrapper to Attribute, and every wrapper has
+    # at least one attribute.
     wrapper_source: dict[Iri, set[Iri]] = {}
     for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER):
         wrapper_source.setdefault(q.object, set()).add(q.subject)
@@ -93,6 +94,8 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             report.violations.append(Violation("V3", q.subject, "hasWrapper subject is not a DataSource"))
         if q.object not in wrappers:
             report.violations.append(Violation("V3", q.object, "hasWrapper object is not a Wrapper"))
+    for w in wrappers.difference(wrapper_source):
+        report.violations.append(Violation("V3", w, "Wrapper has no hasWrapper link"))
     has_attribute = ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE)
     for q in has_attribute:
         if q.subject not in wrappers:

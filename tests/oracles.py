@@ -118,6 +118,19 @@ def reference_render_body(walk) -> str:
     return "( " + " ".join(parts) + " )"
 
 
+def reference_bind_features(catalog, walk, features) -> dict:
+    """Bind each feature to the least (wrapper, attribute) the walk projects
+    and maps to it, walk by walk: the binder ``rewriter._bind_features``
+    must agree with, dict order included."""
+    least = {}
+    for name, attrs in walk.steps:
+        for attr in attrs:
+            f = catalog.feature(name, attr)
+            if f in features and (f not in least or (name, attr) < least[f]):
+                least[f] = (name, attr)
+    return {f: least[f] for f in features if f in least}
+
+
 def _is_identifier(ds: Dataset, feature: Iri) -> bool:
     """True iff climbing rdfs:subClassOf from the feature reaches sc:identifier."""
     seen, frontier = {feature}, [feature]

@@ -20,7 +20,9 @@ from ontomed.terms import (
     G_HAS_FEATURE,
     GLOBAL_GRAPH,
     RDF_TYPE,
+    S_ATTRIBUTE,
     S_DATA_SOURCE,
+    S_HAS_ATTRIBUTE,
     S_HAS_WRAPPER,
     S_WRAPPER,
     SOURCE_GRAPH,
@@ -139,6 +141,25 @@ class TestWorkflow:
         assert one_line_error(capsys) == "error: wrapper W9: no attributes"
         assert main(["-w", str(root), "validate"]) == 2
         assert capsys.readouterr().out == f"RULEV3 <{wrapper_iri('W9')}> Wrapper has no hasAttribute link\n"
+
+    def test_validate_reports_wrapper_without_owner(self, tmp_path, capsys):
+        # A typed wrapper that no source owns is left out of the catalog, so
+        # every query would answer as if it did not exist.
+        attr = source_iri("D9") + "/a"
+        quads = tmp_path / "global.quads"
+        quads.write_text((DEMO / "global.quads").read_text(encoding="utf-8") + "".join(
+            f"<{SOURCE_GRAPH}> <{s}> <{p}> <{o}>\n" for s, p, o in (
+                (wrapper_iri("W9"), RDF_TYPE, S_WRAPPER),
+                (wrapper_iri("W9"), S_HAS_ATTRIBUTE, attr),
+                (attr, RDF_TYPE, S_ATTRIBUTE))),
+            encoding="utf-8")
+        root = tmp_path / "ws"
+        assert main(["init", str(root), "--global-graph", str(quads)]) == 0
+        for name in ("w1", "w2", "w3"):
+            assert main(["-w", str(root), "release", str(DEMO / "releases" / f"{name}.json")]) == 0
+        capsys.readouterr()
+        assert main(["-w", str(root), "validate"]) == 2
+        assert capsys.readouterr().out == f"RULEV3 <{wrapper_iri('W9')}> Wrapper has no hasWrapper link\n"
 
 
 class TestExitCodes:

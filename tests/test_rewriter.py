@@ -38,7 +38,9 @@ from generators import chain_with_wrappers, make_instance, make_wide_instance
 from oracles import (
     brute_force_binding,
     brute_force_walk_keys,
+    reference_bind_features,
     reference_inter_concept_generation,
+    reference_render_body,
     validate_walk,
     walk_key,
 )
@@ -261,6 +263,30 @@ class TestPhase3Reference:
         assert decided == [5] * 20
 
 
+class TestTailReference:
+    """Binding reads a table per step and the render a table per join, both
+    shared by a union's walks; the references bind and render each walk on
+    its own."""
+
+    @pytest.mark.parametrize("generator", [make_instance, make_wide_instance])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_walk_references(self, generator, seed):
+        ds, query = generator(random.Random(seed))
+        try:
+            ucq = rewrite(query, ds)
+        except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute):
+            return
+        catalog, features = wrapper_schemas(ds), ucq.output_features
+        # repr(ucq.bindings) is pinned, so the dict order counts too.
+        expected = [list(reference_bind_features(catalog, w, features).items()) for w in ucq.walks]
+        assert [list(b.items()) for b in ucq.bindings] == expected
+        assert expected == [list(brute_force_binding(ds, w, features).items()) for w in ucq.walks]
+        assert ucq.render().split("\n") == [
+            "Π{" + ",".join(".".join(b[f]) for f in features) + "}" + reference_render_body(w)
+            for w, b in zip(ucq.walks, ucq.bindings)]
+
+
 class TestRewrite:
     def test_single_union_before_evolution(self, pre_evolution_ds):
         ucq = rewrite(MONITOR_QUERY, pre_evolution_ds)
@@ -318,7 +344,9 @@ class TestRewrite:
 
     def test_binding_memo_follows_each_steps_projection(self, pre_evolution_ds):
         # The same wrapper projects different attributes in the two walks, so
-        # a memo shared across walks must key on the whole step.
+        # a table shared across walks must key on the whole step: the second
+        # walk's W3 step does not project TargetApp, and so binds nothing to
+        # the application's identifier.
         features = (iri("sup:applicationId"), iri("sup:lagRatio"))
         join = ((("W1", "VoDmonitorId"), ("W3", "MonitorId")),)
         walks = [
@@ -327,10 +355,14 @@ class TestRewrite:
             Walk(steps=(("W1", ("VoDmonitorId", "lagRatio")), ("W3", ("MonitorId",))),
                  names=("W1", "W3"), joins=join),
         ]
-        catalog, memo = wrapper_schemas(pre_evolution_ds), {}
-        for w in walks:
-            assert (_bind_features(catalog, w, features, memo)
-                    == brute_force_binding(pre_evolution_ds, w, features))
+        catalog = wrapper_schemas(pre_evolution_ds)
+        assert (_bind_features(catalog, walks[:1], features)
+                == [brute_force_binding(pre_evolution_ds, walks[0], features)])
+        assert iri("sup:applicationId") not in brute_force_binding(pre_evolution_ds, walks[1], features)
+        with pytest.raises(NoWrapperForConcept) as exc:
+            _bind_features(catalog, walks, features)
+        assert str(exc.value) == (f"walk {walks[1].render_body()} binds no attribute to "
+                                  f"<{iri('sup:applicationId')}>")
 
     @staticmethod
     def check_filter_classes(ds, query, monkeypatch):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomed.bench import build_chain_instance
+from ontomed.bench import build_chain_instance, chain_query
 from ontomed.errors import InvalidWalk, MissingMapping, NotCovering
 from ontomed.quadstore import Dataset, Quad
 from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
+from ontomed.rewriter import rewrite
 from ontomed.sources import (
     Catalog,
     LavMasks,
@@ -95,6 +96,7 @@ class TestCompiledWalk:
             assert direct.render() == walk.render()
             assert walk.render_body() == reference_render_body(walk)
             assert pickle.loads(pickle.dumps(walk)) == walk
+            assert_plain_walk(walk)
         # A union formats each join once for all of its walks.
         ucq = Ucq(walks=[walk for walk, _ in pool], output_features=(), bindings=[{} for _ in pool])
         assert ucq.render().split("\n") == ["Π{}" + reference_render_body(walk) for walk, _ in pool]
@@ -105,6 +107,20 @@ class TestCompiledWalk:
             assert a != b or hash(a) == hash(b)
         with pytest.raises(AttributeError):
             walk.names = ()
+
+    def test_phase3_builds_plain_walks(self):
+        # Phase 3 builds its candidates in C, as the builders do.
+        ucq = rewrite(chain_query(4), build_chain_instance(4, 3))
+        for walk in ucq.walks:
+            assert_plain_walk(walk)
+
+
+def assert_plain_walk(walk):
+    """A walk built without the NamedTuple's constructor is still a plain
+    Walk, equal to and hashing like the one that constructor builds."""
+    rebuilt = Walk(*walk)
+    assert type(walk) is Walk
+    assert walk == rebuilt and hash(walk) == hash(rebuilt)
 
 
 class TestWalkStructure:
