@@ -5,21 +5,28 @@ attributes. Joins compare raw string values. A single walk is evaluated with
 bag semantics and projected to the output ends its binding names, in order;
 the union across walks removes duplicate rows.
 
-The walks of one union share their work: a query reads each bound file once,
-builds each hash table once, and each walk restarts from the longest join
-prefix it shares with the walk before it. The rewriter emits walks sorted by
-wrapper names, so consecutive walks tend to share long prefixes.
+The walks of one union share their work: a query reads each bound file once
+and builds each hash table once. Each join step carries only the columns that
+the output or a later join key reads.
 
-A union also builds only the rows it can keep. Each join step carries only
-the columns that the output or a later join key reads. The final join step of
-a walk has a signature: its wrapper, kept attributes and key attributes, the
-positions of its join keys in the prefix row, and the positions it picks for
-the output. When an earlier walk of the union ended in a step with the same
-signature, the final step skips every prefix row that the earlier walk
-extended, because each row that prefix row yields is already in the union.
-The extended prefix rows are recorded only once a walk has finished, so a
-prefix row repeated within one walk is extended each time, as the walk's bag
-requires.
+A union also builds only the rows it can keep. A walk is a plan of hash-join
+steps, each (wrapper, kept attributes, key attributes, key positions in the
+input row, picked positions). At every join step i >= 1, the walk skips an
+input row when an earlier walk of the union fed an equal row to step i with
+the same remaining plan, steps i to the last. This is sound because the rows
+an input row yields through a remaining plan depend only on its values and on
+that plan, so by induction over the walks the earlier walk already put every
+one of them into the union. A walk's new rows, their duplicates within the
+walk, and their order are the same as without the skip.
+
+Each skip is decided once per class of remaining plans whose histories, the
+inputs fed to them, are equal: the class filters a step's input rows once, and
+its plans move on to one class together. The history is one bitmask per
+distinct step input row, with a bit for each remaining plan fed that row, so
+it never holds more than the distinct step inputs per remaining plan, and a
+row fed to many plans only once. Intermediate join results live only on the
+current path, as long as a later walk may restart from them, and the rows a
+class took on are marked as soon as the path drops the rows it filtered.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ def load_relation(binding: WrapperBinding) -> Relation:
     schema = binding.wrapper
     path = Path(binding.data_path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
@@ -94,7 +101,7 @@ def load_relation(binding: WrapperBinding) -> Relation:
     if not {width, 0}.issuperset(map(len, records)):
         # A quoted field may span lines, so read the file again to number the
         # bad record by the line it ends on.
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             next(reader)
             for raw in reader:
@@ -118,12 +125,32 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[str]], Row]:
     return lambda row: ()
 
 
+class _History:
+    """One class of remaining plans whose walks fed them the same step inputs.
+
+    ``plans`` holds the bits of the remaining plans that joined the class.
+    ``added`` holds the rows the class took on when it was formed, until they
+    are marked with those bits: one pass for the whole class, once no more
+    plans can join it and before any plan leaves it.
+    """
+
+    __slots__ = ("plans", "added")
+
+    def __init__(self, added: list[Row]):
+        self.plans = 0
+        self.added = added
+
+
 class _SharedBindings:
     """Wrapper bindings plus the work the walks of one union share.
 
-    Holds each loaded relation, each right-side hash table, the join results
-    of the last walk evaluated, one per step from its first wrapper on, and
-    per final-step signature the prefix rows that earlier walks extended.
+    Holds each loaded relation, each right-side hash table, the current path
+    of join results, and the history of step inputs: per remaining plan a
+    bit and its class, and per distinct step input row the bits of the
+    remaining plans it was fed to. Each entry of the path is (step, its input
+    rows, its output rows, memo), where the memo maps each class that
+    filtered the output rows to the rows it kept and the class it moved to,
+    so a memo lives exactly as long as the rows it filtered.
     """
 
     def __init__(self, bindings: Mapping[str, WrapperBinding]):
@@ -131,8 +158,10 @@ class _SharedBindings:
         self.relations: dict[str, Relation] = {}
         # (wrapper, kept attributes, key attributes) -> key -> kept rows
         self.tables: dict[tuple, dict[object, list[Row]]] = {}
-        self.prefixes: list[tuple[tuple, list[Row]]] = []
-        self.extended: dict[tuple, set[Row]] = {}
+        self.path: list[tuple[tuple, list[Row] | None, list[Row], dict]] = []
+        self.bits: dict[tuple, int] = {}
+        self.classes: dict[tuple, _History] = {}
+        self.marks: dict[Row, int] = {}
 
     def hash_table(self, name: str, keep: tuple[str, ...],
                    key_attrs: tuple[str, ...]) -> dict[object, list[Row]]:
@@ -152,6 +181,49 @@ class _SharedBindings:
             self.tables[(name, keep, key_attrs)] = table
         return table
 
+    def prune(self, rest: tuple, rows: list[Row], memo: dict) -> list[Row]:
+        """``rows`` less those an earlier walk fed to the remaining plan
+        ``rest``; ``rows`` join the history of ``rest``.
+
+        ``memo`` belongs to ``rows``: the remaining plans of one class filter
+        ``rows`` once and move on to one class together.
+        """
+        bit = self.bits.setdefault(rest, 1 << len(self.bits))
+        history = self.classes.get(rest)
+        hit = memo.get(history)
+        if hit is None:
+            kept = rows
+            if history is not None:
+                self.mark(history)
+                get = self.marks.get
+                # The plan's bit marks exactly the rows fed to its class.
+                kept = [row for row in rows if not get(row, 0) & bit]
+                if len(kept) == len(rows):
+                    kept = rows
+            hit = memo[history] = (kept, _History(kept) if kept else history)
+        kept, after = hit
+        if after is not history:
+            # ``history`` was marked before any plan could leave it.
+            after.plans |= bit
+            self.classes[rest] = after
+        return kept
+
+    def mark(self, history: _History | None) -> None:
+        """Mark the rows ``history`` took on with the bits of its plans."""
+        if history is not None and history.added is not None:
+            marks, get, plans = self.marks, self.marks.get, history.plans
+            for row in history.added:
+                marks[row] = get(row, 0) | plans
+            history.added = None
+
+    def cut(self, depth: int) -> None:
+        """Drop the path from ``depth`` on. No plan can join the classes its
+        memos formed any more, so their rows are marked now."""
+        for *_, memo in self.path[depth:]:
+            for _, after in memo.values():
+                self.mark(after)
+        del self.path[depth:]
+
 
 def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
               output: Sequence[JoinEnd]) -> Relation:
@@ -164,9 +236,9 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
     disconnected raises ``InvalidWalk``, and an end the walk does not keep
     raises ``MissingColumn``.
 
-    Only ``eval_ucq``, which passes its shared bindings, gets the final-step
-    pruning: there the rows a skipped prefix row would yield are already in
-    the union. With a plain mapping, ``eval_walk`` starts from fresh shared
+    Only ``eval_ucq``, which passes its shared bindings, gets the pruning:
+    there the rows a skipped step input would yield are already in the
+    union. With a plain mapping, ``eval_walk`` starts from fresh shared
     state, so it prunes nothing and returns the walk's whole bag over
     ``output``.
     """
@@ -179,36 +251,29 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
             relations[name] = load_relation(shared.bindings[name])
     plan = _plan(w, shared, output)
 
-    # Restart at the longest prefix shared with the previous walk.
-    stack = shared.prefixes
-    depth = 0
-    while depth < min(len(stack), len(plan)) and stack[depth][0] == plan[depth][0]:
-        depth += 1
-    del stack[depth:]
-    rows: list[Row] = stack[-1][1] if depth else []
+    path = shared.path
     last = len(plan) - 1
-    for i in range(depth, len(plan)):
-        step_key, name, keep, key_attrs, left, pick = plan[i]
-        extended = None
+    rows: list[Row] | None = None
+    for i, step in enumerate(plan):
+        if i:
+            rows = shared.prune(plan[i:], rows, path[i - 1][3])
+        if i < len(path) and path[i][1] is rows and path[i][0] == step:
+            rows = path[i][2]
+            continue
+        shared.cut(i)
+        name, keep, key_attrs, left, pick = step
         if i == 0:
             rel = relations[name]
-            rows = list(map(_tuple_getter([rel.column_index(a) for a in keep]), rel.rows))
+            out = list(map(_tuple_getter([rel.column_index(a) for a in keep]), rel.rows))
         else:
-            prefix = rows
-            if i == last:
-                extended = shared.extended.setdefault((name, keep, key_attrs, left, pick), set())
-                if extended:
-                    prefix = list(filterfalse(extended.__contains__, prefix))
             table = shared.hash_table(name, keep, key_attrs)
             left_key = itemgetter(*left)
-            rows = [row + other for row in prefix for other in table.get(left_key(row), ())]
+            out = [row + other for row in rows for other in table.get(left_key(row), ())]
         if pick is not None:
-            rows = list(map(_tuple_getter(pick), rows))
-        if extended is not None:
-            # The walk is complete, so its prefix rows may now be skipped.
-            extended.update(prefix)
-            break
-        stack.append((step_key, rows))
+            out = list(map(_tuple_getter(pick), out))
+        if i < last:
+            path.append((step, rows, out, {}))
+        rows = out
     return Relation(columns=[f"{wrapper}.{attr}" for wrapper, attr in output], rows=rows)
 
 
@@ -216,10 +281,11 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
     """The walk's hash-join steps, the last of which picks the ``output`` ends.
 
     Each step adds the first remaining wrapper that joins the prefix. A step
-    is (prefix key, wrapper, kept attributes, right key attributes, left key
-    positions in the prefix row, positions picked from the prefix row plus
-    the kept attributes, or None to keep them all). Equal prefix keys after
-    equal steps give equal rows.
+    is (wrapper, kept attributes, right key attributes, left key positions in
+    the prefix row, positions picked from the prefix row plus the kept
+    attributes, or None to keep them all). The rows a step's input row yields
+    through the steps from there on depend only on its values and on those
+    steps.
     """
     names = w.names
     order = [(names[0], ())]
@@ -262,10 +328,9 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
             target = [end for end in row_ends if end in live[i]]
         pick = None if target == row_ends else tuple(map(row_ends.index, target))
         left = tuple(layout.index(end) for end, _ in conds)
-        plan.append(((name, conds, keep, pick), name, keep,
-                     tuple(attr for _, (_, attr) in conds), left, pick))
+        plan.append((name, keep, tuple(attr for _, (_, attr) in conds), left, pick))
         layout = target
-    return plan
+    return tuple(plan)
 
 
 def _join_conds(w: Walk, joined: set[str], name: str) -> list[tuple[JoinEnd, JoinEnd]]:
@@ -292,8 +357,8 @@ def eval_ucq(u: Ucq, bindings: Mapping[str, WrapperBinding]) -> Relation:
 
     Duplicates within one walk are kept; identical rows contributed by
     different walks are collapsed, in first-seen order. The walks share
-    loaded relations, hash tables and join prefixes, and a walk skips the
-    prefix rows whose extensions an earlier walk already contributed.
+    loaded relations, hash tables and join results, and a walk skips each
+    step input row that an earlier walk fed to the same remaining plan.
     """
     if not u.walks:
         raise NoWalks("the union has no conjuncts to evaluate")

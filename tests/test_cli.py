@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -85,6 +86,15 @@ class TestWorkflow:
         assert "1 walk(s)" in out
         for row in ("1,0.75", "1,0.90", "2,0.1"):
             assert row in out
+
+    def test_query_reads_csv_with_byte_order_mark(self, loaded_ws, capsys):
+        # Spreadsheet tools save UTF-8 CSV with a leading byte-order mark.
+        path = loaded_ws / "data" / "w1.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code = main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-3:] == ["1,0.75", "1,0.90", "2,0.1"]
 
     def test_query_after_evolution(self, loaded_ws, capsys):
         assert main(["-w", str(loaded_ws), "release",
@@ -332,6 +342,33 @@ class TestMalformedInputs:
             f.write(b"\xff\xfe\n")
         assert main(["-w", str(ws), "stats"]) == 4
         assert "ontology.quads" in one_line_error(capsys)
+
+
+def readme_command_lines() -> list[str]:
+    """The README "Command line" block, cut as the CI quickstart job cuts it."""
+    lines = (DEMO.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("## Command line")
+    start = next(i for i in range(start, len(lines)) if lines[i].startswith("```sh")) + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
+    return lines[start:end]
+
+
+class TestReadme:
+    def test_command_line_block_runs_offline(self, tmp_path):
+        shutil.copytree(DEMO, tmp_path / "demo")
+        outputs = {}
+        for line in readme_command_lines():
+            argv = shlex.split(line, comments=True)
+            if argv[0] == "ontomed":
+                argv = [sys.executable, "-m", "ontomed.cli", *argv[1:]]
+            run = subprocess.run(argv, cwd=tmp_path, env=_src_env(), capture_output=True,
+                                 text=True, timeout=60)
+            assert run.returncode == 0, (line, run.stderr)
+            outputs[line.split("#")[0].strip()] = run.stdout
+        out = outputs["ontomed -w ws query demo/query.rq"].splitlines()
+        assert out[0] == "1 walk(s)"
+        assert out[1] == "Π{W3.TargetApp,W1.lagRatio}( W1 ⋈[W1.VoDmonitorId=W3.MonitorId] W3 )"
+        assert out[2:] == ["applicationId,lagRatio", "1,0.75", "1,0.90", "2,0.1"]
 
 
 class TestCrashSafeSave:

@@ -373,6 +373,88 @@ class TestSharedUnion:
         rel = eval_ucq(ucq, chain_bindings(tmp_path, tables))
         assert rel.rows == reference_union(ucq, tables) == expected
 
+    # Pairs of three-wrapper walks whose step-1 input rows (A's one row) are
+    # equal and whose remaining plans from step 1 differ in one part, named
+    # by (step, index into the step). The second walk must still extend the
+    # step-1 rows the first one extended, in either order.
+    A2_B1_C1_BID_TO_AID = (Walk.single("A2", ["x"]).merge(Walk.single("B1", ["y"]))
+                           .with_join(("A2", "aid"), ("B1", "aid"))
+                           .merge(Walk.single("C1", [])).with_join(("B1", "bid"), ("C1", "aid")))
+    MIDDLE_CASES = {
+        "C pick": ((2, 4), [chain_walk("A1", "B1", "C1"), chain_walk("A2", "B1", "C1")],
+                   [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("B1", "y"), FY: ("A2", "x")}],
+                   dict(B1=[("0", "1", "r")], C1=[("0", "1", "s")]),
+                   [("p", "r"), ("r", "p")]),
+        "C keep": ((2, 1), [chain_walk("A1", "B1", "C1", project_z=True),
+                            chain_walk("A2", "B1", "C1", project_z=True)],
+                   [{FX: ("A1", "x"), FY: ("C1", "z")}, {FX: ("A2", "x"), FY: ("C1", "aid")}],
+                   dict(B1=[("0", "1", "r")], C1=[("7", "1", "s")]),
+                   [("p", "s"), ("p", "7")]),
+        # C1 joins B1's bid with its own bid, then with its aid.
+        "C key": ((2, 2), [chain_walk("A1", "B1", "C1"), A2_B1_C1_BID_TO_AID],
+                  [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("A2", "x"), FY: ("B1", "y")}],
+                  dict(B1=[("0", "1", "r")], C1=[("1", "9", "s")]),
+                  [("p", "r")]),
+        # C1 joins its aid with A's aid, then with B1's bid.
+        "C left": ((2, 3), [chain_walk("A1", "B1", "C1", via="aid"), A2_B1_C1_BID_TO_AID],
+                   [{FX: ("A1", "aid"), FY: ("B1", "bid"), FZ: ("B1", "y")},
+                    {FX: ("A2", "aid"), FY: ("B1", "bid"), FZ: ("B1", "y")}],
+                   dict(B1=[("0", "1", "r")], C1=[("1", "9", "s")]),
+                   [("0", "1", "r")]),
+        # B1 keeps y for one walk and aid for the other.
+        "B keep": ((1, 1), [chain_walk("A1", "B1", "C1", via="aid"),
+                            chain_walk("A2", "B1", "C1", via="aid")],
+                   [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("A2", "x"), FY: ("B1", "aid")}],
+                   dict(B1=[("0", "5", "r")], C1=[("0", "9", "s")]),
+                   [("p", "r"), ("p", "0")]),
+        "equal": (None, [chain_walk("A1", "B1", "C1"), chain_walk("A2", "B1", "C1")],
+                  [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("A2", "x"), FY: ("B1", "y")}],
+                  dict(B1=[("0", "1", "r")], C1=[("0", "1", "s")]),
+                  [("p", "r")]),
+        # Only C1's unused projection differs, so both walks restart from
+        # A1's one row.
+        "equal, one prefix": (None, [chain_walk("A1", "B1", "C1"),
+                                     chain_walk("A1", "B1", "C1", project_z=True)],
+                              [{FX: ("A1", "x"), FY: ("B1", "y")}] * 2,
+                              dict(B1=[("0", "1", "r")], C1=[("0", "1", "s")]),
+                              [("p", "r")]),
+    }
+
+    @pytest.mark.parametrize("part", sorted(MIDDLE_CASES))
+    def test_middle_step_shared_only_by_equal_remaining_plans(self, tmp_path, monkeypatch,
+                                                                part):
+        differs, walks, bindings, rows, expected = self.MIDDLE_CASES[part]
+        tables = {name: [] for name in CHAIN_SCHEMAS} | rows | dict(A1=[("0", "p")],
+                                                                    A2=[("0", "p")])
+        chain = chain_bindings(tmp_path, tables)
+        features = tuple(bindings[0])
+        shared = executor._SharedBindings(chain)
+        plans = []
+        for walk, binding in zip(walks, bindings):
+            output = [binding[f] for f in features]
+            eval_walk(walk, shared, output)
+            plans.append(executor._plan(walk, shared, output))
+        parts = {(i, k) for i in (1, 2) for k in range(5) if plans[0][i][k] != plans[1][i][k]}
+        assert parts == ({differs} if differs else set())
+
+        step1_inputs = []
+
+        def counting(walk, shared, output):
+            rel = eval_walk(walk, shared, output)
+            step1_inputs.append(len(shared.path[1][1]))
+            return rel
+        monkeypatch.setattr(executor, "eval_walk", counting)
+        for order in (1, -1):
+            step1_inputs.clear()
+            ucq = Ucq(walks=walks[::order], output_features=features,
+                      bindings=bindings[::order])
+            rel = eval_ucq(ucq, chain)
+            assert rel.rows == reference_union(ucq, tables)
+            if order == 1:
+                assert rel.rows == expected
+            # The second walk skips A's one row only when the plans are equal.
+            assert step1_inputs == ([1, 1] if differs else [1, 0])
+
     def test_duplicates_within_a_walk_kept_and_repeats_skipped(self, tmp_path, monkeypatch):
         tables = {name: [] for name in CHAIN_SCHEMAS}
         tables.update(A1=[("0", "p"), ("0", "p")], A2=[("0", "p")],
@@ -391,6 +473,55 @@ class TestSharedUnion:
         assert rel.rows == reference_union(ucq, tables) == [("p", "r"), ("p", "r")]
         # The second walk's one prefix row was extended by the first walk.
         assert built == [2, 0]
+
+    def test_walk_order_keeps_rows_and_bounds_the_history(self, tmp_path):
+        # Three-wrapper walks over wider tables, in the rewriter's order and
+        # shuffled. After each walk, a remaining plan's bit marks only step
+        # inputs fed to it, and rows not yet marked are only those of classes
+        # formed on the current path.
+        rng = random.Random(20261019)
+        pool = ["0", "1", "2", "3"]
+        walks = [chain_walk(a, b, c, via, z) for a, b, c, via, z in
+                 product(["A1", "A2"], ["B1", "B2"], ["C1", "C2"], ["aid", "bid"], [False, True])]
+        walks.sort(key=lambda w: (w.steps, sorted(w.joins)))
+        for trial in range(6):
+            tables = {name: [tuple(rng.choice(pool) for _ in schema.attrs)
+                             for _ in range(rng.randint(4, 12))]
+                      for name, schema in CHAIN_SCHEMAS.items()}
+            chain = chain_bindings(tmp_path, tables)
+            bindings = [{FX: (w.names[0], "x"), FY: (w.names[1], "y")} for w in walks]
+            for order in ("sorted", "shuffled"):
+                pairs = list(zip(walks, bindings))
+                if order == "shuffled":
+                    rng.shuffle(pairs)
+                ucq = Ucq(walks=[w for w, _ in pairs], output_features=(FX, FY),
+                          bindings=[b for _, b in pairs])
+                expected = reference_union(ucq, tables)
+                assert eval_ucq(ucq, chain).rows == expected, (trial, order)
+
+                shared = executor._SharedBindings(chain)
+                fed: dict[tuple, set] = {}
+                rows, seen = [], set()
+                for walk, binding in pairs:
+                    output = [binding[f] for f in ucq.output_features]
+                    walk_rows = eval_walk(walk, shared, output).rows
+                    rows += [r for r in walk_rows if r not in seen]
+                    seen.update(walk_rows)
+                    # The walk's unpruned step inputs, from a fresh state.
+                    alone = executor._SharedBindings(chain)
+                    eval_walk(walk, alone, output)
+                    plan = executor._plan(walk, alone, output)
+                    for i in range(1, len(plan)):
+                        fed.setdefault(plan[i:], set()).update(alone.path[i - 1][2])
+                    for rest, bit in shared.bits.items():
+                        assert {r for r, m in shared.marks.items() if m & bit} <= fed[rest]
+                    marked = sum(bin(m).count("1") for m in shared.marks.values())
+                    assert marked <= sum(map(len, fed.values()))
+                    on_path = {id(after) for *_, memo in shared.path
+                               for _, after in memo.values()}
+                    assert all(id(h) in on_path for h in shared.classes.values()
+                               if h.added is not None)
+                assert rows == expected and shared.marks, (trial, order)
 
     def test_direct_eval_walk_returns_the_whole_bag(self, tmp_path):
         # With plain bindings nothing is pruned, even after eval_ucq ran.
