@@ -21,7 +21,6 @@ from pathlib import Path
 from .bench import run_growth_bench, run_walk_bench
 from .errors import OntomedError, WorkspaceError
 from .executor import eval_ucq
-from .quadstore import Dataset
 from .releases import apply_release, load_release
 from .rewriter import RewriteTrace, rewrite
 from .terms import GLOBAL_GRAPH, MAPPINGS_GRAPH, SOURCE_GRAPH
@@ -120,7 +119,7 @@ def _cmd_query(args) -> int:
     except UnicodeDecodeError as exc:
         raise WorkspaceError(f"{args.query_file}: not UTF-8 text: {exc.reason}") from None
     trace = RewriteTrace() if args.verbose else None
-    ucq = rewrite(text, ws.dataset, trace)
+    ucq = rewrite(text.removeprefix("\ufeff"), ws.dataset, trace)
     if trace is not None:
         print(trace.render(ws.dataset))
     print(f"{len(ucq.walks)} walk(s)")

@@ -5,9 +5,9 @@ attributes. Joins compare raw string values. A single walk is evaluated with
 bag semantics and projected to the output ends its binding names, in order;
 the union across walks removes duplicate rows.
 
-The walks of one union share their work: a query reads each bound file once
-and builds each hash table once. Each join step carries only the columns that
-the output or a later join key reads.
+The walks of one union, which ``eval_ucq`` evaluates, share their work: a
+query reads each bound file once and builds each hash table once. Each join
+step carries only the columns that the output or a later join key reads.
 
 A union also builds only the rows it can keep. A walk is a plan of hash-join
 steps, each (wrapper, kept attributes, key attributes, key positions in the
@@ -225,8 +225,7 @@ class _SharedBindings:
         del self.path[depth:]
 
 
-def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
-              output: Sequence[JoinEnd]) -> Relation:
+def eval_walk(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]) -> Relation:
     """Equi-join the walk's wrappers, with bag semantics, projected to ``output``.
 
     ``output`` lists (wrapper, attribute) ends, each a projected or identifier
@@ -234,15 +233,11 @@ def eval_walk(w: Walk, bindings: Mapping[str, WrapperBinding],
     named "wrapper.attribute". Each join step carries only the columns that
     the output or a later join key reads. A walk whose join graph is
     disconnected raises ``InvalidWalk``, and an end the walk does not keep
-    raises ``MissingColumn``.
-
-    Only ``eval_ucq``, which passes its shared bindings, gets the pruning:
-    there the rows a skipped step input would yield are already in the
-    union. With a plain mapping, ``eval_walk`` starts from fresh shared
-    state, so it prunes nothing and returns the walk's whole bag over
-    ``output``.
+    raises ``MissingColumn``. ``shared`` is the state of the walk's union:
+    the walk skips each step input row that an earlier walk fed to the same
+    remaining plan, since its rows are in the union already. From fresh
+    state it skips nothing.
     """
-    shared = bindings if isinstance(bindings, _SharedBindings) else _SharedBindings(bindings)
     relations = shared.relations
     for name in w.names:
         if name not in shared.bindings:
@@ -304,7 +299,7 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
 
     # The ends live after each step: the projected and identifier ends that
     # the output or a later step's left join key reads.
-    projections = w.projections()
+    projections = dict(w.steps)
     kept = {(name, attr) for name in names
             for attr in (*projections.get(name, ()), *shared.bindings[name].wrapper.id_attrs)}
     live = []

@@ -4,31 +4,32 @@ Datasets are snapshots: the public operations never mutate their input, they
 return a fresh dataset instead. Readers may therefore share a dataset freely.
 The quads sit in an insertion-ordered dict: a loaded file's order, then the
 quads added since. There are two indexes, by graph and by graph plus
-predicate, the two shapes the program looks up. They are built from the
-quads by the first lookup that needs one, so a command that only adds quads
-and saves, such as a release, never builds them. A point lookup, with all
-four positions bound, reads the quad dict. A loop that needs a subject or an
+predicate, the two shapes the program looks up. They are a cache, as the
+derived values are: the first lookup that needs one builds both, an add
+drops them, and a copy carries none. So a command that only adds quads and
+saves, such as a release, never builds them. A point lookup, with all four
+positions bound, reads the quad dict. A loop that needs a subject or an
 object groups its bucket once before it starts, so an index by subject or by
-object would only slow every index build and copy. Other shapes filter a
-bucket or all quads.
+object would only slow every index build. Other shapes filter a bucket or
+all quads.
 
 Terms are strings (see :class:`Iri`), so the hash and equality tests behind
 every index, and the sort in ``save``, run in C; a term's order is the order
 of its text.
 
-``load`` works in bulk. It sets aside the lines that start with "<", which
-can only be quad records, and reads the few others (blank lines, comments,
-prefix declarations, indented records) one by one. It splits all records at
-once and checks each record's token count, then each distinct token's
-brackets, and builds one term per distinct token. Only when a check fails
-does a line-by-line scan run, to report the first bad line in file order.
-``copy`` clones the quad dict, and the indexes set by set once they exist,
-which reuses the hashes the dict and sets already hold. ``save`` sorts the
-quads, formats them with one ``join``, writes through a temporary file in
-the same directory and then replaces the target, so a reader sees either the
-old file or the new one. A store loaded from a saved file holds one long
-sorted run plus the quads added since, and the sort, a TimSort, merges such
-runs in near-linear time.
+``load`` works in bulk, on UTF-8 text less any leading byte-order mark. It
+sets aside the lines that start with "<", which can only be quad records,
+and reads the few others (blank lines, comments, prefix declarations,
+indented records) one by one. It splits all records at once and checks each
+record's token count, then each distinct token's brackets, and builds one
+term per distinct token. Only when a check fails does a line-by-line scan
+run, to report the first bad line in file order. ``copy`` clones the quad
+dict, which reuses the hashes it already holds. ``save`` sorts the quads,
+formats them with one ``join``, writes through a temporary file in the same
+directory and then replaces the target, so a reader sees either the old file
+or the new one. A store loaded from a saved file holds one long sorted run
+plus the quads added since, and the sort, a TimSort, merges such runs in
+near-linear time.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class Dataset:
         # Keys only: a dict keeps insertion order where a set would not.
         self._quads: dict[Quad, None] = {}
         # Both indexes, or None until the first lookup that needs them.
-        self._by_g: dict[Iri, set[Quad]] | None = None
-        self._by_gp: dict[tuple[Iri, Iri], set[Quad]] | None = None
+        self._index: tuple[dict[Iri, set[Quad]], dict[tuple[Iri, Iri], set[Quad]]] | None = None
         self._derived_cache: dict = {}
 
     # --- container protocol ------------------------------------------------
@@ -100,34 +100,27 @@ class Dataset:
         if q in self._quads:
             return False
         self._quads[q] = None
-        if self._by_gp is not None:
-            self._by_g[q.graph].add(q)
-            self._by_gp[q.graph, q.predicate].add(q)
+        self._index = None
         self._derived_cache.clear()
         return True
 
     def copy(self) -> "Dataset":
-        """A snapshot with the same quads in the same order. The indexes are
-        cloned only if this dataset has built them; otherwise the clone
-        builds its own at its first lookup."""
+        """A snapshot with the same quads in the same order, and no indexes."""
         clone = Dataset(self.prefixes)
         clone._quads = self._quads.copy()
-        if self._by_gp is not None:
-            clone._by_g = _clone_index(self._by_g)
-            clone._by_gp = _clone_index(self._by_gp)
         return clone
 
     def _indexes(self) -> tuple[dict[Iri, set[Quad]], dict[tuple[Iri, Iri], set[Quad]]]:
         """The by-graph and by-(graph, predicate) indexes, built on first use."""
-        if self._by_gp is None:
+        if self._index is None:
             by_gp: dict[tuple[Iri, Iri], set[Quad]] = defaultdict(set)
             for q in self._quads:
                 by_gp[q[0], q[2]].add(q)
             by_g: dict[Iri, set[Quad]] = defaultdict(set)
             for (graph, _), bucket in by_gp.items():
                 by_g[graph] |= bucket
-            self._by_g, self._by_gp = by_g, by_gp
-        return self._by_g, self._by_gp
+            self._index = by_g, by_gp
+        return self._index
 
     # --- queries -----------------------------------------------------------
 
@@ -187,7 +180,7 @@ class Dataset:
     def load(cls, path: str | Path) -> "Dataset":
         ds = cls()
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise InvalidIri(f"{path}: not UTF-8 text: {exc}") from exc
         lines = text.splitlines()
@@ -254,7 +247,3 @@ def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:
             if token == "<>":
                 return InvalidIri(f"{path}:{lineno}: empty IRI")
     raise AssertionError(f"{path}: a bulk check failed, yet no line is bad")
-
-
-def _clone_index(index: dict) -> defaultdict:
-    return defaultdict(set, {key: set(quads) for key, quads in index.items()})

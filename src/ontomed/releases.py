@@ -133,7 +133,7 @@ def apply_release(ds: Dataset, r: Release) -> tuple[Dataset, GrowthStats]:
 def load_release(path: str | Path, ds: Dataset) -> Release:
     """Read a JSON release descriptor, resolving prefixed names against ``ds``."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         w = raw["wrapper"]
         wrapper = WrapperSchema(
             name=_string(w["name"], "wrapper.name"),

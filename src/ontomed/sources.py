@@ -113,14 +113,6 @@ class Walk(NamedTuple):
     def single(wrapper_name: str, projected: Iterable[str] = ()) -> "Walk":
         return Walk(((wrapper_name, tuple(sorted(set(projected)))),), (wrapper_name,), ())
 
-    # --- accessors ---------------------------------------------------------
-
-    def projections(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.steps)
-
-    def projected_pairs(self) -> set[JoinEnd]:
-        return {(name, attr) for name, attrs in self.steps for attr in attrs}
-
     # --- construction ------------------------------------------------------
 
     def merge(self, other: "Walk") -> "Walk":
@@ -142,18 +134,11 @@ class Walk(NamedTuple):
             return self
         return _new(Walk, (*_insert_step(self.steps, self.names, (wrapper_name, ())), self.joins))
 
-    def with_join(self, left: JoinEnd, right: JoinEnd) -> "Walk":
-        join, joins = canonical_join(left, right), self.joins
-        i = bisect_left(joins, join)
-        if i < len(joins) and joins[i] == join:
-            return self
-        return _new(Walk, (self.steps, self.names, joins[:i] + (join,) + joins[i:]))
-
     # --- structure ---------------------------------------------------------
 
     def render(self) -> str:
         """Textual algebra: the projections, then the join body."""
-        attrs = sorted(f"{w}.{a}" for w, a in self.projected_pairs())
+        attrs = sorted({f"{w}.{a}" for w, projected in self.steps for a in projected})
         return "π{" + ",".join(attrs) + "}" + self.render_body()
 
     def render_body(self) -> str:

@@ -58,7 +58,7 @@ class Workspace:
         data_files = {}
         if bindings_path.exists():
             try:
-                data_files = json.loads(bindings_path.read_text(encoding="utf-8"))
+                data_files = json.loads(bindings_path.read_text(encoding="utf-8-sig"))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise WorkspaceError(f"{bindings_path}: malformed bindings file: {exc}") from None
             # The OS refuses a path holding a NUL character.

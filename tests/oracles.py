@@ -28,6 +28,14 @@ def walk_key(walk) -> WalkKey:
     return (frozenset(walk.names), frozenset(walk.joins))
 
 
+def with_join(walk, left, right):
+    """The walk with one more join, in canonical form: a test-only builder."""
+    join = canonical_join(left, right)
+    if join in walk.joins:
+        return walk
+    return walk._replace(joins=tuple(sorted((*walk.joins, join))))
+
+
 def reference_inter_concept_generation(p, x, ds, trace=None):
     """Phase 3 pair by pair: the loop ``rewriter.inter_concept_generation``
     must agree with in its walks and their order, its trace notes, and its
@@ -91,7 +99,7 @@ def _reference_candidates(plan, merged, left, right, left_names, right_names, tr
                 continue
             for name, attr in joinable:
                 if name in reachable:
-                    found.append(merged.add_wrapper(name).with_join((name, attr), held))
+                    found.append(with_join(merged.add_wrapper(name), (name, attr), held))
                     if trace is not None:
                         trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
                                            f" via <{plan.edge[1]}>")

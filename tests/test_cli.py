@@ -1,6 +1,7 @@
 """Command-line interface: workflows over the bundled demo, exit codes."""
 
 import gc
+import io
 import json
 import os
 import shlex
@@ -342,6 +343,47 @@ class TestMalformedInputs:
             f.write(b"\xff\xfe\n")
         assert main(["-w", str(ws), "stats"]) == 4
         assert "ontology.quads" in one_line_error(capsys)
+
+
+BOM = b"\xef\xbb\xbf"
+DEMO_ROWS = ["1,0.75", "1,0.90", "2,0.1"]
+
+
+class TestByteOrderMark:
+    """Some editors save UTF-8 text with a leading byte-order mark. Each text
+    input the command line reads accepts one and reads as without it."""
+
+    def test_query_file(self, loaded_ws, tmp_path, capsys):
+        query = tmp_path / "query.rq"
+        query.write_bytes(BOM + (DEMO / "query.rq").read_bytes())
+        assert main(["-w", str(loaded_ws), "query", str(query)]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == DEMO_ROWS
+
+    def test_query_on_standard_input(self, loaded_ws, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(BOM + (DEMO / "query.rq").read_bytes()),
+                                 encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["-w", str(loaded_ws), "query", "-"]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == DEMO_ROWS
+
+    def test_release_descriptor(self, loaded_ws, tmp_path, capsys):
+        descriptor = tmp_path / "w4.json"
+        descriptor.write_bytes(BOM + (DEMO / "releases" / "w4.json").read_bytes())
+        assert main(["-w", str(loaded_ws), "release", str(descriptor)]) == 0
+        assert "registered wrapper W4" in capsys.readouterr().out
+
+    def test_init_quad_file(self, ws, tmp_path, capsys):
+        quads = tmp_path / "global.quads"
+        quads.write_bytes(BOM + (DEMO / "global.quads").read_bytes())
+        assert main(["init", str(tmp_path / "bom"), "--global-graph", str(quads)]) == 0
+        assert ((tmp_path / "bom" / "ontology.quads").read_bytes()
+                == (ws / "ontology.quads").read_bytes())
+
+    def test_bindings_file(self, loaded_ws, capsys):
+        path = loaded_ws / "bindings.json"
+        path.write_bytes(BOM + path.read_bytes())
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == DEMO_ROWS
 
 
 def readme_command_lines() -> list[str]:

@@ -1,10 +1,12 @@
 """Bounded command-line fuzz over the demo: mutated queries, release
-descriptors and workspace files.
+descriptors, workspace files, quad files given to ``init`` and bound CSV
+files.
 
-Whatever the input, a command exits 0, 2, 3 or 4; a failing ``query`` or
-``release`` prints exactly one stderr line, starting with ``error:``; and a
-failed ``release`` leaves the workspace files byte for byte as they were.
-The examples are derandomized, so a run is repeatable.
+Whatever the input, a command exits 0, 2, 3 or 4; a failing command prints
+exactly one stderr line, starting with ``error:``; a failed ``release``
+leaves the workspace files byte for byte as they were, and a failed
+``init`` leaves no workspace. The examples are derandomized, so a run is
+repeatable.
 """
 
 import contextlib
@@ -25,6 +27,8 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 QUERY_TOKENS = re.findall(r"\s+|\S+", (DEMO / "query.rq").read_text(encoding="utf-8"))
 DESCRIPTORS = {path.name: path.read_bytes() for path in sorted((DEMO / "releases").glob("*.json"))}
 WORKSPACE_FILES = ("ontology.quads", "bindings.json")
+GLOBAL_QUADS = (DEMO / "global.quads").read_bytes()
+DATA_FILES = ("w1.csv", "w2.csv", "w3.csv")
 
 # Tokens a mutated query may gain besides its own: keywords, punctuation,
 # terms of the demo ontology and terms it does not hold.
@@ -34,6 +38,10 @@ EXTRA_TOKENS = ["SELECT", "FROM", "WHERE", "VALUES", "FILTER", "{", "}", "(", ")
 # Byte strings a mutated descriptor or workspace file may gain.
 EXTRA_BYTES = [b'"', b"{", b"}", b"[", b"]", b",", b":", b"null", b"1", b"[]", b"{}", b'""',
                b" ", b"\n", b"x", b"/", b"sup:", b"<", b">", b"\xff", b"\\u0000"]
+# Byte strings a mutated quad file or CSV file may gain: record and field
+# syntax, line ends, a byte-order mark, a NUL and a byte that is not UTF-8.
+TEXT_BYTES = [b"<", b">", b"<>", b" ", b"\t", b"\n", b"\r\n", b"\r", b"#", b"@prefix ", b":",
+              b",", b'"', b"\xef\xbb\xbf", b"\x00", b"\xff", b"\xc3\xa9", b"x"]
 # Values a mutated descriptor may hold in place of one of its own.
 JSON_VALUES = [None, 0, 1.5, True, "", "x", "x y", "W1", "D1", "sup:nope", "sup:lagRatio",
                "data/w2.csv", "data/nope.csv", [], {}, ["x"], ["sup:Monitor", "G:hasFeature"]]
@@ -77,12 +85,12 @@ def mutated_query(draw) -> bytes:
 
 
 @st.composite
-def mutated_bytes(draw, raw: bytes) -> bytes:
+def mutated_bytes(draw, raw: bytes, extra: list[bytes] = EXTRA_BYTES) -> bytes:
     data = bytearray(raw)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(data)))
         op = draw(st.sampled_from(["delete", "insert", "replace", "truncate"]))
-        chunk = draw(st.sampled_from(EXTRA_BYTES) | st.binary(min_size=1, max_size=2))
+        chunk = draw(st.sampled_from(extra) | st.binary(min_size=1, max_size=2))
         if op == "delete":
             del data[i:i + draw(st.integers(1, 8))]
         elif op == "insert":
@@ -163,3 +171,36 @@ def test_mutated_release(demo_ws, data):
         else:
             # An accepted release leaves a workspace every command can read.
             _check_outcome(*_run(["-w", str(root), "query", str(DEMO / "query.rq")]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=mutated_bytes(GLOBAL_QUADS, TEXT_BYTES))
+def test_mutated_init_quad_file(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        quads, root = Path(scratch) / "global.quads", Path(scratch) / "ws"
+        quads.write_bytes(text)
+        code, err = _run(["init", str(root), "--global-graph", str(quads)])
+        _check_outcome(code, err)
+        if code != 0:
+            assert not (root / "ontology.quads").exists()
+            return
+        # An initialized workspace is one every command can read. ``validate``
+        # prints its violations, if any, on standard output.
+        code, err = _run(["-w", str(root), "validate"])
+        assert code in (0, 2) and err == ""
+        for argv in (["release", str(DEMO / "releases" / "w1.json")],
+                     ["query", str(DEMO / "query.rq")]):
+            _check_outcome(*_run(["-w", str(root), *argv]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_bound_csv(demo_ws, data):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "ws"
+        shutil.copytree(demo_ws, root)
+        target = root / "data" / data.draw(st.sampled_from(DATA_FILES))
+        target.write_bytes(data.draw(mutated_bytes(target.read_bytes(), TEXT_BYTES)))
+        before = _snapshot(root)
+        _check_outcome(*_run(["-w", str(root), "query", str(DEMO / "query.rq")]))
+        assert _snapshot(root) == before

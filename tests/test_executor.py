@@ -17,7 +17,7 @@ from ontomed.sources import Ucq, Walk, WrapperSchema
 from ontomed.terms import Iri
 
 from conftest import MONITOR_QUERY, W1_ROWS, write_csv
-from oracles import nested_loop_join
+from oracles import nested_loop_join, with_join
 
 
 class TestLoadRelation:
@@ -82,7 +82,13 @@ class TestLoadRelation:
 
 def joined_walk():
     w = Walk.single("W1", ["lagRatio", "VoDmonitorId"]).merge(Walk.single("W3", ["TargetApp"]))
-    return w.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+    return with_join(w, ("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+
+
+def eval_alone(walk, bindings, output):
+    """``eval_walk`` from fresh shared state, as the first walk of a union:
+    it prunes nothing, so the result is the walk's whole bag."""
+    return eval_walk(walk, executor._SharedBindings(bindings), output)
 
 
 # Every projected and identifier end of ``joined_walk``.
@@ -92,7 +98,7 @@ JOINED_ENDS = [("W1", "VoDmonitorId"), ("W1", "lagRatio"),
 
 class TestEvalWalk:
     def test_hand_joined_rows(self, demo_bindings):
-        rel = eval_walk(joined_walk(), demo_bindings, JOINED_ENDS)
+        rel = eval_alone(joined_walk(), demo_bindings, JOINED_ENDS)
         names = rel.columns
         pick = [names.index("W1.lagRatio"), names.index("W1.VoDmonitorId"),
                 names.index("W3.TargetApp")]
@@ -104,17 +110,17 @@ class TestEvalWalk:
         write_csv(path, ["TargetApp", "MonitorId", "FeedbackId"], [("9", "99", "999")])
         bindings = dict(demo_bindings)
         bindings["W3"] = WrapperBinding(releases["W3"].wrapper, path)
-        assert eval_walk(joined_walk(), bindings, JOINED_ENDS).rows == []
+        assert eval_alone(joined_walk(), bindings, JOINED_ENDS).rows == []
 
     def test_unbound_wrapper(self, demo_bindings):
         bindings = {k: v for k, v in demo_bindings.items() if k != "W3"}
         with pytest.raises(UnboundWrapper):
-            eval_walk(joined_walk(), bindings, JOINED_ENDS)
+            eval_alone(joined_walk(), bindings, JOINED_ENDS)
 
     def test_disconnected_walk_rejected(self, demo_bindings):
         w = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["TargetApp"]))
         with pytest.raises(InvalidWalk):
-            eval_walk(w, demo_bindings, [("W1", "lagRatio"), ("W3", "TargetApp")])
+            eval_alone(w, demo_bindings, [("W1", "lagRatio"), ("W3", "TargetApp")])
 
     def test_matches_nested_loop_oracle(self, tmp_path, releases):
         rng = random.Random(20240818)
@@ -130,7 +136,7 @@ class TestEvalWalk:
                 "W1": WrapperBinding(releases["W1"].wrapper, tmp_path / "w1.csv"),
                 "W3": WrapperBinding(releases["W3"].wrapper, tmp_path / "w3.csv"),
             }
-            rel = eval_walk(joined_walk(), bindings, JOINED_ENDS)
+            rel = eval_alone(joined_walk(), bindings, JOINED_ENDS)
             cols, expected = nested_loop_join(
                 [(["VoDmonitorId", "lagRatio"], w1_rows),
                  (["TargetApp", "MonitorId", "FeedbackId"], w3_rows)],
@@ -198,7 +204,7 @@ class TestEvalUcq:
     @pytest.mark.parametrize("attr", ["lagRatio", "bufferingRatio"])
     def test_output_end_the_walk_does_not_keep_rejected(self, demo_bindings, attr):
         walk = Walk.single("W1").merge(Walk.single("W3", ["TargetApp"]))
-        walk = walk.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+        walk = with_join(walk, ("W1", "VoDmonitorId"), ("W3", "MonitorId"))
         lag, app = Iri("http://a/lag"), Iri("http://a/app")
         ucq = Ucq(walks=[walk], output_features=(lag, app),
                   bindings=[{lag: ("W1", attr), app: ("W3", "TargetApp")}])
@@ -225,10 +231,10 @@ FX, FY = Iri("http://example.org/fx"), Iri("http://example.org/fy")
 
 def chain_walk(a, b, c=None, via="bid", project_z=False):
     w = Walk.single(a, ["x"]).merge(Walk.single(b, ["y"]))
-    w = w.with_join((a, "aid"), (b, "aid"))
+    w = with_join(w, (a, "aid"), (b, "aid"))
     if c is not None:
         w = w.merge(Walk.single(c, ["z"] if project_z else []))
-        w = w.with_join((a if via == "aid" else b, via), (c, via))
+        w = with_join(w, (a if via == "aid" else b, via), (c, via))
     return w
 
 
@@ -292,7 +298,7 @@ def random_bound_ucq(rng):
     bindings = []
     for w in walks:
         ends = sorted({(n, a) for n in w.names for a in CHAIN_SCHEMAS[n].id_attrs}
-                      | w.projected_pairs())
+                      | {(n, a) for n, attrs in w.steps for a in attrs})
         bindings.append({FX: rng.choice(ends), FY: rng.choice(ends)})
     return Ucq(walks=walks, output_features=(FX, FY), bindings=bindings)
 
@@ -332,9 +338,8 @@ class TestSharedUnion:
     # differ in one part of the step's signature, so the second walk must
     # extend the rows the first one extended.
     FZ = Iri("http://example.org/fz")
-    A2_B1_C1_VIA_B_AID = (Walk.single("A2", ["x"]).merge(Walk.single("B1", ["y"]))
-                          .with_join(("A2", "aid"), ("B1", "aid"))
-                          .merge(Walk.single("C1", [])).with_join(("B1", "aid"), ("C1", "aid")))
+    A2_B1_C1_VIA_B_AID = with_join(chain_walk("A2", "B1").merge(Walk.single("C1", [])),
+                                   ("B1", "aid"), ("C1", "aid"))
     SIGNATURE_CASES = {
         # FX is bound to A's x, then to B1's y: the picks are swapped.
         "pick": ([chain_walk("A1", "B1", "C1"), chain_walk("A2", "B1", "C1")],
@@ -377,9 +382,8 @@ class TestSharedUnion:
     # equal and whose remaining plans from step 1 differ in one part, named
     # by (step, index into the step). The second walk must still extend the
     # step-1 rows the first one extended, in either order.
-    A2_B1_C1_BID_TO_AID = (Walk.single("A2", ["x"]).merge(Walk.single("B1", ["y"]))
-                           .with_join(("A2", "aid"), ("B1", "aid"))
-                           .merge(Walk.single("C1", [])).with_join(("B1", "bid"), ("C1", "aid")))
+    A2_B1_C1_BID_TO_AID = with_join(chain_walk("A2", "B1").merge(Walk.single("C1", [])),
+                                    ("B1", "bid"), ("C1", "aid"))
     MIDDLE_CASES = {
         "C pick": ((2, 4), [chain_walk("A1", "B1", "C1"), chain_walk("A2", "B1", "C1")],
                    [{FX: ("A1", "x"), FY: ("B1", "y")}, {FX: ("B1", "y"), FY: ("A2", "x")}],
@@ -524,7 +528,7 @@ class TestSharedUnion:
                 assert rows == expected and shared.marks, (trial, order)
 
     def test_direct_eval_walk_returns_the_whole_bag(self, tmp_path):
-        # With plain bindings nothing is pruned, even after eval_ucq ran.
+        # From fresh shared state nothing is pruned, even after eval_ucq ran.
         rng = random.Random(7)
         for trial in range(20):
             tables = chain_tables(rng)
@@ -534,6 +538,6 @@ class TestSharedUnion:
             for walk, binding in zip(ucq.walks, ucq.bindings):
                 output = [binding[f] for f in ucq.output_features]
                 expected = reference_walk(walk, binding, ucq.output_features, tables)
-                rel = eval_walk(walk, bindings, output)
+                rel = eval_alone(walk, bindings, output)
                 assert rel.columns == [f"{w}.{a}" for w, a in output]
                 assert rel.rows == expected, f"trial {trial}"

@@ -32,7 +32,7 @@ from ontomed.vocab import validate_ontology
 
 from conftest import MONITOR_QUERY
 from generators import make_instance
-from oracles import _lav_triples, reference_render_body, validate_walk, walk_key
+from oracles import _lav_triples, reference_render_body, validate_walk, walk_key, with_join
 
 
 def make_catalog():
@@ -45,7 +45,7 @@ def make_catalog():
 
 def joined_walk():
     w = Walk.single("W1", ["lagRatio", "VoDmonitorId"]).merge(Walk.single("W3", ["TargetApp"]))
-    return w.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+    return with_join(w, ("W1", "VoDmonitorId"), ("W3", "MonitorId"))
 
 
 NAMES, ATTRS = ("A", "B", "C", "D"), ("a", "b", "c")
@@ -80,7 +80,7 @@ class TestCompiledWalk:
             else:
                 ends = st.tuples(st.sampled_from(NAMES), st.sampled_from(ATTRS))
                 a, b = data.draw(ends), data.draw(ends)
-                walk, joins = walk.with_join(a, b), joins | {tuple(sorted((a, b)))}
+                walk, joins = with_join(walk, a, b), joins | {tuple(sorted((a, b)))}
             pool.append((walk, (steps, joins)))
 
         # The model's canonical form: sorted steps, and the joins sorted.
@@ -126,23 +126,24 @@ def assert_plain_walk(walk):
 class TestWalkStructure:
     def test_merge_unions_projections_per_wrapper(self):
         merged = Walk.single("W1", ["a"]).merge(Walk.single("W1", ["b"]))
-        assert merged.projections() == {"W1": ("a", "b")}
+        assert dict(merged.steps) == {"W1": ("a", "b")}
 
     def test_join_is_canonically_oriented(self):
-        a = Walk.single("W1").merge(Walk.single("W3")).with_join(("W1", "x"), ("W3", "y"))
-        b = Walk.single("W1").merge(Walk.single("W3")).with_join(("W3", "y"), ("W1", "x"))
+        a = with_join(Walk.single("W1").merge(Walk.single("W3")), ("W1", "x"), ("W3", "y"))
+        b = with_join(Walk.single("W1").merge(Walk.single("W3")), ("W3", "y"), ("W1", "x"))
         assert a.joins == b.joins
 
     def test_equivalence_ignores_projections(self):
         a = joined_walk()
         b = Walk.single("W1", ["lagRatio"]).merge(Walk.single("W3", ["MonitorId"]))
-        b = b.with_join(("W1", "VoDmonitorId"), ("W3", "MonitorId"))
+        b = with_join(b, ("W1", "VoDmonitorId"), ("W3", "MonitorId"))
         assert walk_key(a) == walk_key(b)
         assert a != b
 
     def test_equivalence_distinguishes_wrappers_and_joins(self):
         a = joined_walk()
-        c = Walk.single("W4").merge(Walk.single("W3")).with_join(("W4", "VoDmonitorId"), ("W3", "MonitorId"))
+        c = with_join(Walk.single("W4").merge(Walk.single("W3")),
+                      ("W4", "VoDmonitorId"), ("W3", "MonitorId"))
         assert walk_key(a) != walk_key(c)
 
     def test_connectivity(self):
@@ -166,13 +167,14 @@ class TestWalkValidity:
         validate_walk(joined_walk(), make_catalog())
 
     def test_join_on_non_id_attribute_rejected(self):
-        w = Walk.single("W1").merge(Walk.single("W3")).with_join(("W1", "lagRatio"), ("W3", "MonitorId"))
+        w = with_join(Walk.single("W1").merge(Walk.single("W3")),
+                      ("W1", "lagRatio"), ("W3", "MonitorId"))
         with pytest.raises(InvalidWalk):
             validate_walk(w, make_catalog())
 
     def test_shared_source_rejected(self):
-        w = Walk.single("W1").merge(Walk.single("W4")).with_join(
-            ("W1", "VoDmonitorId"), ("W4", "VoDmonitorId"))
+        w = with_join(Walk.single("W1").merge(Walk.single("W4")),
+                      ("W1", "VoDmonitorId"), ("W4", "VoDmonitorId"))
         with pytest.raises(InvalidWalk):
             validate_walk(w, make_catalog())
 
@@ -280,7 +282,7 @@ class TestCoverageMinimality:
         assert not coverage(Walk.single("W1"), masks)
 
     def test_superfluous_wrapper_breaks_minimality(self, masks):
-        w = joined_walk().merge(Walk.single("W2")).with_join(("W2", "FGId"), ("W3", "FeedbackId"))
+        w = with_join(joined_walk().merge(Walk.single("W2")), ("W2", "FGId"), ("W3", "FeedbackId"))
         assert coverage(w, masks)
         assert not minimality(w, masks)
 
