@@ -19,14 +19,14 @@ that plan, so by induction over the walks the earlier walk already put every
 one of them into the union. A walk's new rows, their duplicates within the
 walk, and their order are the same as without the skip.
 
-Each skip is decided once per class of remaining plans whose histories, the
-inputs fed to them, are equal: the class filters a step's input rows once, and
-its plans move on to one class together. The history is one bitmask per
-distinct step input row, with a bit for each remaining plan fed that row, so
-it never holds more than the distinct step inputs per remaining plan, and a
-row fed to many plans only once. Intermediate join results live only on the
-current path, as long as a later walk may restart from them, and the rows a
-class took on are marked as soon as the path drops the rows it filtered.
+Each prune decision keeps a group of rows, which is given its own bit, and
+each row carries the bits of the groups it is in. A remaining plan's history,
+the inputs fed to it, is the union of its groups' bits, so a row was fed to a
+plan exactly when its bits meet the plan's history. A group never changes
+once formed, so the plans of equal histories that are fed one step's rows
+decide the skip once and take on one group together. Intermediate join
+results live only on the current path, as long as a later walk may restart
+from them.
 """
 
 from __future__ import annotations
@@ -125,32 +125,16 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[str]], Row]:
     return lambda row: ()
 
 
-class _History:
-    """One class of remaining plans whose walks fed them the same step inputs.
-
-    ``plans`` holds the bits of the remaining plans that joined the class.
-    ``added`` holds the rows the class took on when it was formed, until they
-    are marked with those bits: one pass for the whole class, once no more
-    plans can join it and before any plan leaves it.
-    """
-
-    __slots__ = ("plans", "added")
-
-    def __init__(self, added: list[Row]):
-        self.plans = 0
-        self.added = added
-
-
 class _SharedBindings:
     """Wrapper bindings plus the work the walks of one union share.
 
     Holds each loaded relation, each right-side hash table, the current path
-    of join results, and the history of step inputs: per remaining plan a
-    bit and its class, and per distinct step input row the bits of the
-    remaining plans it was fed to. Each entry of the path is (step, its input
-    rows, its output rows, memo), where the memo maps each class that
-    filtered the output rows to the rows it kept and the class it moved to,
-    so a memo lives exactly as long as the rows it filtered.
+    of join results, and the history of step inputs: per remaining plan the
+    bits of the groups fed to it, and per distinct step input row the bits
+    of the groups it is in. Each entry of the path is (step, its input rows,
+    its output rows, memo), where the memo maps each history that filtered
+    the output rows to the rows it kept and the history after, so a memo
+    lives exactly as long as the rows it filtered.
     """
 
     def __init__(self, bindings: Mapping[str, WrapperBinding]):
@@ -159,9 +143,9 @@ class _SharedBindings:
         # (wrapper, kept attributes, key attributes) -> key -> kept rows
         self.tables: dict[tuple, dict[object, list[Row]]] = {}
         self.path: list[tuple[tuple, list[Row] | None, list[Row], dict]] = []
-        self.bits: dict[tuple, int] = {}
-        self.classes: dict[tuple, _History] = {}
+        self.history: dict[tuple, int] = {}
         self.marks: dict[Row, int] = {}
+        self.groups = 0
 
     def hash_table(self, name: str, keep: tuple[str, ...],
                    key_attrs: tuple[str, ...]) -> dict[object, list[Row]]:
@@ -183,46 +167,28 @@ class _SharedBindings:
 
     def prune(self, rest: tuple, rows: list[Row], memo: dict) -> list[Row]:
         """``rows`` less those an earlier walk fed to the remaining plan
-        ``rest``; ``rows`` join the history of ``rest``.
+        ``rest``; the rows kept form one new group, fed to ``rest``.
 
-        ``memo`` belongs to ``rows``: the remaining plans of one class filter
-        ``rows`` once and move on to one class together.
+        ``memo`` belongs to ``rows``: the remaining plans of equal histories
+        filter ``rows`` once and take on the same group.
         """
-        bit = self.bits.setdefault(rest, 1 << len(self.bits))
-        history = self.classes.get(rest)
+        history = self.history.get(rest, 0)
         hit = memo.get(history)
         if hit is None:
-            kept = rows
-            if history is not None:
-                self.mark(history)
-                get = self.marks.get
-                # The plan's bit marks exactly the rows fed to its class.
-                kept = [row for row in rows if not get(row, 0) & bit]
-                if len(kept) == len(rows):
-                    kept = rows
-            hit = memo[history] = (kept, _History(kept) if kept else history)
-        kept, after = hit
-        if after is not history:
-            # ``history`` was marked before any plan could leave it.
-            after.plans |= bit
-            self.classes[rest] = after
+            marks, get = self.marks, self.marks.get
+            kept = [row for row in rows if not get(row, 0) & history] if history else rows
+            if len(kept) == len(rows):
+                kept = rows
+            after = history
+            if kept:
+                bit = 1 << self.groups
+                self.groups += 1
+                for row in kept:
+                    marks[row] = get(row, 0) | bit
+                after |= bit
+            hit = memo[history] = (kept, after)
+        kept, self.history[rest] = hit
         return kept
-
-    def mark(self, history: _History | None) -> None:
-        """Mark the rows ``history`` took on with the bits of its plans."""
-        if history is not None and history.added is not None:
-            marks, get, plans = self.marks, self.marks.get, history.plans
-            for row in history.added:
-                marks[row] = get(row, 0) | plans
-            history.added = None
-
-    def cut(self, depth: int) -> None:
-        """Drop the path from ``depth`` on. No plan can join the classes its
-        memos formed any more, so their rows are marked now."""
-        for *_, memo in self.path[depth:]:
-            for _, after in memo.values():
-                self.mark(after)
-        del self.path[depth:]
 
 
 def eval_walk(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]) -> Relation:
@@ -255,7 +221,7 @@ def eval_walk(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]) -> Re
         if i < len(path) and path[i][1] is rows and path[i][0] == step:
             rows = path[i][2]
             continue
-        shared.cut(i)
+        del path[i:]
         name, keep, key_attrs, left, pick = step
         if i == 0:
             rel = relations[name]

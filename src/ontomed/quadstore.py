@@ -21,15 +21,15 @@ of its text.
 sets aside the lines that start with "<", which can only be quad records,
 and reads the few others (blank lines, comments, prefix declarations,
 indented records) one by one. It splits all records at once and checks each
-record's token count, then each distinct token's brackets, and builds one
-term per distinct token. Only when a check fails does a line-by-line scan
-run, to report the first bad line in file order. ``copy`` clones the quad
-dict, which reuses the hashes it already holds. ``save`` sorts the quads,
-formats them with one ``join``, writes through a temporary file in the same
-directory and then replaces the target, so a reader sees either the old file
-or the new one. A store loaded from a saved file holds one long sorted run
-plus the quads added since, and the sort, a TimSort, merges such runs in
-near-linear time.
+record's token count, then each distinct token's brackets, which must
+enclose it and may not occur inside it, and builds one term per distinct
+token. Only when a check fails does a line-by-line scan run, to report the
+first bad line in file order. ``copy`` clones the quad dict, which reuses
+the hashes it already holds. ``save`` sorts the quads, formats them with one
+``join``, writes through a temporary file in the same directory and then
+replaces the target, so a reader sees either the old file or the new one. A
+store loaded from a saved file holds one long sorted run plus the quads added
+since, and the sort, a TimSort, merges such runs in near-linear time.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class Dataset:
 
     def __iter__(self) -> Iterator[Quad]:
         return iter(self._quads)
-
-    def quads(self) -> frozenset[Quad]:
-        return frozenset(self._quads)
 
     # --- mutation (private to snapshot construction) -----------------------
 
@@ -211,8 +208,12 @@ class Dataset:
         distinct = set(tokens)
         if "<>" in distinct or not all(t[0] == "<" and t[-1] == ">" for t in distinct):
             raise _first_error(path, lines)
-        del lines
         terms = {token: Iri(token[1:-1]) for token in distinct}
+        # A token's end brackets must be its only ones.
+        inner = "".join(terms.values())
+        if "<" in inner or ">" in inner:
+            raise _first_error(path, lines)
+        del lines, inner
         it = map(terms.__getitem__, tokens)
         ds._quads = dict.fromkeys(map(_new_quad, zip(it, it, it, it)))
         return ds
@@ -246,4 +247,6 @@ def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:
                 return InvalidIri(f"{path}:{lineno}: malformed quad record")
             if token == "<>":
                 return InvalidIri(f"{path}:{lineno}: empty IRI")
+            if "<" in token[1:-1] or ">" in token[1:-1]:
+                return InvalidIri(f"{path}:{lineno}: '<' or '>' inside IRI {token}")
     raise AssertionError(f"{path}: a bulk check failed, yet no line is bad")

@@ -72,12 +72,14 @@ class WrapperSchema:
             raise InvalidWalk(f"wrapper {self.name}: attributes both ID and non-ID: {sorted(overlap)}")
         if not (self.id_attrs or self.non_id_attrs):
             raise InvalidWalk(f"wrapper {self.name}: no attributes")
-        # A quad record separates its IRIs by whitespace, so such a name
-        # would be saved into a workspace that can no longer be loaded.
+        # A quad record separates its IRIs by whitespace and brackets each
+        # with "<" and ">", so such a name would be saved into a workspace
+        # that can no longer be loaded.
         for kind, name in (("wrapper", self.name), ("source", self.source),
                            *(("attribute", attr) for attr in self.attrs)):
-            if _SPACE.search(name):
-                raise InvalidWalk(f"wrapper {self.name}: {kind} name {name!r} contains whitespace")
+            if _SPACE.search(name) or "<" in name or ">" in name:
+                raise InvalidWalk(
+                    f"wrapper {self.name}: {kind} name {name!r} contains whitespace, '<' or '>'")
 
     @property
     def iri(self) -> Iri:

@@ -311,6 +311,26 @@ class TestMalformedInputs:
         assert "whitespace" in one_line_error(capsys)
         assert {name: (ws / name).read_bytes() for name in before} == before
 
+    @pytest.mark.parametrize("kind", ["wrapper", "source", "attribute"])
+    def test_name_with_bracket_refused(self, ws, tmp_path, capsys, kind):
+        # Saved, such a name would end its IRI's record token early, and the
+        # next load refuses the workspace.
+        doc = json.loads((DEMO / "releases" / "w1.json").read_text(encoding="utf-8"))
+        if kind == "wrapper":
+            doc["wrapper"]["name"] = "W>1"
+        elif kind == "source":
+            doc["wrapper"]["source"] = "D<1"
+        else:
+            doc["wrapper"]["non_id_attributes"] = ["lag>Ratio"]
+            doc["feature_map"]["lag>Ratio"] = doc["feature_map"].pop("lagRatio")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
+        assert main(["-w", str(ws), "release", str(bad)]) == 2
+        assert "contains whitespace, '<' or '>'" in one_line_error(capsys)
+        assert {name: (ws / name).read_bytes() for name in before} == before
+        assert main(["-w", str(ws), "validate"]) == 0
+
     def test_feature_of_untyped_concept(self, loaded_ws, capsys):
         # Without its rdf:type quad, sc:SoftwareApplication is no concept, so
         # no walk projects its feature; the query fails instead of crashing.
@@ -337,6 +357,20 @@ class TestMalformedInputs:
                          "<> <http://x/s> <http://x/p> <http://x/o>\n", encoding="utf-8")
         assert main(["init", str(tmp_path / "ws"), "--global-graph", str(quads)]) == 4
         assert f"{quads}:2: empty IRI" in one_line_error(capsys)
+
+    def test_bracket_inside_iri_in_quad_file(self, tmp_path, capsys):
+        # Loaded, the token would be the term "<http://…/lagRatio", which no
+        # query or release descriptor can name.
+        iri = "<http://www.supersede.eu/ontology/lagRatio>"
+        lines = (DEMO / "global.quads").read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(n for n, line in enumerate(lines, 1) if iri in line)
+        quads = tmp_path / "global.quads"
+        quads.write_text("".join(lines).replace(iri, "<" + iri), encoding="utf-8")
+        root = tmp_path / "ws"
+        assert main(["init", str(root), "--global-graph", str(quads)]) == 4
+        line = one_line_error(capsys)
+        assert line == f"error: {quads}:{first}: '<' or '>' inside IRI <{iri}"
+        assert not (root / "ontology.quads").exists()
 
     def test_non_utf8_quad_file(self, ws, capsys):
         with open(ws / "ontology.quads", "ab") as f:

@@ -480,9 +480,10 @@ class TestSharedUnion:
 
     def test_walk_order_keeps_rows_and_bounds_the_history(self, tmp_path):
         # Three-wrapper walks over wider tables, in the rewriter's order and
-        # shuffled. After each walk, a remaining plan's bit marks only step
-        # inputs fed to it, and rows not yet marked are only those of classes
-        # formed on the current path.
+        # shuffled. After each walk, the rows whose group bits meet a
+        # remaining plan's history are exactly the distinct step inputs fed
+        # to that plan without pruning: a row pruned at a step was fed to the
+        # same remaining plan by an earlier walk.
         rng = random.Random(20261019)
         pool = ["0", "1", "2", "3"]
         walks = [chain_walk(a, b, c, via, z) for a, b, c, via, z in
@@ -517,14 +518,11 @@ class TestSharedUnion:
                     plan = executor._plan(walk, alone, output)
                     for i in range(1, len(plan)):
                         fed.setdefault(plan[i:], set()).update(alone.path[i - 1][2])
-                    for rest, bit in shared.bits.items():
-                        assert {r for r, m in shared.marks.items() if m & bit} <= fed[rest]
+                    assert shared.history.keys() == fed.keys()
+                    for rest, history in shared.history.items():
+                        assert {r for r, m in shared.marks.items() if m & history} == fed[rest]
                     marked = sum(bin(m).count("1") for m in shared.marks.values())
                     assert marked <= sum(map(len, fed.values()))
-                    on_path = {id(after) for *_, memo in shared.path
-                               for _, after in memo.values()}
-                    assert all(id(h) in on_path for h in shared.classes.values()
-                               if h.added is not None)
                 assert rows == expected and shared.marks, (trial, order)
 
     def test_direct_eval_walk_returns_the_whole_bag(self, tmp_path):

@@ -123,7 +123,7 @@ def _patterns(bound):
 
 
 def _filtered(ds, terms):
-    return {q for q in ds.quads() if all(
+    return {q for q in frozenset(ds) if all(
         t is None or t == have
         for t, have in zip(terms, (q.graph, q.subject, q.predicate, q.object)))}
 
@@ -229,7 +229,7 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path_factory, ds):
         path = tmp_path_factory.mktemp("quads") / "d.quads"
         ds.save(path)
-        assert Dataset.load(path).quads() == ds.quads()
+        assert frozenset(Dataset.load(path)) == frozenset(ds)
 
     def test_load_rejects_malformed_record(self, tmp_path):
         path = tmp_path / "bad.quads"
@@ -377,7 +377,7 @@ class TestBulkLoad:
             assert str(got.value) == str(exc)
             return
         ds = Dataset.load(path)
-        assert ds.quads() == expected.quads()
+        assert frozenset(ds) == frozenset(expected)
         assert list(ds) == list(expected)
         assert ds.prefixes.namespaces() == expected.prefixes.namespaces()
         terms = [term for quad in ds for term in quad]

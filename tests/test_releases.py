@@ -44,11 +44,11 @@ class TestApplyRelease:
 
     def test_monotonic_no_deletion(self, global_ds, releases):
         ds = global_ds
-        previous = ds.quads()
+        previous = frozenset(ds)
         for name in ("W1", "W2", "W3", "W4"):
             ds, _ = apply_release(ds, releases[name])
-            assert previous <= ds.quads()
-            previous = ds.quads()
+            assert previous <= frozenset(ds)
+            previous = frozenset(ds)
 
     def test_growth_bound(self, global_ds, releases):
         # A release on an existing source stays within 3 + 2|attrs| +
