@@ -35,6 +35,7 @@ since, and the sort, a TimSort, merges such runs in near-linear time.
 from __future__ import annotations
 
 import os
+import re
 from collections import defaultdict
 from functools import partial
 from itertools import chain
@@ -193,10 +194,10 @@ class Dataset:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("@prefix"):
-                parts = line.split(None, 2)
-                if len(parts) != 3 or not parts[1].endswith(":"):
+                declared = _prefix(line)
+                if declared is None:
                     raise _first_error(path, lines)
-                ds.prefixes.register(parts[1][:-1], parts[2].strip("<>"))
+                ds.prefixes.register(*declared.groups())
                 continue
             quad_lines.append(line)
         records = list(map(str.split, quad_lines))
@@ -220,6 +221,10 @@ class Dataset:
 
 
 _RECORD = "<%s> <%s> <%s> <%s>\n"
+# The (name, namespace) match of a whole, stripped prefix declaration, or
+# None: "@prefix name: <namespace>", with no "<", ">" or whitespace inside
+# the namespace. ``\s`` is exactly the space that str.split separates on.
+_prefix = re.compile(r"@prefix\s+(\S*):\s+<([^<>\s]*)>").fullmatch
 _new_quad = partial(tuple.__new__, Quad)
 _TRIPLE = itemgetter(1, 2, 3)
 
@@ -235,8 +240,7 @@ def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:
         if not line or line.startswith("#"):
             continue
         if line.startswith("@prefix"):
-            parts = line.split(None, 2)
-            if len(parts) != 3 or not parts[1].endswith(":"):
+            if _prefix(line) is None:
                 return InvalidIri(f"{path}:{lineno}: malformed prefix declaration")
             continue
         fields = line.split()

@@ -1,25 +1,27 @@
 """Three-phase compilation of a pattern query into a union of walks.
 
-Phase 1 expands the query with identifier features and orders its concepts.
-Phase 2 produces single-wrapper partial walks per concept. Phase 3 stitches
-partial walks across concepts, discovering equi-joins through the mapping
-graphs. The result is filtered to covering, minimal walks and projected back
-to the analyst's requested features.
+Phase 1 expands the query with identifier features and orders its concepts
+so that each one after the first shares a pattern edge with those before it,
+wherever the pattern allows. Phase 2 produces single-wrapper partial walks
+per concept. Phase 3 joins the walks built so far to each next concept's
+one-wrapper walks, discovering equi-joins through the mapping graphs. The
+result is filtered to covering, minimal walks and projected back to the
+analyst's requested features.
 
 Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
 W^C walks, so per-walk work is kept to lookups. Phase 3 computes one join
 plan per concept (connecting edge, joinable providers per identifier, and
-the one error a pair that cannot join meets), and decides what a pair of
-walks yields once per class of pairs: the right walk and the few facts of
-the left walk that the outcome reads. The outcome holds each candidate's
-provider and canonical join, so a pair only splices its right walk's one
-step and the join into the left walk's tuples, builds the walk in C, and
-dedupes it on one hash. The stages after phase 3 read tables built once per
-query: the filter decides coverage and minimality once per tuple of wrapper
-bitmasks over the numbered pattern triples, the dedupe keys on the walk's
-own canonical names and joins, and output binding reads, per step, the
-(feature position, least end) pairs of the requested features only.
+the error the concept meets when no pair yields), and decides what a walk
+and a right wrapper yield once per class of pairs: the right wrapper and the
+few facts of the left walk that the outcome reads. The outcome holds each
+candidate's provider and canonical join, so a pair only splices the right
+wrapper's step and the join into the left walk's tuples, builds the walk in
+C, and dedupes it on one hash. The stages after phase 3 read tables built
+once per query: the filter decides coverage and minimality once per tuple of
+wrapper bitmasks over the numbered pattern triples, the dedupe keys on the
+walk's own canonical names and joins, and output binding reads, per step,
+the (feature position, least end) pairs of the requested features only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Mapping
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from .quadstore import Dataset, Triple
-from .queries import OmqQuery, parse_omq, topological_concepts, well_formed_rewrite
+from .queries import OmqQuery, concept_edges, parse_omq, topological_concepts, well_formed_rewrite
 from .sources import (
     Catalog,
     JoinEnd,
@@ -96,18 +98,27 @@ class RewriteTrace:
 # --- phase 1 ----------------------------------------------------------------
 
 def query_expansion(q: OmqQuery, ds: Dataset) -> ExpandedQuery:
-    """Order the pattern's concepts and join every identifier feature into it."""
-    order = topological_concepts(q.phi)
-    concepts = tuple(
-        v for v in order
-        if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT)
-    )
+    """Order the pattern's concepts and join every identifier feature into it.
+
+    The order is topological where that keeps each concept linked by a
+    pattern edge to the ones before it. Where the next concept has no such
+    edge, as C in A -> B <- C, the first later concept that has one goes
+    first."""
+    order = [v for v in topological_concepts(q.phi)
+             if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT)]
+    edges = concept_edges(q.phi)
+    concepts: list[Iri] = []
+    while order:
+        linked = (c for c in order if any(c in (s, o) and (s in concepts or o in concepts)
+                                          for s, _, o in edges))
+        concepts.append(next(linked, order[0]))
+        order.remove(concepts[-1])
     catalog = wrapper_schemas(ds)
     phi = set(q.phi)
     for c in concepts:
         for f_id in catalog.identifier_features(c):
             phi.add((c, G_HAS_FEATURE, f_id))
-    return ExpandedQuery(concepts=concepts, query=OmqQuery(pi=q.pi, phi=frozenset(phi)))
+    return ExpandedQuery(concepts=tuple(concepts), query=OmqQuery(pi=q.pi, phi=frozenset(phi)))
 
 
 # --- phase 2 ----------------------------------------------------------------
@@ -150,41 +161,17 @@ class JoinPlan:
     """How a concept's walks join the processed prefix: the connecting edge
     and, for its head and then its tail concept, each identifier feature's
     attribute per wrapper with the edge providers that have one. ``at_concept``
-    marks the end that is the concept being joined. ``error`` is what every
-    pair of walks that shares no wrapper and does not join meets."""
+    marks the end that is the concept being joined. ``error`` is what the
+    concept meets when none of its pairs yields a walk."""
 
     edge: Triple | None
     targets: tuple[tuple[bool, tuple[tuple[Mapping[str, str], tuple[JoinEnd, ...]], ...]], ...]
     error: NoJoinPath | MissingIdAttribute
 
-    def joins(self, left: Walk, right: Walk, left_names: frozenset[str],
-              right_names: frozenset[str]) -> list[tuple[JoinEnd, JoinEnd]]:
-        """The joins, as (provider end, holder end), that connect two walks
-        with distinct sources that share no wrapper, given their name sets:
-        a provider in the walk opposite the identifier's holder connects them.
-        The first end of the edge that yields a join decides."""
-        for at_concept, features in self.targets:
-            side, reachable = (right, left_names) if at_concept else (left, right_names)
-            found: list[tuple[JoinEnd, JoinEnd]] = []
-            for attrs, joinable in features:
-                # Steps are sorted by name, so the first match is the least holder.
-                for name in side.names:
-                    if name in attrs:
-                        held = (name, attrs[name])
-                        break
-                else:
-                    continue
-                found += [(end, held) for end in joinable if end[0] in reachable]
-            if found:
-                return found
-        return []
-
 
 def _join_plan(phi, concept: Iri, processed: set[Iri], catalog: Catalog) -> JoinPlan:
     """The plan through the first pattern edge (canonical order) linking the
-    concept to the processed prefix. Phase 2 gives every walk of a concept
-    all its identifier features, so every identifier has a holder, and a
-    pair that cannot join meets the plan's error: NoJoinPath without an edge
+    concept to the processed prefix. Its error is NoJoinPath without an edge
     or providers, else the first provider lacking an identifier attribute,
     else the generic MissingIdAttribute."""
     edge = next(((s, p, o) for s, p, o in sorted(phi) if p != G_HAS_FEATURE
@@ -217,19 +204,19 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                              trace: RewriteTrace | None = None) -> list[Walk]:
     """Join partial walks across concepts into full candidate walks.
 
-    A pair of walks whose merged walk has pairwise-distinct sources yields
-    it when they share a wrapper, and else joins on the edge's head
-    identifier, or failing that its tail's. When no pair joins, the plan's
-    error is raised if some pair shared no wrapper.
+    Phase 2 builds each walk from one wrapper, so each walk built so far
+    pairs with one step, (wrapper, projection). The pair yields the merged
+    walk when the left walk holds that wrapper, nothing when it holds the
+    wrapper's source, and else the joins on the edge's head identifier, or
+    failing that its tail's. A pair that holds its wrapper always yields,
+    so when no pair yields, every pair met the plan's error.
 
-    What a pair yields, its join notes included, depends on the right walk
+    What a pair yields, its join notes included, depends on the right step
     and on the left walk's interface: its names that provide the edge or
-    have a right walk's source (the right walks' own names among them), and,
-    for each identifier of the edge's end in the processed prefix, its least
-    name that maps it. (Left walks have distinct sources, so the merged
-    walk's are distinct iff left and right share as many sources as names.)
-    So the outcome is decided once per interface and right walk, and each
-    pair looks it up and builds its candidates.
+    have a right wrapper's source (the right wrappers among them), and, for
+    each identifier of the edge's end in the processed prefix, its least
+    name that maps it. So the outcome is decided once per interface and
+    right step, and each pair looks it up and builds its candidates.
     """
     if not x.concepts:
         return []
@@ -239,34 +226,25 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
         plan = _join_plan(x.query.phi, concept, processed, catalog)
-        rights = [(w, frozenset(w.names), frozenset(source[name] for name in w.names))
-                  for w in p.per_concept[concept]]
-        # A left walk's interface keeps its names that provide the edge or
-        # have a right walk's source; the right walks' own names are among them.
-        right_sources = frozenset().union(*(sources for _, _, sources in rights))
+        rights = [w.steps[0] for w in p.per_concept[concept]]
+        right_sources = {source[name] for name, _ in rights}
         relevant = {name for name, src in source.items() if src in right_sources}
         relevant.update(name for _, features in plan.targets for _, joinable in features
                         for name, _ in joinable)
         holders = [attrs for at_concept, features in plan.targets if not at_concept
                    for attrs, _ in features]
         decided: dict[tuple, list] = {}
-        # Phase 2's walks have one step and no joins; ``joined`` dedupes the
-        # candidates on one hash each and keeps them in first-seen order.
-        right_steps = [w.steps[0] for w in p.per_concept[concept]]
+        # ``joined`` dedupes the candidates on one hash each and keeps them
+        # in first-seen order.
         joined: dict[Walk, None] = {}
-        error: NoJoinPath | MissingIdAttribute | None = None
         for left in current:
             steps, names, joins = left
             interface = (tuple(name for name in names if name in relevant),
-                         tuple(next((name for name in names if name in attrs), None)
-                               for attrs in holders))
+                         tuple(next(name for name in names if name in attrs) for attrs in holders))
             outcomes = decided.get(interface)
             if outcomes is None:
-                outcomes, meets_error = _pair_outcomes(plan, left, rights, source, trace)
-                decided[interface] = outcomes
-                if meets_error:
-                    error = plan.error
-            for step, outcome in zip(right_steps, outcomes):
+                outcomes = decided[interface] = _pair_outcomes(plan, left, rights, source, trace)
+            for step, outcome in zip(rights, outcomes):
                 if outcome is None:
                     continue
                 built, notes = outcome
@@ -286,43 +264,48 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
                 if trace is not None:
                     trace.notes += notes
         if not joined:
-            raise error or NoJoinPath(
-                f"no wrapper materializes an edge joining <{concept}> to the query prefix")
+            raise plan.error
         current = list(joined)
         processed.add(concept)
     return current
 
 
 def _pair_outcomes(plan: JoinPlan, left: Walk, rights, source: Mapping[str, str],
-                   trace: RewriteTrace | None) -> tuple[list, bool]:
-    """Per right walk, what its pair with ``left`` yields: None for nothing,
-    ``((), ())`` for the merged walk itself when they share a wrapper, else
-    the (provider, canonical join) of each candidate and their trace notes.
-    Also whether some pair that shares no wrapper does not join, and so
-    meets the plan's error."""
-    left_names = frozenset(left.names)
-    left_sources = frozenset(source[name] for name in left.names)
+                   trace: RewriteTrace | None) -> list:
+    """Per right step, what its pair with ``left`` yields: ``((), ())`` for
+    the merged walk itself when ``left`` holds its wrapper, None when
+    ``left`` holds the wrapper's source or no join connects them, else the
+    (provider, canonical join) of each candidate and their trace notes.
+
+    A join's holder maps an identifier of an end of the edge, and its
+    provider, in the other walk, provides the edge: at the concept's end the
+    holder is the right wrapper, and at the processed end it is the left
+    walk's least holder, which phase 2 guarantees. The first end that yields
+    a join decides."""
+    left_sources = {source[name] for name in left.names}
     outcomes: list = []
-    meets_error = False
-    for right, right_names, right_sources in rights:
-        shared = not left_names.isdisjoint(right_names)
-        joins = []
-        # The merged walk's sources are distinct iff there are as many of
-        # them as it has wrappers.
-        if len(left_sources | right_sources) == len(left_names | right_names):
-            if shared:
-                outcomes.append(((), ()))
-                continue
-            joins = plan.joins(left, right, left_names, right_names)
+    for right, _ in rights:
+        if right in left.names:
+            outcomes.append(((), ()))
+            continue
+        joins: list[tuple[JoinEnd, JoinEnd]] = []
+        if source[right] not in left_sources:
+            for at_concept, features in plan.targets:
+                for attrs, joinable in features:
+                    # Steps are sorted by name, so the first match is the least holder.
+                    holder, reach = (right, left.names) if at_concept else (
+                        next(name for name in left.names if name in attrs), (right,))
+                    joins += [(end, (holder, attrs[holder])) for end in joinable if end[0] in reach]
+                if joins:
+                    break
         if not joins:
             outcomes.append(None)
-            meets_error = meets_error or not shared
             continue
         notes = () if trace is None else tuple(
             f"join {name}.{attr} = {held[0]}.{held[1]} via <{plan.edge[1]}>"
             for (name, attr), held in joins)
         outcomes.append((tuple((end[0], canonical_join(end, held)) for end, held in joins), notes))
-    return outcomes, meets_error
+    return outcomes
 
 
 # --- composition ------------------------------------------------------------

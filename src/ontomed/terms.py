@@ -41,8 +41,7 @@ class Iri(str):
     ``str`` caches its hash and compares and sorts in C, so sets and dicts
     match terms, quads and index keys without running Python code, and terms
     sort in text order. An ``Iri`` equals, and hashes like, the ``str`` of its
-    text; its own type marks a built term apart from text still to resolve
-    (see :meth:`PrefixTable.expand`).
+    text.
     """
 
     __slots__ = ()
@@ -73,15 +72,13 @@ class PrefixTable:
     def copy(self) -> "PrefixTable":
         return PrefixTable(self._table)
 
-    def expand(self, text: str | Iri) -> Iri:
+    def expand(self, text: str) -> Iri:
         """Resolve ``text`` to a full Iri.
 
         Accepts absolute IRIs (optionally in angle brackets) and prefixed
         names such as ``sup:lagRatio``. Raises :class:`UnknownPrefix` when the
         prefix is not registered.
         """
-        if isinstance(text, Iri):
-            return text
         if text.startswith("<") and text.endswith(">"):
             return Iri(text[1:-1])
         if _ABSOLUTE_RE.match(text) or text.startswith("urn:"):

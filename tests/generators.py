@@ -183,6 +183,44 @@ def chain_with_wrappers(has_metric: list[bool], wrappers, projected):
     return ds, query
 
 
+def named_instance(concepts: dict[str, tuple[str, ...]], wrappers, pattern, projected):
+    """A hand-made instance in the ``r:`` namespace. ``concepts`` gives each
+    concept's features, where a name starting with "id" is an identifier.
+    ``pattern`` holds (subject, property, object) names, with "has" for
+    hasFeature, and its concept edges join the global graph. ``wrappers``
+    holds (name, mapped triples) per wrapper, each on its own source, with
+    one attribute per feature of a "has" triple it maps, named after the
+    feature. The query projects the ``projected`` features. Returns
+    (dataset, query text)."""
+    def term(name: str) -> Iri:
+        return G_HAS_FEATURE if name == "has" else _iri(name)
+
+    ds = Dataset()
+    ds.prefixes.register("r", NS)
+    quads = [(term(s), term(p), term(o)) for s, p, o in pattern if p != "has"]
+    for c, features in concepts.items():
+        quads.append((_iri(c), RDF_TYPE, G_CONCEPT))
+        for f in features:
+            quads += [(_iri(f), RDF_TYPE, G_FEATURE), (_iri(c), G_HAS_FEATURE, _iri(f))]
+            if f.startswith("id"):
+                quads.append((_iri(f), RDFS_SUBCLASS_OF, SC_IDENTIFIER))
+    for s, p, o in quads:
+        ds._add(Quad(GLOBAL_GRAPH, s, p, o))
+    for name, triples in wrappers:
+        attrs = sorted(o for _, p, o in triples if p == "has")
+        wrapper = WrapperSchema(name, f"s{name}", tuple(a for a in attrs if a.startswith("id")),
+                                tuple(a for a in attrs if not a.startswith("id")))
+        subgraph = frozenset((term(s), term(p), term(o)) for s, p, o in triples)
+        ds, _ = apply_release(ds, Release(wrapper, subgraph, {a: _iri(a) for a in attrs}))
+    variables = [f"?v{i}" for i in range(len(projected))]
+    query = ("SELECT " + " ".join(variables) + "\nFROM G:\nWHERE {\n"
+             "  VALUES (" + " ".join(variables) + ") { ("
+             + " ".join(f"r:{f}" for f in projected) + ") }\n"
+             + " .\n".join(f"  <{term(s)}> <{term(p)}> <{term(o)}>" for s, p, o in pattern)
+             + "\n}")
+    return ds, query
+
+
 def render_omq(q: OmqQuery, ds: Dataset) -> str:
     """Serialize a query back into the accepted template shape."""
     compact = ds.prefixes.compact

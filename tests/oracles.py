@@ -318,10 +318,14 @@ def reference_load(path) -> Dataset:
         if not line or line.startswith("#"):
             continue
         if line.startswith("@prefix"):
-            parts = line.split(None, 2)
-            if len(parts) != 3 or not parts[1].endswith(":"):
+            # Exactly "@prefix name: <namespace>", with no brackets inside
+            # the namespace.
+            parts = line.split()
+            if (len(parts) != 3 or parts[0] != "@prefix" or not parts[1].endswith(":")
+                    or parts[2][:1] != "<" or parts[2][-1:] != ">"
+                    or "<" in parts[2][1:-1] or ">" in parts[2][1:-1]):
                 raise InvalidIri(f"{path}:{lineno}: malformed prefix declaration")
-            ds.prefixes.register(parts[1][:-1], parts[2].strip("<>"))
+            ds.prefixes.register(parts[1][:-1], parts[2][1:-1])
             continue
         fields = line.split()
         if len(fields) != 4:

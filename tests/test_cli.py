@@ -372,6 +372,26 @@ class TestMalformedInputs:
         assert line == f"error: {quads}:{first}: '<' or '>' inside IRI <{iri}"
         assert not (root / "ontology.quads").exists()
 
+    @pytest.mark.parametrize("declaration", [
+        "@prefix x: <http://a/> junk", "@prefixes x: <http://a/>", "@prefix x: <http://a/<b>"],
+        ids=["trailing-text", "keyword", "bracket"])
+    def test_malformed_prefix_declaration_in_quad_file(self, tmp_path, capsys, declaration):
+        # Loaded, the namespace would hold the text after it or a bracket,
+        # and be saved back into a declaration no load reads the same way.
+        quads = tmp_path / "global.quads"
+        quads.write_text(declaration + "\n" + (DEMO / "global.quads").read_text(encoding="utf-8"),
+                         encoding="utf-8")
+        root = tmp_path / "ws"
+        assert main(["init", str(root), "--global-graph", str(quads)]) == 4
+        assert one_line_error(capsys) == f"error: {quads}:1: malformed prefix declaration"
+        assert not (root / "ontology.quads").exists()
+
+    def test_empty_wrapper_csv(self, loaded_ws, capsys):
+        path = loaded_ws / "data" / "w1.csv"
+        path.write_bytes(b"")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        assert one_line_error(capsys) == f"error: {path}: empty file, header expected"
+
     def test_non_utf8_quad_file(self, ws, capsys):
         with open(ws / "ontology.quads", "ab") as f:
             f.write(b"\xff\xfe\n")

@@ -312,6 +312,20 @@ class TestSharedUnion:
             rel = eval_ucq(ucq, chain_bindings(tmp_path, tables))
             assert rel.rows == reference_union(ucq, tables), f"trial {trial}"
 
+    def test_join_condition_reversed_onto_the_prefix(self, tmp_path):
+        # Joined only through C1, B1 comes last, on the join B1.bid = C1.bid
+        # whose first end is the wrapper being added.
+        w = Walk.single("A1", ["x"]).merge(Walk.single("B1", ["y"]))
+        w = with_join(w.merge(Walk.single("C1", ["z"])), ("A1", "aid"), ("C1", "aid"))
+        w = with_join(w, ("B1", "bid"), ("C1", "bid"))
+        binding = {FX: ("A1", "x"), FY: ("B1", "y")}
+        rng = random.Random(20261020)
+        for trial in range(30):
+            tables = chain_tables(rng)
+            rel = eval_alone(w, chain_bindings(tmp_path, tables), [binding[FX], binding[FY]])
+            expected = reference_walk(w, binding, (FX, FY), tables)
+            assert Counter(rel.rows) == Counter(expected), f"trial {trial}"
+
     def test_each_wrapper_loaded_once(self, tmp_path, monkeypatch):
         rng = random.Random(5)
         bindings = chain_bindings(tmp_path, chain_tables(rng))

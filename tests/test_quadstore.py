@@ -352,7 +352,8 @@ _good_line = st.one_of(
     st.sampled_from(("", "  ", "\t", "# c", "  # <a> <b> <c> <d>", "#<a> <b>")))
 _bad_line = st.one_of(
     _record(count=3), _record(count=5), _record(bad=True), _record(bad=True),
-    st.sampled_from(("@prefix ex <http://x/>", "@prefix ex:", " @prefix", "@prefixes: a b")))
+    st.sampled_from(("@prefix ex <http://x/>", "@prefix ex:", " @prefix", "@prefixes: a b",
+                     "@prefix x: <http://a/> junk")))
 
 
 @st.composite

@@ -111,6 +111,14 @@ class TestParse:
         (MONITOR_QUERY.replace(" .\n  sup:InfoMonitor G:hasFeature sup:lagRatio", ""),
          "projected <http://www.supersede.eu/ontology/lagRatio> is not a vertex of the pattern"
          " (line 5, column 39)"),
+        # A character no token starts with.
+        ("SELECT ?x\n  ?y \\", "unexpected character '\\\\' (line 2, column 6)"),
+        # A PREFIX name without its colon, and a namespace out of brackets.
+        ("PREFIX ex <http://x/>\nSELECT", "expected a prefix name ending in ':' (line 1, column 8)"),
+        ("PREFIX ex: x\nSELECT", "expected a namespace IRI in angle brackets (line 1, column 12)"),
+        # The second row's opening parenthesis.
+        ("SELECT ?x FROM G: WHERE {\n  VALUES (?x) { (sup:lagRatio) (sup:lagRatio) }\n}",
+         "multi-row VALUES is outside the accepted template (line 2, column 32)"),
     ])
     def test_error_reports_the_offending_position(self, global_ds, text, message):
         with pytest.raises(OmqSyntaxError) as err:

@@ -34,7 +34,7 @@ from ontomed.sources import (
 from ontomed.terms import G_HAS_FEATURE
 
 from conftest import MONITOR_QUERY, MONITOR_SUBGRAPH, iri
-from generators import chain_with_wrappers, make_instance, make_wide_instance
+from generators import chain_with_wrappers, make_instance, make_wide_instance, named_instance
 from oracles import (
     brute_force_binding,
     brute_force_walk_keys,
@@ -458,6 +458,33 @@ class TestOracleEquivalence:
                 assert binding == brute_force_binding(ds, w, ucq.output_features)
             agreements += 1
         assert agreements == 60
+
+
+    @pytest.mark.parametrize("concepts, wrappers, pattern, projected", [
+        # A -> B <- C: the topological order A, C, B joins C to nothing, so
+        # B must come before C.
+        pytest.param({"A": ("idA", "mA"), "B": ("idB",), "C": ("idC",)},
+                     [("wa", [("A", "has", "idA"), ("A", "has", "mA")]),
+                      ("wb", [("B", "has", "idB"), ("A", "ab", "B"), ("A", "has", "idA")]),
+                      ("wc", [("C", "has", "idC"), ("C", "cb", "B"), ("B", "has", "idB")])],
+                     [("A", "ab", "B"), ("C", "cb", "B"), ("A", "has", "mA")], ["mA"],
+                     id="v-shape"),
+        # A has no feature, so any wrapper that maps A's edge answers it.
+        pytest.param({"A": (), "B": ("idB", "mB")},
+                     [("wa", [("A", "ab", "B"), ("B", "has", "idB")]),
+                      ("wb", [("A", "ab", "B"), ("B", "has", "idB"), ("B", "has", "mB")]),
+                      ("wb2", [("B", "has", "idB"), ("B", "has", "mB")])],
+                     [("A", "ab", "B"), ("B", "has", "mB")], ["mB"],
+                     id="featureless-concept"),
+    ])
+    def test_shapes_match_brute_force(self, concepts, wrappers, pattern, projected):
+        ds, query = named_instance(concepts, wrappers, pattern, projected)
+        wf = well_formed_rewrite(ds, parse_omq(query, ds))
+        ucq = rewrite(query, ds)
+        assert {walk_key(w) for w in ucq.walks} == brute_force_walk_keys(ds, wf.phi)
+        for w, binding in zip(ucq.walks, ucq.bindings):
+            validate_walk(w, wrapper_schemas(ds))
+            assert binding == brute_force_binding(ds, w, ucq.output_features)
 
 
 class TestPinnedOutput:
