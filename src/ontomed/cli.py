@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 validation or release violations, 3 query errors,
-4 I/O and workspace errors.
+Exit codes: 0 success, 2 validation or release violations or a malformed
+command line, 3 query errors, 4 I/O and workspace errors.
 
 `main` runs each command with the cyclic garbage collector paused and then
 restores the caller's setting. What a command allocates in bulk (quads,
@@ -42,8 +42,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as an error, for ``main`` to report in
+    one line."""
+
+    def error(self, message: str):
+        raise OntomedError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ontomed",
         description="Ontology-mediated data integration over evolving wrappers.",
     )
@@ -172,7 +180,6 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "init": _cmd_init,
         "release": _cmd_release,
@@ -182,8 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     was_enabled = gc.isenabled()
-    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
+        gc.disable()
         return handlers[args.command](args)
     except OntomedError as exc:
         print(f"error: {exc}", file=sys.stderr)

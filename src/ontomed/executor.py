@@ -19,12 +19,9 @@ that plan, so by induction over the walks the earlier walk already put every
 one of them into the union. A walk's new rows, their duplicates within the
 walk, and their order are the same as without the skip.
 
-Each prune decision keeps a group of rows, which is given its own bit, and
-each row carries the bits of the groups it is in. A remaining plan's history,
-the inputs fed to it, is the union of its groups' bits, so a row was fed to a
-plan exactly when its bits meet the plan's history. A group never changes
-once formed, so the plans of equal histories that are fed one step's rows
-decide the skip once and take on one group together. Intermediate join
+The union keeps, per remaining plan, the frozen set of rows fed to it. A set
+never changes once formed, so the plans fed equal sets that are fed one
+step's rows decide the skip once and share the set after. Intermediate join
 results live only on the current path, as long as a later walk may restart
 from them.
 """
@@ -129,12 +126,11 @@ class _SharedBindings:
     """Wrapper bindings plus the work the walks of one union share.
 
     Holds each loaded relation, each right-side hash table, the current path
-    of join results, and the history of step inputs: per remaining plan the
-    bits of the groups fed to it, and per distinct step input row the bits
-    of the groups it is in. Each entry of the path is (step, its input rows,
-    its output rows, memo), where the memo maps each history that filtered
-    the output rows to the rows it kept and the history after, so a memo
-    lives exactly as long as the rows it filtered.
+    of join results, and per remaining plan the frozen set of step input rows
+    fed to it. Each entry of the path is (step, its input rows, its output
+    rows, memo), where the memo maps each fed set that filtered the output
+    rows to the rows it kept and the fed set after, so a memo lives exactly
+    as long as the rows it filtered.
     """
 
     def __init__(self, bindings: Mapping[str, WrapperBinding]):
@@ -143,9 +139,7 @@ class _SharedBindings:
         # (wrapper, kept attributes, key attributes) -> key -> kept rows
         self.tables: dict[tuple, dict[object, list[Row]]] = {}
         self.path: list[tuple[tuple, list[Row] | None, list[Row], dict]] = []
-        self.history: dict[tuple, int] = {}
-        self.marks: dict[Row, int] = {}
-        self.groups = 0
+        self.fed: dict[tuple, frozenset[Row]] = {}
 
     def hash_table(self, name: str, keep: tuple[str, ...],
                    key_attrs: tuple[str, ...]) -> dict[object, list[Row]]:
@@ -167,27 +161,19 @@ class _SharedBindings:
 
     def prune(self, rest: tuple, rows: list[Row], memo: dict) -> list[Row]:
         """``rows`` less those an earlier walk fed to the remaining plan
-        ``rest``; the rows kept form one new group, fed to ``rest``.
+        ``rest``; the rows kept are then fed to ``rest``.
 
-        ``memo`` belongs to ``rows``: the remaining plans of equal histories
-        filter ``rows`` once and take on the same group.
+        ``memo`` belongs to ``rows``: the remaining plans fed equal sets
+        filter ``rows`` once and share the set after.
         """
-        history = self.history.get(rest, 0)
-        hit = memo.get(history)
+        fed = self.fed.get(rest, frozenset())
+        hit = memo.get(fed)
         if hit is None:
-            marks, get = self.marks, self.marks.get
-            kept = [row for row in rows if not get(row, 0) & history] if history else rows
+            kept = [row for row in rows if row not in fed]
             if len(kept) == len(rows):
                 kept = rows
-            after = history
-            if kept:
-                bit = 1 << self.groups
-                self.groups += 1
-                for row in kept:
-                    marks[row] = get(row, 0) | bit
-                after |= bit
-            hit = memo[history] = (kept, after)
-        kept, self.history[rest] = hit
+            hit = memo[fed] = (kept, fed.union(kept) if kept else fed)
+        kept, self.fed[rest] = hit
         return kept
 
 

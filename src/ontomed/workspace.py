@@ -41,11 +41,11 @@ class Workspace:
         root = Path(root)
         if (root / ONTOLOGY_FILE).exists():
             raise WorkspaceError(f"{root}: workspace already initialized")
-        root.mkdir(parents=True, exist_ok=True)
         try:
             ds = Dataset.load(global_quads)
         except FileNotFoundError as exc:
             raise WorkspaceError(f"cannot read quad file {global_quads}") from exc
+        root.mkdir(parents=True, exist_ok=True)
         ws = cls(root=root, dataset=ds)
         ws.save()
         return ws

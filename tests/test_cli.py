@@ -196,6 +196,27 @@ class TestExitCodes:
     def test_missing_query_file(self, loaded_ws, capsys):
         assert main(["-w", str(loaded_ws), "query", str(loaded_ws / "absent.rq")]) == 4
 
+    def test_init_with_missing_quad_file_leaves_no_directory(self, tmp_path, capsys):
+        root = tmp_path / "new"
+        assert main(["init", str(root), "--global-graph", str(tmp_path / "absent.quads")]) == 4
+        assert one_line_error(capsys).startswith("error: cannot read quad file")
+        assert not root.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "walks", "--concepts", "x"], "argument --concepts: not an integer: 'x'"),
+        (["query"], "the following arguments are required: query_file"),
+        (["stats", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+    ])
+    def test_malformed_command_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert one_line_error(capsys) == f"error: {message}"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "walks", "--help"])
+        assert exit_info.value.code == 0
+        assert "--concepts" in capsys.readouterr().out
+
     @pytest.mark.parametrize("cls", [
         cls for cls in vars(errors).values()
         if isinstance(cls, type) and issubclass(cls, errors.OntomedError)
@@ -244,8 +265,9 @@ class TestMalformedInputs:
         line = one_line_error(capsys)
         assert line.startswith(f"error: {path}:3: ") and "field limit" in line
 
+    # The last names a wrapper the ontology has not registered.
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"W1": 5}',
-                                      '{"W1": "data/\\u0000w1.csv"}'])
+                                      '{"W1": "data/\\u0000w1.csv"}', '{"W9": "data/w1.csv"}'])
     def test_malformed_bindings_file(self, loaded_ws, capsys, text):
         (loaded_ws / "bindings.json").write_text(text, encoding="utf-8")
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
@@ -440,10 +462,11 @@ class TestByteOrderMark:
         assert capsys.readouterr().out.splitlines()[-3:] == DEMO_ROWS
 
 
-def readme_command_lines() -> list[str]:
-    """The README "Command line" block, cut as the CI quickstart job cuts it."""
+def readme_block(heading: str) -> list[str]:
+    """The first ``sh`` block after ``heading`` in the README, cut as the CI
+    quickstart job cuts it."""
     lines = (DEMO.parent / "README.md").read_text(encoding="utf-8").splitlines()
-    start = lines.index("## Command line")
+    start = lines.index(heading)
     start = next(i for i in range(start, len(lines)) if lines[i].startswith("```sh")) + 1
     end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
     return lines[start:end]
@@ -451,9 +474,11 @@ def readme_command_lines() -> list[str]:
 
 class TestReadme:
     def test_command_line_block_runs_offline(self, tmp_path):
+        # The "Benchmarks" block runs after the "Command line" block, in the
+        # same directory, as the CI quickstart job runs them.
         shutil.copytree(DEMO, tmp_path / "demo")
         outputs = {}
-        for line in readme_command_lines():
+        for line in readme_block("## Command line") + readme_block("### Benchmarks"):
             argv = shlex.split(line, comments=True)
             if argv[0] == "ontomed":
                 argv = [sys.executable, "-m", "ontomed.cli", *argv[1:]]
@@ -465,6 +490,9 @@ class TestReadme:
         assert out[0] == "1 walk(s)"
         assert out[1] == "Π{W3.TargetApp,W1.lagRatio}( W1 ⋈[W1.VoDmonitorId=W3.MonitorId] W3 )"
         assert out[2:] == ["applicationId,lagRatio", "1,0.75", "1,0.90", "2,0.1"]
+        growth = outputs["ontomed -w growth bench growth --releases demo/releases"].splitlines()
+        assert growth[0] == "release,added,bound,cumulative,global_quads"
+        assert [line.split(",")[0] for line in growth[1:]] == ["w1", "w2", "w3", "w4"]
 
 
 class TestCrashSafeSave:
@@ -628,11 +656,10 @@ class TestBench:
 
     @pytest.mark.parametrize("args", [["--concepts", "0"], ["--wrappers", "-1"]])
     def test_walk_bench_refuses_non_positive(self, capsys, args):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "walks", *args])
-        assert exit_info.value.code == 2
+        assert main(["bench", "walks", *args]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "must be at least 1" in err
+        assert out == ""
+        assert err.splitlines() == [f"error: argument {args[0]}: must be at least 1, not {args[1]}"]
 
     def test_growth_bench_over_demo(self, ws, capsys):
         assert main(["-w", str(ws), "bench", "growth",
@@ -642,6 +669,12 @@ class TestBench:
         assert len(lines) == 5
         # The global graph never grows while releases accumulate.
         assert len({line.split(",")[4] for line in lines[1:]}) == 1
+
+    def test_growth_bench_refuses_a_file(self, ws, capsys):
+        assert main(["-w", str(ws), "bench", "growth",
+                     "--releases", str(DEMO / "releases" / "w1.json")]) == 4
+        assert one_line_error(capsys) == (f"error: {DEMO / 'releases' / 'w1.json'}: "
+                                          "not a directory of release descriptors")
 
     def test_growth_bench_binds_data_files(self, ws, tmp_path, capsys):
         # The bench registers the same wrappers as one release per

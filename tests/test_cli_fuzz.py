@@ -1,12 +1,12 @@
 """Bounded command-line fuzz over the demo: mutated queries, release
-descriptors, workspace files, quad files given to ``init`` and bound CSV
-files.
+descriptors, workspace files, quad files given to ``init``, bound CSV files
+and ``bench`` arguments.
 
 Whatever the input, a command exits 0, 2, 3 or 4; a failing command prints
-exactly one stderr line, starting with ``error:``; a failed ``release``
-leaves the workspace files byte for byte as they were, and a failed
-``init`` leaves no workspace. The examples are derandomized, so a run is
-repeatable.
+exactly one stderr line, starting with ``error:``; a failed ``release`` or
+``bench growth`` leaves the workspace files byte for byte as they were, and
+a failed ``init`` leaves no workspace directory. The examples are
+derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -45,6 +45,14 @@ TEXT_BYTES = [b"<", b">", b"<>", b" ", b"\t", b"\n", b"\r\n", b"\r", b"#", b"@pr
 # Values a mutated descriptor may hold in place of one of its own.
 JSON_VALUES = [None, 0, 1.5, True, "", "x", "x y", "W1", "D1", "sup:nope", "sup:lagRatio",
                "data/w2.csv", "data/nope.csv", [], {}, ["x"], ["sup:Monitor", "G:hasFeature"]]
+
+# Values a ``bench walks`` count may take. The valid ones are at most 3,
+# since the sweep builds W^C walks: the defaults, 5 concepts and 10
+# wrappers, build 100,000.
+BENCH_COUNTS = ["1", "2", "3", "03", "\u0663", "0", "-1", "", "x", "1.5", "2 3"]
+# Tokens a ``bench`` command line may gain; none abbreviates ``--help``.
+BENCH_TOKENS = ["--concepts", "--wrappers", "--releases", "--nope", "-w", "walks", "growth",
+                "bench", *BENCH_COUNTS]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -182,7 +190,7 @@ def test_mutated_init_quad_file(text):
         code, err = _run(["init", str(root), "--global-graph", str(quads)])
         _check_outcome(code, err)
         if code != 0:
-            assert not (root / "ontology.quads").exists()
+            assert not root.exists()
             return
         # An initialized workspace is one every command can read. ``validate``
         # prints its violations, if any, on standard output.
@@ -204,3 +212,35 @@ def test_mutated_bound_csv(demo_ws, data):
         before = _snapshot(root)
         _check_outcome(*_run(["-w", str(root), "query", str(DEMO / "query.rq")]))
         assert _snapshot(root) == before
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_bench_args(data):
+    # Both counts are always given, so neither default applies with the
+    # other; a growth bench runs on a fresh workspace with the demo data.
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        root = scratch / "ws"
+        if data.draw(st.booleans()):
+            argv = ["bench", "walks", "--concepts", data.draw(st.sampled_from(BENCH_COUNTS)),
+                    "--wrappers", data.draw(st.sampled_from(BENCH_COUNTS))]
+        else:
+            (scratch / "empty").mkdir()
+            (scratch / "malformed").mkdir()
+            (scratch / "malformed" / "w1.json").write_bytes(DESCRIPTORS["w1.json"][:-2])
+            (scratch / "file.json").write_bytes(DESCRIPTORS["w1.json"])
+            releases = data.draw(st.sampled_from(
+                [scratch / "missing", scratch / "file.json", scratch / "empty",
+                 DEMO / "releases", scratch / "malformed"]))
+            assert _run(["init", str(root), "--global-graph", str(DEMO / "global.quads")])[0] == 0
+            shutil.copytree(DEMO / "data", root / "data")
+            argv = ["-w", str(root), "bench", "growth", "--releases", str(releases)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            token = data.draw(st.sampled_from(BENCH_TOKENS))
+            argv.insert(data.draw(st.integers(0, len(argv))), token)
+        before = _snapshot(root) if root.exists() else None
+        code, err = _run(argv)
+        _check_outcome(code, err)
+        if code != 0 and before is not None:
+            assert _snapshot(root) == before

@@ -494,10 +494,10 @@ class TestSharedUnion:
 
     def test_walk_order_keeps_rows_and_bounds_the_history(self, tmp_path):
         # Three-wrapper walks over wider tables, in the rewriter's order and
-        # shuffled. After each walk, the rows whose group bits meet a
-        # remaining plan's history are exactly the distinct step inputs fed
-        # to that plan without pruning: a row pruned at a step was fed to the
-        # same remaining plan by an earlier walk.
+        # shuffled. After each walk, the rows kept per remaining plan are
+        # exactly the distinct step inputs fed to that plan without pruning:
+        # a row pruned at a step was fed to the same remaining plan by an
+        # earlier walk.
         rng = random.Random(20261019)
         pool = ["0", "1", "2", "3"]
         walks = [chain_walk(a, b, c, via, z) for a, b, c, via, z in
@@ -532,12 +532,8 @@ class TestSharedUnion:
                     plan = executor._plan(walk, alone, output)
                     for i in range(1, len(plan)):
                         fed.setdefault(plan[i:], set()).update(alone.path[i - 1][2])
-                    assert shared.history.keys() == fed.keys()
-                    for rest, history in shared.history.items():
-                        assert {r for r, m in shared.marks.items() if m & history} == fed[rest]
-                    marked = sum(bin(m).count("1") for m in shared.marks.values())
-                    assert marked <= sum(map(len, fed.values()))
-                assert rows == expected and shared.marks, (trial, order)
+                    assert shared.fed == fed
+                assert rows == expected and shared.fed, (trial, order)
 
     def test_direct_eval_walk_returns_the_whole_bag(self, tmp_path):
         # From fresh shared state nothing is pruned, even after eval_ucq ran.

@@ -87,6 +87,8 @@ class TestParse:
     @pytest.mark.parametrize("text, message", [
         # End of text right after SELECT's variables: the last token.
         ("SELECT ?x ?y", "unexpected end of query after SELECT (line 1, column 11)"),
+        # End of text where FROM's graph is expected: the last token.
+        ("SELECT ?x FROM", "unexpected end of query (line 1, column 11)"),
         # The repeated variable.
         ("SELECT ?x\n  ?y ?x\nFROM G: WHERE { }", "duplicate SELECT variable (line 2, column 6)"),
         # A VALUES variable that SELECT lacks.
@@ -116,6 +118,9 @@ class TestParse:
         # A PREFIX name without its colon, and a namespace out of brackets.
         ("PREFIX ex <http://x/>\nSELECT", "expected a prefix name ending in ':' (line 1, column 8)"),
         ("PREFIX ex: x\nSELECT", "expected a namespace IRI in angle brackets (line 1, column 12)"),
+        # A variable where VALUES needs an IRI.
+        ("SELECT ?x FROM G: WHERE {\n  VALUES (?x) { (?y) }\n}",
+         "VALUES must bind ?x to an IRI (line 2, column 18)"),
         # The second row's opening parenthesis.
         ("SELECT ?x FROM G: WHERE {\n  VALUES (?x) { (sup:lagRatio) (sup:lagRatio) }\n}",
          "multi-row VALUES is outside the accepted template (line 2, column 32)"),

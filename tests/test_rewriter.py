@@ -486,6 +486,22 @@ class TestOracleEquivalence:
             validate_walk(w, wrapper_schemas(ds))
             assert binding == brute_force_binding(ds, w, ucq.output_features)
 
+    def test_concepts_linked_only_through_a_non_concept(self):
+        # A p X . X q B: no pattern edge joins B to A directly, and no
+        # covering walk exists either.
+        ds, query = named_instance(
+            {"A": ("idA", "mA"), "B": ("idB", "mB")},
+            [("wa", [("A", "has", "idA"), ("A", "has", "mA"), ("A", "p", "X")]),
+             ("wb", [("B", "has", "idB"), ("B", "has", "mB"), ("X", "q", "B")])],
+            [("A", "p", "X"), ("X", "q", "B"), ("A", "has", "mA"), ("B", "has", "mB")],
+            ["mA", "mB"])
+        wf = well_formed_rewrite(ds, parse_omq(query, ds))
+        assert brute_force_walk_keys(ds, wf.phi) == set()
+        with pytest.raises(NoJoinPath) as err:
+            rewrite(query, ds)
+        assert str(err.value) == ("no pattern edge connects <http://example.org/rand/B> "
+                                  "to the processed prefix")
+
 
 class TestPinnedOutput:
     def test_whole_output_pinned(self, pre_evolution_ds, post_evolution_ds):

@@ -14,7 +14,7 @@ from ontomed.terms import (
     Iri,
     mapping_graph_iri,
 )
-from ontomed.vocab import validate_ontology
+from ontomed.vocab import Violation, validate_ontology
 
 from conftest import iri
 
@@ -29,6 +29,13 @@ def test_v1_has_feature_endpoints(global_ds):
     ds = global_ds.copy()
     ds._add(Quad(GLOBAL_GRAPH, Iri(EX + "notAConcept"), G_HAS_FEATURE, iri("sup:lagRatio")))
     assert "V1" in validate_ontology(ds).rules()
+
+
+def test_v1_has_feature_object_not_a_feature(global_ds):
+    ds = global_ds.copy()
+    ds._add(Quad(GLOBAL_GRAPH, iri("sup:Monitor"), G_HAS_FEATURE, Iri(EX + "untyped")))
+    assert validate_ontology(ds).violations == [
+        Violation("V1", Iri(EX + "untyped"), "hasFeature object is not a Feature")]
 
 
 def test_v2_feature_owned_twice(global_ds):
@@ -48,6 +55,14 @@ def test_v3_attribute_link_to_untyped_node(pre_evolution_ds, releases):
     w1 = releases["W1"].wrapper
     ds._add(Quad(SOURCE_GRAPH, w1.iri, S_HAS_ATTRIBUTE, Iri(EX + "untyped")))
     assert "V3" in validate_ontology(ds).rules()
+
+
+def test_v3_attribute_link_from_untyped_node(pre_evolution_ds, releases):
+    ds = pre_evolution_ds.copy()
+    attr = releases["W1"].wrapper.attr_iri("lagRatio")
+    ds._add(Quad(SOURCE_GRAPH, Iri(EX + "untyped"), S_HAS_ATTRIBUTE, attr))
+    assert validate_ontology(ds).violations == [
+        Violation("V3", Iri(EX + "untyped"), "hasAttribute subject is not a Wrapper")]
 
 
 def test_v4_attribute_mapped_to_two_features(pre_evolution_ds, releases):
