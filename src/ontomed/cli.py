@@ -171,8 +171,8 @@ def _cmd_bench(args) -> int:
             releases.append((path.stem, release))
             if release.data_file:
                 ws.bind(release.wrapper.name, release.data_file)
-        print("release,added,bound,cumulative,global_quads")
         ws.dataset, records = run_growth_bench(ws.dataset, releases)
+        print("release,added,bound,cumulative,global_quads")
         for rec in records:
             print(f"{rec.label},{rec.added},{rec.bound},{rec.cumulative},{rec.global_quads}")
         ws.save()

@@ -4,20 +4,19 @@ Phase 1 expands the query with identifier features and orders its concepts
 so that each one after the first shares a pattern edge with those before it,
 wherever the pattern allows. Phase 2 produces single-wrapper partial walks
 per concept. Phase 3 joins the walks built so far to each next concept's
-one-wrapper walks, discovering equi-joins through the mapping graphs. The
-result is filtered to covering, minimal walks and projected back to the
-analyst's requested features.
+one-wrapper walks on the identifier features of the pattern's concepts: a
+walk equates, per identifier feature, every attribute its wrappers map to
+it. Each concept occurs once in a pattern, so each identifier feature names
+one query variable. The result is filtered to covering, minimal walks and
+projected back to the analyst's requested features.
 
 Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
-W^C walks, so per-walk work is kept to lookups. Phase 3 computes one join
-plan per concept (connecting edge, joinable providers per identifier, and
-the error the concept meets when no pair yields), and decides what a walk
-and a right wrapper yield once per class of pairs: the right wrapper and the
-few facts of the left walk that the outcome reads. The outcome holds each
-candidate's provider and canonical join, so a pair only splices the right
-wrapper's step and the join into the left walk's tuples, builds the walk in
-C, and dedupes it on one hash. The stages after phase 3 read tables built
+W^C walks, so per-walk work is kept to lookups. Phase 3 decides the joins a
+left walk and a right wrapper add once per tuple of the left walk's holders
+of the identifiers the right wrappers map, so a pair only splices the right
+wrapper's step and those joins into the left walk's tuples, builds the walk
+in C, and dedupes it on one hash. The stages after phase 3 read tables built
 once per query: the filter decides coverage and minimality once per tuple of
 wrapper bitmasks over the numbered pattern triples, the dedupe keys on the
 walk's own canonical names and joins, and output binding reads, per step,
@@ -28,10 +27,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
-from .quadstore import Dataset, Triple
+from .quadstore import Dataset
 from .queries import OmqQuery, concept_edges, parse_omq, topological_concepts, well_formed_rewrite
 from .sources import (
     Catalog,
@@ -68,7 +66,9 @@ class PartialWalkSet:
 
 @dataclass
 class RewriteTrace:
-    """Phase-by-phase record of one rewriting run, for explain output."""
+    """Phase-by-phase record of one rewriting run, for explain output: the
+    concept order and the identifiers phase 1 added, phase 2's walks per
+    concept, phase 3's walks, and a note per walk the filter dropped."""
 
     concepts: list[Iri] = field(default_factory=list)
     added_ids: list[Iri] = field(default_factory=list)
@@ -156,156 +156,97 @@ def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
 
 # --- phase 3 ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JoinPlan:
-    """How a concept's walks join the processed prefix: the connecting edge
-    and, for its head and then its tail concept, each identifier feature's
-    attribute per wrapper with the edge providers that have one. ``at_concept``
-    marks the end that is the concept being joined. ``error`` is what the
-    concept meets when none of its pairs yields a walk."""
-
-    edge: Triple | None
-    targets: tuple[tuple[bool, tuple[tuple[Mapping[str, str], tuple[JoinEnd, ...]], ...]], ...]
-    error: NoJoinPath | MissingIdAttribute
-
-
-def _join_plan(phi, concept: Iri, processed: set[Iri], catalog: Catalog) -> JoinPlan:
-    """The plan through the first pattern edge (canonical order) linking the
-    concept to the processed prefix. Its error is NoJoinPath without an edge
-    or providers, else the first provider lacking an identifier attribute,
-    else the generic MissingIdAttribute."""
+def _join_error(phi, concept: Iri, processed: set[Iri],
+                catalog: Catalog) -> NoJoinPath | MissingIdAttribute:
+    """The error a concept meets when none of its pairs yields a walk, read
+    through the first pattern edge (canonical order) linking it to the
+    processed prefix: NoJoinPath without an edge or providers, else the
+    first provider lacking an attribute for an identifier of the edge's
+    head, then of its tail, else the generic MissingIdAttribute."""
     edge = next(((s, p, o) for s, p, o in sorted(phi) if p != G_HAS_FEATURE
                  and concept in (s, o) and (s in processed or o in processed)), None)
     if edge is None:
-        return JoinPlan(None, (), NoJoinPath(
-            f"no pattern edge connects <{concept}> to the processed prefix"))
+        return NoJoinPath(f"no pattern edge connects <{concept}> to the processed prefix")
+    s, p, o = edge
     providers = catalog.providers(edge)
     if not providers:
-        s, p, o = edge
-        return JoinPlan(edge, (), NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>"))
-    error: MissingIdAttribute | None = None
-    targets = []
-    for target in (edge[2], edge[0]):
-        features = []
+        return NoJoinPath(f"no mapping graph provides the edge <{s}> <{p}> <{o}>")
+    for target in (o, s):
         for f_id in catalog.identifier_features(target):
             attrs = catalog.attrs_for(f_id)
             lacking = next((name for name in providers if name not in attrs), None)
-            if error is None and lacking is not None:
-                error = MissingIdAttribute(
+            if lacking is not None:
+                return MissingIdAttribute(
                     f"wrapper {lacking} provides the edge but no attribute for <{f_id}>")
-            features.append((attrs, tuple((name, attrs[name]) for name in providers
-                                          if name in attrs)))
-        targets.append((target == concept, tuple(features)))
-    return JoinPlan(edge, tuple(targets), error or MissingIdAttribute(
-        f"no identifier attribute joins the walks across <{edge[0]}> and <{edge[2]}>"))
+    return MissingIdAttribute(f"no identifier attribute joins the walks across <{s}> and <{o}>")
 
 
-def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset,
-                             trace: RewriteTrace | None = None) -> list[Walk]:
+def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -> list[Walk]:
     """Join partial walks across concepts into full candidate walks.
 
     Phase 2 builds each walk from one wrapper, so each walk built so far
     pairs with one step, (wrapper, projection). The pair yields the merged
-    walk when the left walk holds that wrapper, nothing when it holds the
-    wrapper's source, and else the joins on the edge's head identifier, or
-    failing that its tail's. A pair that holds its wrapper always yields,
-    so when no pair yields, every pair met the plan's error.
+    walk when the left walk holds that wrapper, and nothing when it holds
+    the wrapper's source or when the two share no identifier feature of the
+    pattern's concepts. Otherwise it yields the merged walk joined on every
+    such feature both map: the right wrapper's attribute equals each left
+    holder's. So a walk equates, per identifier feature, every attribute
+    its wrappers map to it. Raises the concept's ``_join_error`` when no
+    pair yields.
 
-    What a pair yields, its join notes included, depends on the right step
-    and on the left walk's interface: its names that provide the edge or
-    have a right wrapper's source (the right wrappers among them), and, for
-    each identifier of the edge's end in the processed prefix, its least
-    name that maps it. So the outcome is decided once per interface and
-    right step, and each pair looks it up and builds its candidates.
+    The joins a pair adds depend only on the right step and on the left
+    walk's holders of the identifier features the right wrappers map, so
+    they are decided once per tuple of holders.
     """
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
     source = {name: schema.source for name, schema in catalog.items()}
+    ids = [catalog.attrs_for(f) for f in dict.fromkeys(
+        f for c in x.concepts for f in catalog.identifier_features(c))]
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
-        plan = _join_plan(x.query.phi, concept, processed, catalog)
         rights = [w.steps[0] for w in p.per_concept[concept]]
-        right_sources = {source[name] for name, _ in rights}
-        relevant = {name for name, src in source.items() if src in right_sources}
-        relevant.update(name for _, features in plan.targets for _, joinable in features
-                        for name, _ in joinable)
-        holders = [attrs for at_concept, features in plan.targets if not at_concept
-                   for attrs, _ in features]
+        # Per identifier feature that a right wrapper maps, its attribute per wrapper.
+        shared = [attrs for attrs in ids if any(name in attrs for name, _ in rights)]
         decided: dict[tuple, list] = {}
         # ``joined`` dedupes the candidates on one hash each and keeps them
         # in first-seen order.
         joined: dict[Walk, None] = {}
         for left in current:
             steps, names, joins = left
-            interface = (tuple(name for name in names if name in relevant),
-                         tuple(next(name for name in names if name in attrs) for attrs in holders))
-            outcomes = decided.get(interface)
-            if outcomes is None:
-                outcomes = decided[interface] = _pair_outcomes(plan, left, rights, source, trace)
-            for step, outcome in zip(rights, outcomes):
-                if outcome is None:
-                    continue
-                built, notes = outcome
-                merged_steps, merged_names = _insert_step(steps, names, step)
-                if not built:
-                    joined[_new(Walk, (merged_steps, merged_names, joins))] = None
-                    continue
-                for provider, join in built:
-                    # The join links the left walk to the right one, so it
-                    # is not among the left walk's joins yet.
-                    i = bisect_left(joins, join)
-                    cand = _new(Walk, (merged_steps, merged_names, joins[:i] + (join,) + joins[i:]))
-                    # The provider is in ``cand``, so ``add_wrapper`` returns
+            holders = tuple(tuple(name for name in names if name in attrs) for attrs in shared)
+            added = decided.get(holders)
+            if added is None:
+                added = decided[holders] = [
+                    tuple(canonical_join((held, attrs[held]), (right, attrs[right]))
+                          for attrs, holding in zip(shared, holders) if right in attrs
+                          for held in holding)
+                    for right, _ in rights]
+            left_sources = {source[name] for name in names}
+            for step, new in zip(rights, added):
+                right = step[0]
+                if right in names:
+                    joined[_new(Walk, (*_insert_step(steps, names, step), joins))] = None
+                elif new and source[right] not in left_sources:
+                    merged_steps, merged_names = _insert_step(steps, names, step)
+                    # The joins link the left walk to the right wrapper, so
+                    # none is among the left walk's joins yet.
+                    merged = joins
+                    for join in new:
+                        i = bisect_left(merged, join)
+                        merged = merged[:i] + (join,) + merged[i:]
+                    cand = _new(Walk, (merged_steps, merged_names, merged))
+                    # ``right`` is in ``cand``, so ``add_wrapper`` returns
                     # ``cand``. The call stays: perfbench/tracing.py and a
                     # rewriter test count the candidates built through it.
-                    joined[cand.add_wrapper(provider)] = None
-                if trace is not None:
-                    trace.notes += notes
+                    joined[cand.add_wrapper(right)] = None
         if not joined:
-            raise plan.error
+            raise _join_error(x.query.phi, concept, processed, catalog)
         current = list(joined)
         processed.add(concept)
     return current
-
-
-def _pair_outcomes(plan: JoinPlan, left: Walk, rights, source: Mapping[str, str],
-                   trace: RewriteTrace | None) -> list:
-    """Per right step, what its pair with ``left`` yields: ``((), ())`` for
-    the merged walk itself when ``left`` holds its wrapper, None when
-    ``left`` holds the wrapper's source or no join connects them, else the
-    (provider, canonical join) of each candidate and their trace notes.
-
-    A join's holder maps an identifier of an end of the edge, and its
-    provider, in the other walk, provides the edge: at the concept's end the
-    holder is the right wrapper, and at the processed end it is the left
-    walk's least holder, which phase 2 guarantees. The first end that yields
-    a join decides."""
-    left_sources = {source[name] for name in left.names}
-    outcomes: list = []
-    for right, _ in rights:
-        if right in left.names:
-            outcomes.append(((), ()))
-            continue
-        joins: list[tuple[JoinEnd, JoinEnd]] = []
-        if source[right] not in left_sources:
-            for at_concept, features in plan.targets:
-                for attrs, joinable in features:
-                    # Steps are sorted by name, so the first match is the least holder.
-                    holder, reach = (right, left.names) if at_concept else (
-                        next(name for name in left.names if name in attrs), (right,))
-                    joins += [(end, (holder, attrs[holder])) for end in joinable if end[0] in reach]
-                if joins:
-                    break
-        if not joins:
-            outcomes.append(None)
-            continue
-        notes = () if trace is None else tuple(
-            f"join {name}.{attr} = {held[0]}.{held[1]} via <{plan.edge[1]}>"
-            for (name, attr), held in joins)
-        outcomes.append((tuple((end[0], canonical_join(end, held)) for end, held in joins), notes))
-    return outcomes
 
 
 # --- composition ------------------------------------------------------------
@@ -326,7 +267,7 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
     partial = intra_concept_generation(expanded, ds)
     if trace is not None:
         trace.partial_walks = {c: list(ws) for c, ws in partial.per_concept.items()}
-    walks = inter_concept_generation(partial, expanded, ds, trace)
+    walks = inter_concept_generation(partial, expanded, ds)
     if trace is not None:
         trace.phase3_walks = list(walks)
 

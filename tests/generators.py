@@ -221,6 +221,36 @@ def named_instance(concepts: dict[str, tuple[str, ...]], wrappers, pattern, proj
     return ds, query
 
 
+def make_tree_instance(rng: random.Random):
+    """A random tree of 4 concepts over ``named_instance``: each concept
+    after the first hangs off a random earlier one, by an edge of random
+    direction, and has an identifier and a metric. 3 to 7 wrappers each map
+    one edge with both its concepts' features, or one concept's features.
+    The query holds every edge and selects a random nonempty set of
+    metrics. Returns (dataset, query text)."""
+    names = ["A", "B", "C", "D"]
+    concepts = {c: (f"id{c}", f"m{c}") for c in names}
+    edges = []
+    for i, child in enumerate(names[1:], 1):
+        parent = names[rng.randrange(i)]
+        s, o = (parent, child) if rng.random() < 0.5 else (child, parent)
+        edges.append((s, f"e{child}", o))
+
+    def features(c):
+        return [(c, "has", f) for f in concepts[c]]
+
+    wrappers = []
+    for k in range(rng.randint(3, 7)):
+        if rng.random() < 0.6:
+            s, p, o = rng.choice(edges)
+            wrappers.append((f"w{k}", [(s, p, o), *features(s), *features(o)]))
+        else:
+            wrappers.append((f"w{k}", features(rng.choice(names))))
+    projected = [f"m{c}" for c in names if rng.random() < 0.5] or ["mA"]
+    pattern = edges + [(f[1:], "has", f) for f in projected]
+    return named_instance(concepts, wrappers, pattern, projected)
+
+
 def render_omq(q: OmqQuery, ds: Dataset) -> str:
     """Serialize a query back into the accepted template shape."""
     compact = ds.prefixes.compact

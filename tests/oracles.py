@@ -5,15 +5,18 @@ from __future__ import annotations
 from itertools import combinations
 from pathlib import Path
 
-from ontomed.errors import InvalidIri, InvalidWalk, NoJoinPath
+from ontomed.errors import InvalidIri, InvalidWalk
 from ontomed.quadstore import Dataset, Quad
-from ontomed.rewriter import _join_plan
+from ontomed.rewriter import _join_error
 from ontomed.sources import canonical_join, wrapper_schemas
 from ontomed.terms import (
+    G_CONCEPT,
+    G_HAS_FEATURE,
     GLOBAL_GRAPH,
     M_MAPPING,
     MAPPINGS_GRAPH,
     OWL_SAME_AS,
+    RDF_TYPE,
     RDFS_SUBCLASS_OF,
     SC_IDENTIFIER,
     Iri,
@@ -36,15 +39,17 @@ def with_join(walk, left, right):
     return walk._replace(joins=tuple(sorted((*walk.joins, join))))
 
 
-def reference_inter_concept_generation(p, x, ds, trace=None):
+def reference_inter_concept_generation(p, x, ds):
     """Phase 3 pair by pair: the loop ``rewriter.inter_concept_generation``
-    must agree with in its walks and their order, its trace notes, and its
-    error. Every (left, right) pair is tested by set operations on its own
-    name and source sets, and a pair that shares no wrapper runs
-    ``_reference_candidates``. The join plan is the rewriter's."""
+    must agree with in its walks and their order, and its error. Every
+    (left, right) pair is tested by set operations on its own name and
+    source sets: a pair that shares a wrapper yields the merged walk, and a
+    pair with distinct sources runs ``_reference_candidates``. When no pair
+    yields, the error is the rewriter's ``_join_error``."""
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
+    identifiers = [f for c in x.concepts for f in catalog.identifier_features(c)]
 
     def compiled(walks):
         return [(w, frozenset(w.names), frozenset(catalog[name].source for name in w.names))
@@ -53,59 +58,41 @@ def reference_inter_concept_generation(p, x, ds, trace=None):
     current = list(p.per_concept[x.concepts[0]])
     processed = {x.concepts[0]}
     for concept in x.concepts[1:]:
-        plan = _join_plan(x.query.phi, concept, processed, catalog)
         rights = compiled(p.per_concept[concept])
         joined = []
         seen = set()
-        error = None
         for left, left_names, left_sources in compiled(current):
             for right, right_names, right_sources in rights:
-                shared = not left_names.isdisjoint(right_names)
                 candidates = []
+                if not left_names.isdisjoint(right_names):
+                    candidates = [left.merge(right)]
                 # The merged walk's sources are distinct iff there are as
                 # many of them as it has wrappers.
-                if len(left_sources | right_sources) == len(left_names | right_names):
-                    merged = left.merge(right)
-                    candidates = [merged] if shared else _reference_candidates(
-                        plan, merged, left, right, left_names, right_names, trace)
-                if not (candidates or shared):
-                    error = plan.error
+                elif len(left_sources | right_sources) == len(left_names | right_names):
+                    candidates = _reference_candidates(catalog, identifiers, left.merge(right),
+                                                       left_names, right_names)
                 for cand in candidates:
                     if cand not in seen:
                         seen.add(cand)
                         joined.append(cand)
         if not joined:
-            raise error or NoJoinPath(
-                f"no wrapper materializes an edge joining <{concept}> to the query prefix")
+            raise _join_error(x.query.phi, concept, processed, catalog)
         current = joined
         processed.add(concept)
     return current
 
 
-def _reference_candidates(plan, merged, left, right, left_names, right_names, trace):
-    """Join candidates for two walks with distinct sources that share no
-    wrapper, given their name sets: a provider in the walk opposite the
-    identifier's holder connects them."""
-    for at_concept, features in plan.targets:
-        side, reachable = (right, left_names) if at_concept else (left, right_names)
-        found = []
-        for attrs, joinable in features:
-            # Steps are sorted by name, so the first match is the least holder.
-            for name in side.names:
-                if name in attrs:
-                    held = (name, attrs[name])
-                    break
-            else:
-                continue
-            for name, attr in joinable:
-                if name in reachable:
-                    found.append(with_join(merged.add_wrapper(name), (name, attr), held))
-                    if trace is not None:
-                        trace.notes.append(f"join {name}.{attr} = {held[0]}.{held[1]}"
-                                           f" via <{plan.edge[1]}>")
-        if found:
-            return found
-    return []
+def _reference_candidates(catalog, identifiers, merged, left_names, right_names):
+    """The merged walk of two walks that share no wrapper, joined on every
+    identifier feature that a wrapper of each maps, or no walk when there is
+    no such feature."""
+    walk = merged
+    for f in identifiers:
+        attrs = catalog.attrs_for(f)
+        for left in left_names & attrs.keys():
+            for right in right_names & attrs.keys():
+                walk = with_join(walk, (left, attrs[left]), (right, attrs[right]))
+    return [walk] if walk.joins != merged.joins else []
 
 
 def reference_render_body(walk) -> str:
@@ -178,14 +165,20 @@ def brute_force_walk_keys(ds: Dataset, phi, max_wrappers: int = 4) -> set[WalkKe
     """All covering, minimal, joinable wrapper combinations, by exhaustion.
 
     Enumerates wrapper subsets with pairwise distinct sources, keeps those
-    whose mapped triples cover the pattern minimally, and equips each with
-    every spanning set of identifier joins over wrappers sharing an ID
-    feature.
+    whose mapped triples cover the pattern minimally, and keys each with
+    every join between two of its wrappers on an identifier feature of the
+    pattern's concepts that both map, when those joins connect it.
     """
     catalog = wrapper_schemas(ds)
     names = sorted(catalog)
     lav = {n: _lav_triples(ds, n) for n in names}
-    id_attrs = _id_feature_attrs(ds, catalog)
+    concepts = {t for s, _, o in phi for t in (s, o)
+                if ds.match(GLOBAL_GRAPH, subject=t, predicate=RDF_TYPE, object=G_CONCEPT)}
+    pattern_ids = {q.object for c in concepts
+                   for q in ds.match(GLOBAL_GRAPH, subject=c, predicate=G_HAS_FEATURE)
+                   if _is_identifier(ds, q.object)}
+    id_attrs = {n: {f: a for f, a in table.items() if f in pattern_ids}
+                for n, table in _id_feature_attrs(ds, catalog).items()}
     goal = set(phi)
     keys: set[WalkKey] = set()
 
@@ -205,17 +198,12 @@ def brute_force_walk_keys(ds: Dataset, phi, max_wrappers: int = 4) -> set[WalkKe
             )
             if not minimal:
                 continue
-            edges = []
-            for a, b in combinations(subset, 2):
-                for feature in sorted(set(id_attrs[a]) & set(id_attrs[b])):
-                    edges.append(canonical_join((a, id_attrs[a][feature]), (b, id_attrs[b][feature])))
-            if size == 1:
-                keys.add((frozenset(subset), frozenset()))
-                continue
-            # Minimal spanning join sets are exactly the spanning trees.
-            for tree in combinations(sorted(set(edges)), size - 1):
-                if _spans(subset, tree):
-                    keys.add((frozenset(subset), frozenset(tree)))
+            joins = frozenset(
+                canonical_join((a, id_attrs[a][f]), (b, id_attrs[b][f]))
+                for a, b in combinations(subset, 2)
+                for f in set(id_attrs[a]) & set(id_attrs[b]))
+            if _spans(subset, joins):
+                keys.add((frozenset(subset), joins))
     return keys
 
 
@@ -240,7 +228,8 @@ def brute_force_binding(ds: Dataset, walk, features) -> dict:
 def validate_walk(walk, catalog) -> None:
     """Raise InvalidWalk unless the walk satisfies the algebra's structural
     rules: known wrappers and attributes, joins between ID attributes of its
-    own wrappers, pairwise-distinct sources and a spanning join graph."""
+    own wrappers that map one feature, pairwise-distinct sources and a
+    spanning join graph."""
     steps = dict(walk.steps)
     for name, attrs in walk.steps:
         schema = catalog.get(name)
@@ -255,6 +244,9 @@ def validate_walk(walk, catalog) -> None:
                 raise InvalidWalk(f"join endpoint on wrapper {w} outside the walk")
             if a not in catalog[w].id_attrs:
                 raise InvalidWalk(f"join endpoint {w}.{a} is not an ID attribute")
+        (wl, al), (wr, ar) = join
+        if catalog.feature(wl, al) != catalog.feature(wr, ar):
+            raise InvalidWalk(f"join {wl}.{al}={wr}.{ar} equates two different identifier features")
     if len({catalog[name].source for name in steps}) != len(steps):
         raise InvalidWalk("two wrappers in the walk share a source")
     if not _spans(steps, walk.joins):

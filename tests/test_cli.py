@@ -676,6 +676,16 @@ class TestBench:
         assert one_line_error(capsys) == (f"error: {DEMO / 'releases' / 'w1.json'}: "
                                           "not a directory of release descriptors")
 
+    def test_growth_bench_failure_prints_no_header(self, loaded_ws, capsys):
+        # W1 is registered already, so the bench fails before any release
+        # applies, and a reader of stdout sees nothing.
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "bench", "growth",
+                     "--releases", str(DEMO / "releases")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: wrapper W1 already registered"]
+
     def test_growth_bench_binds_data_files(self, ws, tmp_path, capsys):
         # The bench registers the same wrappers as one release per
         # descriptor, data bindings included, so the query answers alike.

@@ -30,17 +30,18 @@ from ontomed.sources import (
 from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDENTIFIER, Iri
 from ontomed.vocab import validate_ontology
 
-from conftest import MONITOR_QUERY
+from conftest import MONITOR_QUERY, make_global_dataset, make_releases
 from generators import make_instance
 from oracles import _lav_triples, reference_render_body, validate_walk, walk_key, with_join
 
 
 def make_catalog():
-    return {
-        "W1": WrapperSchema("W1", "D1", ("VoDmonitorId",), ("lagRatio",)),
-        "W3": WrapperSchema("W3", "D3", ("TargetApp", "MonitorId", "FeedbackId"), ()),
-        "W4": WrapperSchema("W4", "D1", ("VoDmonitorId",), ("bufferingRatio",)),
-    }
+    """The demo's catalog after W1, W3 and W4: W1 and W4 share source D1, and
+    W1.VoDmonitorId, W3.MonitorId and W4.VoDmonitorId map one identifier."""
+    ds, releases = make_global_dataset(), make_releases()
+    for name in ("W1", "W3", "W4"):
+        ds, _ = apply_release(ds, releases[name])
+    return wrapper_schemas(ds)
 
 
 def joined_walk():
@@ -170,6 +171,12 @@ class TestWalkValidity:
         w = with_join(Walk.single("W1").merge(Walk.single("W3")),
                       ("W1", "lagRatio"), ("W3", "MonitorId"))
         with pytest.raises(InvalidWalk):
+            validate_walk(w, make_catalog())
+
+    def test_join_of_two_identifiers_rejected(self):
+        w = with_join(Walk.single("W1").merge(Walk.single("W3")),
+                      ("W1", "VoDmonitorId"), ("W3", "TargetApp"))
+        with pytest.raises(InvalidWalk, match="different identifier features"):
             validate_walk(w, make_catalog())
 
     def test_shared_source_rejected(self):
