@@ -94,7 +94,8 @@ class NoWrapperForConcept(OntomedError):
 
 
 class NoJoinPath(OntomedError):
-    """No mapping named graph provides the pattern edge needed to join two concepts."""
+    """No walk joins a concept: no mapping named graph provides the pattern edge
+    needed, or every join would put two wrappers of one source in a walk."""
     exit_code = 3
 
 
@@ -106,7 +107,8 @@ class MissingIdAttribute(OntomedError):
 # --- executor -------------------------------------------------------------
 
 class MissingColumn(OntomedError):
-    """A wrapper data file lacks a column for one of the wrapper's attributes."""
+    """A wrapper data file's header lacks a column for one of the wrapper's
+    attributes, or names one more than once."""
     exit_code = 4
 
 

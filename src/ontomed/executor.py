@@ -93,6 +93,8 @@ def load_relation(binding: WrapperBinding) -> Relation:
     for attr in schema.attrs:
         if attr not in header:
             raise MissingColumn(f"{path}: header lacks attribute column {attr}")
+        if header.count(attr) > 1:
+            raise MissingColumn(f"{path}: header names attribute column {attr} more than once")
     width = len(header)
     # A blank line reads as an empty record and is skipped.
     if not {width, 0}.issuperset(map(len, records)):

@@ -14,9 +14,9 @@ Every fact about wrappers, attributes and features comes from the snapshot's
 compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
 W^C walks, so per-walk work is kept to lookups. Phase 3 decides the joins a
 left walk and a right wrapper add once per tuple of the left walk's holders
-of the identifiers the right wrappers map, so a pair only splices the right
-wrapper's step and those joins into the left walk's tuples, builds the walk
-in C, and dedupes it on one hash. The stages after phase 3 read tables built
+of the identifiers the right wrappers map, so a pair only grows the left
+walk by the right wrapper's step and those joins, through ``Walk.with_step``,
+and dedupes the result on one hash. The stages after phase 3 read tables built
 once per query: the filter decides coverage and minimality once per tuple of
 wrapper bitmasks over the numbered pattern triples, the dedupe keys on the
 walk's own canonical names and joins, and output binding reads, per step,
@@ -25,7 +25,6 @@ the (feature position, least end) pairs of the requested features only.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
@@ -37,8 +36,6 @@ from .sources import (
     LavMasks,
     Ucq,
     Walk,
-    _insert_step,
-    _new,
     canonical_join,
     coverage,
     minimality,
@@ -156,13 +153,22 @@ def intra_concept_generation(x: ExpandedQuery, ds: Dataset) -> PartialWalkSet:
 
 # --- phase 3 ----------------------------------------------------------------
 
-def _join_error(phi, concept: Iri, processed: set[Iri],
-                catalog: Catalog) -> NoJoinPath | MissingIdAttribute:
-    """The error a concept meets when none of its pairs yields a walk, read
-    through the first pattern edge (canonical order) linking it to the
-    processed prefix: NoJoinPath without an edge or providers, else the
-    first provider lacking an attribute for an identifier of the edge's
-    head, then of its tail, else the generic MissingIdAttribute."""
+def _join_error(phi, concept: Iri, processed: set[Iri], catalog: Catalog,
+                clashed: str | None) -> NoJoinPath | MissingIdAttribute:
+    """The error a concept meets when none of its pairs yields a walk.
+
+    ``clashed`` is the first right wrapper that shares an identifier with a
+    walk built so far, if any; each such pair then failed on the
+    distinct-source rule alone, and NoJoinPath says so. Otherwise the error
+    is read through the first pattern edge (canonical order) linking the
+    concept to the processed prefix: NoJoinPath without an edge or
+    providers, else the first provider lacking an attribute for an
+    identifier of the edge's head, then of its tail, else the generic
+    MissingIdAttribute."""
+    if clashed is not None:
+        return NoJoinPath(f"no walk joins <{concept}>: each walk built so far that shares an "
+                          f"identifier with wrapper {clashed} already holds its source "
+                          f"{catalog[clashed].source}, and a walk's sources must be distinct")
     edge = next(((s, p, o) for s, p, o in sorted(phi) if p != G_HAS_FEATURE
                  and concept in (s, o) and (s in processed or o in processed)), None)
     if edge is None:
@@ -215,7 +221,7 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -
         # in first-seen order.
         joined: dict[Walk, None] = {}
         for left in current:
-            steps, names, joins = left
+            names = left.names
             holders = tuple(tuple(name for name in names if name in attrs) for attrs in shared)
             added = decided.get(holders)
             if added is None:
@@ -228,22 +234,20 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -
             for step, new in zip(rights, added):
                 right = step[0]
                 if right in names:
-                    joined[_new(Walk, (*_insert_step(steps, names, step), joins))] = None
+                    joined[left.with_step(step)] = None
                 elif new and source[right] not in left_sources:
-                    merged_steps, merged_names = _insert_step(steps, names, step)
                     # The joins link the left walk to the right wrapper, so
                     # none is among the left walk's joins yet.
-                    merged = joins
-                    for join in new:
-                        i = bisect_left(merged, join)
-                        merged = merged[:i] + (join,) + merged[i:]
-                    cand = _new(Walk, (merged_steps, merged_names, merged))
+                    cand = left.with_step(step, new)
                     # ``right`` is in ``cand``, so ``add_wrapper`` returns
                     # ``cand``. The call stays: perfbench/tracing.py and a
                     # rewriter test count the candidates built through it.
                     joined[cand.add_wrapper(right)] = None
         if not joined:
-            raise _join_error(x.query.phi, concept, processed, catalog)
+            # No pair yields, so each one whose joins are not empty clashes on a source.
+            clashed = next((step[0] for step, *news in zip(rights, *decided.values())
+                            if any(news)), None)
+            raise _join_error(x.query.phi, concept, processed, catalog, clashed)
         current = list(joined)
         processed.add(concept)
     return current

@@ -6,9 +6,11 @@ equi-joins (identifier attributes only), with pairwise-distinct sources.
 Each walk is stored as a named tuple of three canonical tuples: its steps,
 its wrapper names and its sorted joins. Equivalence is then plain tuple
 equality, the rewriter, the renderer and the executor read fields instead of
-rebuilding them, and merging a one-wrapper walk is a bisection insert. The
-builders make each walk with ``tuple.__new__``, in C, since their fields are
-canonical already.
+rebuilding them, and growing a walk by one step is a bisection insert. One
+builder, ``Walk.with_step``, splices a step and its joins into a walk's
+tuples and makes the walk with ``tuple.__new__``, in C, since its fields are
+canonical already. ``merge`` and ``add_wrapper`` are stated on it, and phase
+3 grows its walks through it.
 
 The catalog compiles a snapshot's source and mapping graphs, and the
 identifier facts of its global graph, once: the wrapper schemas plus the
@@ -80,6 +82,10 @@ class WrapperSchema:
             if _SPACE.search(name) or "<" in name or ">" in name:
                 raise InvalidWalk(
                     f"wrapper {self.name}: {kind} name {name!r} contains whitespace, '<' or '>'")
+        # An attribute IRI is the source IRI, "/" and the attribute name, so
+        # a "/" in a source name would let two attributes share one IRI.
+        if "/" in self.source:
+            raise InvalidWalk(f"wrapper {self.name}: source name {self.source!r} contains '/'")
 
     @property
     def iri(self) -> Iri:
@@ -102,8 +108,8 @@ class Walk(NamedTuple):
 
     ``steps`` holds one (wrapper name, sorted projected attributes) pair per
     wrapper, sorted by name; ``names`` is the wrapper names in step order;
-    ``joins`` is the canonical join pairs, sorted. ``Walk.single`` and the
-    builders below keep that form, and ``merge`` relies on it. Equality,
+    ``joins`` is the canonical join pairs, sorted. ``Walk.single`` and
+    ``with_step`` keep that form, and ``with_step`` relies on it. Equality,
     hashing and order are the tuple's, so they follow (steps, joins).
     """
 
@@ -117,24 +123,37 @@ class Walk(NamedTuple):
 
     # --- construction ------------------------------------------------------
 
-    def merge(self, other: "Walk") -> "Walk":
-        """Union of steps (projection sets merged per wrapper) and joins.
+    def with_step(self, step: tuple[str, tuple[str, ...]], joins: Iterable[Join] = ()) -> "Walk":
+        """The walk with one more step and joins, in canonical form: the only
+        code that splices a walk's tuples.
 
-        Each of the other walk's steps is inserted by bisection, or merged
-        into this walk's step for the same wrapper; phase 2's walks have one.
+        A new wrapper's step goes in by bisection; a held wrapper's step gets
+        the union of the two projections. Each join, none of them held yet,
+        goes in by bisection.
         """
-        steps, names = self.steps, self.names
+        steps, names, held = self
+        name, attrs = step
+        i = bisect_left(names, name)
+        if i == len(names) or names[i] != name:
+            steps, names = steps[:i] + (step,) + steps[i:], names[:i] + (name,) + names[i:]
+        else:
+            steps = steps[:i] + ((name, tuple(sorted({*steps[i][1], *attrs}))),) + steps[i + 1:]
+        for join in joins:
+            j = bisect_left(held, join)
+            held = held[:j] + (join,) + held[j:]
+        return _new(Walk, (steps, names, held))
+
+    def merge(self, other: "Walk") -> "Walk":
+        """Union of steps (projection sets merged per wrapper) and joins: the
+        builder folded over the other walk's steps, the first of which brings
+        the other walk's joins that this walk lacks."""
+        walk, joins = self, set(other.joins).difference(self.joins)
         for step in other.steps:
-            steps, names = _insert_step(steps, names, step)
-        joins = self.joins
-        if other.joins and other.joins != joins:
-            joins = tuple(sorted({*joins, *other.joins}))
-        return _new(Walk, (steps, names, joins))
+            walk, joins = walk.with_step(step, joins), ()
+        return walk
 
     def add_wrapper(self, wrapper_name: str) -> "Walk":
-        if wrapper_name in self.names:
-            return self
-        return _new(Walk, (*_insert_step(self.steps, self.names, (wrapper_name, ())), self.joins))
+        return self if wrapper_name in self.names else self.with_step((wrapper_name, ()))
 
     # --- structure ---------------------------------------------------------
 
@@ -150,8 +169,8 @@ class Walk(NamedTuple):
 
 
 # ``_new(Walk, fields)`` builds a walk from a tuple of its three fields in C,
-# without the NamedTuple's Python-level ``__new__``; the builders pass fields
-# that are canonical already.
+# without the NamedTuple's Python-level ``__new__``; ``Walk.with_step`` passes
+# fields that are canonical already.
 _new = tuple.__new__
 
 
@@ -189,17 +208,6 @@ def _render_bodies(walks: Iterable[Walk]) -> list[str]:
         parts += [placed.get(name) or "⋈ " + name for name in names[1:]]
         bodies.append("( " + " ".join(parts) + " )")
     return bodies
-
-
-def _insert_step(steps, names, step):
-    """Canonical steps and names with one more step: a new wrapper goes in by
-    bisection, a known one gets the union of the two projections."""
-    name, attrs = step
-    i = bisect_left(names, name)
-    if i == len(names) or names[i] != name:
-        return steps[:i] + (step,) + steps[i:], names[:i] + (name,) + names[i:]
-    merged = (name, tuple(sorted({*steps[i][1], *attrs})))
-    return steps[:i] + (merged,) + steps[i + 1:], names
 
 
 # --- the compiled catalog ---------------------------------------------------

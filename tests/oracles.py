@@ -45,7 +45,8 @@ def reference_inter_concept_generation(p, x, ds):
     (left, right) pair is tested by set operations on its own name and
     source sets: a pair that shares a wrapper yields the merged walk, and a
     pair with distinct sources runs ``_reference_candidates``. When no pair
-    yields, the error is the rewriter's ``_join_error``."""
+    yields, the error is the rewriter's ``_join_error``, given the first
+    right wrapper that a pair of clashing sources would join."""
     if not x.concepts:
         return []
     catalog = wrapper_schemas(ds)
@@ -61,6 +62,7 @@ def reference_inter_concept_generation(p, x, ds):
         rights = compiled(p.per_concept[concept])
         joined = []
         seen = set()
+        clashed = set()
         for left, left_names, left_sources in compiled(current):
             for right, right_names, right_sources in rights:
                 candidates = []
@@ -71,12 +73,17 @@ def reference_inter_concept_generation(p, x, ds):
                 elif len(left_sources | right_sources) == len(left_names | right_names):
                     candidates = _reference_candidates(catalog, identifiers, left.merge(right),
                                                        left_names, right_names)
+                elif _reference_candidates(catalog, identifiers, left.merge(right),
+                                           left_names, right_names):
+                    clashed |= right_names
                 for cand in candidates:
                     if cand not in seen:
                         seen.add(cand)
                         joined.append(cand)
         if not joined:
-            raise _join_error(x.query.phi, concept, processed, catalog)
+            first = next((right.names[0] for right, _, _ in rights
+                          if right.names[0] in clashed), None)
+            raise _join_error(x.query.phi, concept, processed, catalog, first)
         current = joined
         processed.add(concept)
     return current

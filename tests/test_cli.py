@@ -190,6 +190,22 @@ class TestExitCodes:
         # No wrappers registered yet, so no concept can be answered.
         assert main(["-w", str(ws), "query", str(DEMO / "query.rq")]) == 3
 
+    def test_query_blocked_by_shared_source(self, ws, tmp_path, capsys):
+        # W3.MonitorId and W1.VoDmonitorId both map sup:monitorId, so only
+        # the distinct-source rule keeps W3 out of W1's walk.
+        doc = json.loads((DEMO / "releases" / "w3.json").read_text(encoding="utf-8"))
+        doc["wrapper"]["source"] = "D1"
+        (tmp_path / "w3.json").write_text(json.dumps(doc), encoding="utf-8")
+        for path in (DEMO / "releases" / "w1.json", tmp_path / "w3.json"):
+            assert main(["-w", str(ws), "release", str(path)]) == 0
+        assert main(["-w", str(ws), "validate"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ok: 0 violations"
+        assert main(["-w", str(ws), "query", str(DEMO / "query.rq")]) == 3
+        assert one_line_error(capsys) == (
+            "error: no walk joins <http://www.supersede.eu/ontology/InfoMonitor>: each walk "
+            "built so far that shares an identifier with wrapper W1 already holds its source "
+            "D1, and a walk's sources must be distinct")
+
     def test_missing_workspace(self, tmp_path, capsys):
         assert main(["-w", str(tmp_path / "nowhere"), "stats"]) == 4
 
@@ -414,6 +430,19 @@ class TestMalformedInputs:
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
         assert one_line_error(capsys) == f"error: {path}: empty file, header expected"
 
+    def test_attribute_column_named_twice(self, loaded_ws, capsys):
+        # Which of the two columns holds lagRatio is unknown, so neither is
+        # read; a column outside the schema may still repeat.
+        path = loaded_ws / "data" / "w1.csv"
+        path.write_text("VoDmonitorId,lagRatio,lagRatio,note,note\n12,0.75,0.5,a,b\n",
+                        encoding="utf-8")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        assert one_line_error(capsys) == (
+            f"error: {path}: header names attribute column lagRatio more than once")
+        path.write_text("VoDmonitorId,lagRatio,note,note\n12,0.75,a,b\n", encoding="utf-8")
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["applicationId,lagRatio", "1,0.75"]
+
     def test_non_utf8_quad_file(self, ws, capsys):
         with open(ws / "ontology.quads", "ab") as f:
             f.write(b"\xff\xfe\n")
@@ -616,13 +645,9 @@ def rename_wrapper(doc):
         doc["wrapper"]["name"] = "W/1"
 
 
-def rename_source(doc):
-    if doc["wrapper"]["source"] == "D1":
-        doc["wrapper"]["source"] = "D/1"
-
-
 class TestNamesWithSlash:
-    """Names holding "/" answer the demo query like the unedited demo."""
+    """Wrapper and attribute names holding "/" answer the demo query like the
+    unedited demo; a source name holding "/" is refused."""
 
     def test_attribute(self, tmp_path, capsys):
         plain = demo_answer(tmp_path / "plain", capsys)
@@ -634,9 +659,28 @@ class TestNamesWithSlash:
         plain = demo_answer(tmp_path / "plain", capsys)
         assert demo_answer(tmp_path / "ws", capsys, rename_wrapper) == plain.replace("W1", "W/1")
 
-    def test_source(self, tmp_path, capsys):
-        plain = demo_answer(tmp_path / "plain", capsys)
-        assert demo_answer(tmp_path / "ws", capsys, rename_source) == plain
+    def test_source_refused(self, ws, tmp_path, capsys):
+        # An attribute IRI is the source IRI, "/" and the attribute name, so
+        # WB's VoDmonitorId (source s/x) would share an IRI with WA's
+        # x/VoDmonitorId (source s), and WA would lose its ID attribute.
+        wrapper = {key: value for key, value in W1_DOC["wrapper"].items() if key != "data_file"}
+        wa = {**W1_DOC, "wrapper": {**wrapper, "name": "WA", "source": "s",
+                                    "id_attributes": ["x/VoDmonitorId"]},
+              "feature_map": {"x/VoDmonitorId": "sup:monitorId", "lagRatio": "sup:lagRatio"}}
+        wb = {**W1_DOC, "wrapper": {**wrapper, "name": "WB", "source": "s/x", "id_attributes": [],
+                                    "non_id_attributes": ["VoDmonitorId", "lagRatio"]},
+              "feature_map": {"VoDmonitorId": "sup:lagRatio", "lagRatio": "sup:lagRatio"}}
+        for name, doc in (("wa", wa), ("wb", wb)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["-w", str(ws), "release", str(tmp_path / "wa.json")]) == 0
+        capsys.readouterr()
+        before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
+        assert main(["-w", str(ws), "release", str(tmp_path / "wb.json")]) == 2
+        assert "source name 's/x' contains '/'" in one_line_error(capsys)
+        assert {name: (ws / name).read_bytes() for name in before} == before
+        assert main(["-w", str(ws), "validate"]) == 0
+        assert wrapper_schemas(Dataset.load(ws / "ontology.quads"))["WA"].id_attrs == (
+            "x/VoDmonitorId",)
 
     def test_attribute_executes(self, tmp_path, capsys):
         plain = demo_answer(tmp_path / "plain", capsys, flags=())

@@ -206,16 +206,18 @@ class TestInterConcept:
                                   f"<{iri('sup:monitorId')}>")
 
         # After W4 the only InfoMonitor walk left shares source D1 with the
-        # Monitor walk's W1: every provider has the attribute, the sources clash.
+        # Monitor walk's W1: every provider has the attribute, the sources
+        # clash, and the error names that rule.
         ds = post_evolution_ds
         x = query_expansion(well_formed_rewrite(ds, parse_omq(MONITOR_QUERY, ds)), ds)
         p = intra_concept_generation(x, ds)
         p.per_concept[iri("sup:Monitor")] = [Walk.single("W1", ["VoDmonitorId"])]
         p.per_concept[iri("sup:InfoMonitor")] = [Walk.single("W4", ["bufferingRatio"])]
-        with pytest.raises(MissingIdAttribute) as exc:
+        with pytest.raises(NoJoinPath) as exc:
             inter_concept_generation(p, x, ds)
-        assert str(exc.value) == (f"no identifier attribute joins the walks across "
-                                  f"<{iri('sup:Monitor')}> and <{iri('sup:InfoMonitor')}>")
+        assert str(exc.value) == (f"no walk joins <{iri('sup:InfoMonitor')}>: each walk built so "
+                                  f"far that shares an identifier with wrapper W4 already holds "
+                                  f"its source D1, and a walk's sources must be distinct")
 
 
 class TestPhase3Reference:
@@ -540,7 +542,8 @@ class TestPinnedOutput:
         # W4, of which about a third raise. The outputs digest covers the
         # UCQ and the bindings, or else the error class and message. The
         # trace digest covers the --verbose trace of each instance that
-        # does not raise.
+        # does not raise. Case 193 is blocked by the distinct-source rule
+        # alone, and its error names that rule.
         rng = random.Random(1801)
         cases = [make_instance(rng) for _ in range(300)]
         cases += [(pre_evolution_ds, MONITOR_QUERY), (post_evolution_ds, MONITOR_QUERY)]
@@ -556,5 +559,5 @@ class TestPinnedOutput:
                 traces.update(trace.render(ds).encode("utf-8") + b"\0")
             for value in values:
                 outputs.update(value.encode("utf-8") + b"\0")
-        assert outputs.hexdigest() == "13b4770fa36aaedceed2242e5f4e08132f194814"
+        assert outputs.hexdigest() == "ec975ec40881a38559dbbe6b5be16c1589c4e57d"
         assert traces.hexdigest() == "87f99b0ed559c8de0cf6891f3ec47064731f0cc0"

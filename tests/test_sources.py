@@ -63,25 +63,42 @@ class TestCompiledWalk:
             attrs = data.draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=3))
             return Walk.single(name, attrs), ({name: set(attrs)}, frozenset())
 
+        ends = st.tuples(st.sampled_from(NAMES), st.sampled_from(ATTRS))
         pool = [single()]
-        ops = st.sampled_from(["single", "merge", "add_wrapper", "with_join"])
+        ops = st.sampled_from(["single", "merge", "add_wrapper", "with_join", "with_step"])
         for op in data.draw(st.lists(ops, max_size=12)):
             walk, (steps, joins) = data.draw(st.sampled_from(pool))
             if op == "single":
                 walk, (steps, joins) = single()
             elif op == "merge":
                 other, (other_steps, other_joins) = data.draw(st.sampled_from(pool))
+                # Merging folds the builder over the other walk's steps.
+                folded = walk
+                for step in other.steps:
+                    folded = folded.with_step(step)
                 walk = walk.merge(other)
+                assert (walk.steps, walk.names) == (folded.steps, folded.names)
                 steps = {name: steps.get(name, set()) | other_steps.get(name, set())
                          for name in steps.keys() | other_steps.keys()}
                 joins = joins | other_joins
             elif op == "add_wrapper":
                 name = data.draw(st.sampled_from(NAMES))
                 walk, steps = walk.add_wrapper(name), {name: set(), **steps}
-            else:
-                ends = st.tuples(st.sampled_from(NAMES), st.sampled_from(ATTRS))
+            elif op == "with_join":
                 a, b = data.draw(ends), data.draw(ends)
                 walk, joins = with_join(walk, a, b), joins | {tuple(sorted((a, b)))}
+            else:
+                # A held wrapper's projection is merged, a new wrapper goes
+                # in name order and each join, given in any order, lands in
+                # its sorted place.
+                name = data.draw(st.sampled_from(NAMES))
+                attrs = set(data.draw(st.lists(st.sampled_from(ATTRS), max_size=3)))
+                pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=3))
+                new = [join for join in dict.fromkeys(tuple(sorted(pair)) for pair in pairs)
+                       if join not in joins]
+                walk = walk.with_step((name, tuple(sorted(attrs))), new)
+                steps = {**steps, name: steps.get(name, set()) | attrs}
+                joins = joins | set(new)
             pool.append((walk, (steps, joins)))
 
         # The model's canonical form: sorted steps, and the joins sorted.
@@ -128,6 +145,14 @@ class TestWalkStructure:
     def test_merge_unions_projections_per_wrapper(self):
         merged = Walk.single("W1", ["a"]).merge(Walk.single("W1", ["b"]))
         assert dict(merged.steps) == {"W1": ("a", "b")}
+        # The builder merges a held wrapper's projection the same way, puts a
+        # new wrapper in name order and each join in its sorted place.
+        walk = Walk.single("W2", ["b"]).with_step(("W1", ("a",)))
+        assert walk.with_step(("W2", ("a", "c"))).steps == (("W1", ("a",)), ("W2", ("a", "b", "c")))
+        joins = [(("W1", "a"), ("W3", "c")), (("W1", "a"), ("W2", "b"))]
+        grown = walk.with_step(("W3", ("c",)), joins)
+        assert grown == Walk(steps=(("W1", ("a",)), ("W2", ("b",)), ("W3", ("c",))),
+                             names=("W1", "W2", "W3"), joins=tuple(sorted(joins)))
 
     def test_join_is_canonically_oriented(self):
         a = with_join(Walk.single("W1").merge(Walk.single("W3")), ("W1", "x"), ("W3", "y"))
