@@ -76,11 +76,6 @@ class DisconnectedPattern(OntomedError):
     exit_code = 3
 
 
-class CyclicPattern(OntomedError):
-    """The query's concept graph has at least one cycle."""
-    exit_code = 3
-
-
 class NoIdentifier(OntomedError):
     """A projected concept has no identifier feature to stand in for it."""
     exit_code = 3

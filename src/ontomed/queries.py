@@ -7,12 +7,10 @@ graph. Projected concepts are repaired into their identifier features.
 
 from __future__ import annotations
 
-import graphlib
 import re
 from dataclasses import dataclass
 
 from .errors import (
-    CyclicPattern,
     DisconnectedPattern,
     NoIdentifier,
     OmqSyntaxError,
@@ -272,41 +270,15 @@ def concept_edges(phi: frozenset[Triple] | set[Triple]) -> set[Triple]:
     return {t for t in phi if t[1] != G_HAS_FEATURE}
 
 
-def topological_concepts(phi: frozenset[Triple] | set[Triple]) -> list[Iri]:
-    """Concept vertices of the pattern in a deterministic topological order.
-
-    Raises CyclicPattern when the concept edges admit no such order.
-    Lexicographic tie-break keeps the output stable.
-    """
-    edges = concept_edges(phi)
-    vertices = {s for s, _, _ in edges} | {o for _, _, o in edges}
-    if not vertices:
-        vertices = {s for s, _, _ in phi}
-    preds: dict[Iri, set[Iri]] = {v: set() for v in vertices}
-    for s, _, o in edges:
-        preds[o].add(s)
-    sorter = graphlib.TopologicalSorter(preds)
-    try:
-        sorter.prepare()
-    except graphlib.CycleError as exc:
-        raise CyclicPattern("the pattern has at least one concept cycle") from exc
-    order: list[Iri] = []
-    while sorter.is_active():
-        ready = sorted(sorter.get_ready())
-        order += ready
-        sorter.done(*ready)
-    return order
-
-
 def well_formed_rewrite(ds: Dataset, q: OmqQuery) -> OmqQuery:
     """Repair projections of concepts into projections of their ID features.
 
     Each projected element that is not typed as a feature is replaced by all
     of its identifier features (lexicographic order), and the corresponding
-    hasFeature triples join the pattern. Raises CyclicPattern when the concept
-    edges are not acyclic, NoIdentifier when a repair target has no ID.
+    hasFeature triples join the pattern. Raises NoIdentifier when a repair
+    target has no ID. The pattern's shape, cycles included, is left to the
+    rewriter.
     """
-    topological_concepts(q.phi)
     catalog = wrapper_schemas(ds)
     pi: list[Iri] = []
     phi = set(q.phi)

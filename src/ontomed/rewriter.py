@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from .quadstore import Dataset
-from .queries import OmqQuery, concept_edges, parse_omq, topological_concepts, well_formed_rewrite
+from .queries import OmqQuery, concept_edges, parse_omq, well_formed_rewrite
 from .sources import (
     Catalog,
     JoinEnd,
@@ -47,7 +47,8 @@ from .terms import G_CONCEPT, G_HAS_FEATURE, GLOBAL_GRAPH, RDF_TYPE, Iri
 @dataclass(frozen=True)
 class ExpandedQuery:
     """A well-formed query with identifier features joined in, plus the
-    topological order its concepts will be processed in."""
+    order its concepts will be processed in: by name, each one linked by a
+    pattern edge to those before it wherever the pattern allows."""
 
     concepts: tuple[Iri, ...]
     query: OmqQuery
@@ -97,13 +98,16 @@ class RewriteTrace:
 def query_expansion(q: OmqQuery, ds: Dataset) -> ExpandedQuery:
     """Order the pattern's concepts and join every identifier feature into it.
 
-    The order is topological where that keeps each concept linked by a
-    pattern edge to the ones before it. Where the next concept has no such
-    edge, as C in A -> B <- C, the first later concept that has one goes
-    first."""
-    order = [v for v in topological_concepts(q.phi)
-             if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT)]
+    The concepts are the vertices of the pattern's concept edges, or its
+    subjects when it has none, that are typed as concepts. The least comes
+    first, then each time the least remaining one that a pattern edge links
+    to those before it, or else the least remaining one: A, B, C for
+    A -> B <- C. Edge directions do not matter, so a cycle is ordered like
+    any other pattern."""
     edges = concept_edges(q.phi)
+    vertices = {s for s, _, _ in edges} | {o for _, _, o in edges} or {s for s, _, _ in q.phi}
+    order = sorted(v for v in vertices
+                   if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT))
     concepts: list[Iri] = []
     while order:
         linked = (c for c in order if any(c in (s, o) and (s in concepts or o in concepts)

@@ -1,6 +1,6 @@
 """Structural validation of a dataset against the metadata vocabulary.
 
-Six rules cover the legal instantiation of the global, source, and mapping
+Seven rules cover the legal instantiation of the global, source, and mapping
 graphs. Violations are data, not faults: validation always returns a report,
 its violations sorted by rule, subject and detail.
 """
@@ -26,6 +26,7 @@ from .terms import (
     S_WRAPPER,
     SOURCE_GRAPH,
     Iri,
+    source_iri,
 )
 
 
@@ -133,6 +134,15 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
                 report.violations.append(
                     Violation("V6", q.object, f"attribute not prefixed by its source <{src}>")
                 )
+
+    # V7: a source's name, its IRI after S:DataSource/, holds no "/", since
+    # an attribute's IRI is its source's IRI, "/" and its name.
+    source_ns = source_iri("")
+    for src in sources:
+        if src.startswith(source_ns) and "/" in src[len(source_ns):]:
+            report.violations.append(
+                Violation("V7", src, f"source name {src[len(source_ns):]!r} contains '/'"))
+
     # The rules walk sets, whose order follows the hash seed.
     report.violations.sort()
     return report

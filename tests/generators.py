@@ -228,6 +228,18 @@ def make_tree_instance(rng: random.Random):
     one edge with both its concepts' features, or one concept's features.
     The query holds every edge and selects a random nonempty set of
     metrics. Returns (dataset, query text)."""
+    return _tree_instance(rng, cyclic=False)
+
+
+def make_cyclic_instance(rng: random.Random):
+    """``make_tree_instance``'s tree plus 1 or 2 closing edges, each between
+    two concepts no edge links yet, of random direction, so the pattern
+    holds at least one cycle. Wrappers and query are drawn as there, over
+    all the edges. Returns (dataset, query text)."""
+    return _tree_instance(rng, cyclic=True)
+
+
+def _tree_instance(rng: random.Random, cyclic: bool):
     names = ["A", "B", "C", "D"]
     concepts = {c: (f"id{c}", f"m{c}") for c in names}
     edges = []
@@ -235,6 +247,13 @@ def make_tree_instance(rng: random.Random):
         parent = names[rng.randrange(i)]
         s, o = (parent, child) if rng.random() < 0.5 else (child, parent)
         edges.append((s, f"e{child}", o))
+    if cyclic:
+        linked = {frozenset((s, o)) for s, _, o in edges}
+        open_pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                      if frozenset((a, b)) not in linked]
+        for a, b in rng.sample(open_pairs, rng.randint(1, 2)):
+            s, o = (a, b) if rng.random() < 0.5 else (b, a)
+            edges.append((s, f"x{a}{b}", o))
 
     def features(c):
         return [(c, "has", f) for f in concepts[c]]

@@ -172,6 +172,20 @@ class TestWorkflow:
         assert main(["-w", str(root), "validate"]) == 2
         assert capsys.readouterr().out == f"RULEV3 <{wrapper_iri('W9')}> Wrapper has no hasWrapper link\n"
 
+    def test_validate_reports_source_name_with_slash(self, loaded_ws, capsys):
+        # Renaming source D1 to D/1 in the saved quads keeps its attributes
+        # prefixed by its IRI, so V6 holds, yet the catalog refuses the name
+        # at the first query, so validate must refuse it first.
+        path = loaded_ws / "ontology.quads"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("DataSource/D1", "DataSource/D/1"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 2
+        assert one_line_error(capsys) == "error: wrapper W1: source name 'D/1' contains '/'"
+        assert main(["-w", str(loaded_ws), "validate"]) == 2
+        assert capsys.readouterr().out == (
+            f"RULEV7 <{source_iri('D/1')}> source name 'D/1' contains '/'\n")
+
 
 class TestExitCodes:
     def test_duplicate_release_is_validation_error(self, loaded_ws, capsys):
@@ -243,7 +257,7 @@ class TestExitCodes:
             "InvalidRelease": 2, "SubgraphNotInGlobal": 2, "DuplicateWrapper": 2,
             "DanglingFeatureMap": 2,
             "OmqSyntaxError": 3, "UnknownIri": 3, "DisconnectedPattern": 3,
-            "CyclicPattern": 3, "NoIdentifier": 3, "NoWrapperForConcept": 3,
+            "NoIdentifier": 3, "NoWrapperForConcept": 3,
             "NoJoinPath": 3, "MissingIdAttribute": 3, "NoWalks": 3, "MissingMapping": 3,
             "InvalidIri": 4, "WorkspaceError": 4, "MissingColumn": 4, "MalformedRow": 4,
             "UnboundWrapper": 4,
@@ -491,12 +505,13 @@ class TestByteOrderMark:
         assert capsys.readouterr().out.splitlines()[-3:] == DEMO_ROWS
 
 
-def readme_block(heading: str) -> list[str]:
-    """The first ``sh`` block after ``heading`` in the README, cut as the CI
-    quickstart job cuts it."""
+def readme_block(heading: str, language: str = "sh") -> list[str]:
+    """The first ``language`` block after ``heading`` in the README, cut as
+    the CI quickstart job cuts it."""
     lines = (DEMO.parent / "README.md").read_text(encoding="utf-8").splitlines()
     start = lines.index(heading)
-    start = next(i for i in range(start, len(lines)) if lines[i].startswith("```sh")) + 1
+    start = next(i for i in range(start, len(lines))
+                 if lines[i].startswith("```" + language)) + 1
     end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
     return lines[start:end]
 
@@ -522,6 +537,14 @@ class TestReadme:
         growth = outputs["ontomed -w growth bench growth --releases demo/releases"].splitlines()
         assert growth[0] == "release,added,bound,cumulative,global_quads"
         assert [line.split(",")[0] for line in growth[1:]] == ["w1", "w2", "w3", "w4"]
+
+    def test_library_block_runs_offline(self, tmp_path):
+        shutil.copytree(DEMO, tmp_path / "demo")
+        run = subprocess.run([sys.executable, "-c", "\n".join(readme_block("## Library", "python"))],
+                             cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["applicationId,lagRatio", *DEMO_ROWS]
 
 
 class TestCrashSafeSave:

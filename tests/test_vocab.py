@@ -8,11 +8,14 @@ from ontomed.terms import (
     M_MAPPING,
     MAPPINGS_GRAPH,
     OWL_SAME_AS,
+    RDF_TYPE,
+    S_DATA_SOURCE,
     S_HAS_ATTRIBUTE,
     S_HAS_WRAPPER,
     SOURCE_GRAPH,
     Iri,
     mapping_graph_iri,
+    source_iri,
 )
 from ontomed.vocab import Violation, validate_ontology
 
@@ -90,11 +93,18 @@ def test_v6_attribute_not_prefixed_by_source(pre_evolution_ds, releases):
     ds = pre_evolution_ds.copy()
     w1 = releases["W1"].wrapper
     rogue = Iri(EX + "rogueAttr")
-    from ontomed.terms import RDF_TYPE, S_ATTRIBUTE
+    from ontomed.terms import S_ATTRIBUTE
 
     ds._add(Quad(SOURCE_GRAPH, rogue, RDF_TYPE, S_ATTRIBUTE))
     ds._add(Quad(SOURCE_GRAPH, w1.iri, S_HAS_ATTRIBUTE, rogue))
     assert "V6" in validate_ontology(ds).rules()
+
+
+def test_v7_source_name_with_slash(global_ds):
+    ds = global_ds.copy()
+    ds._add(Quad(SOURCE_GRAPH, source_iri("D/1"), RDF_TYPE, S_DATA_SOURCE))
+    assert validate_ontology(ds).violations == [
+        Violation("V7", source_iri("D/1"), "source name 'D/1' contains '/'")]
 
 
 def test_report_render_lists_rule_and_subject(global_ds):
