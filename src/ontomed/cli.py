@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 from pathlib import Path
@@ -119,15 +120,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_query(args) -> int:
     ws = Workspace.load(_workspace_root(args))
+    # Standard input is read as bytes, like a file, so that its text does not
+    # depend on the locale's encoding.
+    data = sys.stdin.buffer.read() if args.query_file == "-" else Path(args.query_file).read_bytes()
     try:
-        if args.query_file == "-":
-            text = sys.stdin.read()
-        else:
-            text = Path(args.query_file).read_text(encoding="utf-8")
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:
         raise WorkspaceError(f"{args.query_file}: not UTF-8 text: {exc.reason}") from None
     trace = RewriteTrace() if args.verbose else None
-    ucq = rewrite(text.removeprefix("\ufeff"), ws.dataset, trace)
+    ucq = rewrite(text, ws.dataset, trace)
     if trace is not None:
         print(trace.render(ws.dataset))
     print(f"{len(ucq.walks)} walk(s)")

@@ -11,7 +11,7 @@ step carries only the columns that the output or a later join key reads.
 
 A union also builds only the rows it can keep. A walk is a plan of hash-join
 steps, each (wrapper, kept attributes, key attributes, key positions in the
-input row, picked positions). At every join step i >= 1, the walk skips an
+input row, picked positions), in ``sources.linked_order`` over its joins. At every join step i >= 1, the walk skips an
 input row when an earlier walk of the union fed an equal row to step i with
 the same remaining plan, steps i to the last. This is sound because the rows
 an input row yields through a remaining plan depend only on its values and on
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidWalk, MalformedRow, MissingColumn, NoWalks, UnboundWrapper
-from .sources import JoinEnd, Ucq, Walk, WrapperSchema
+from .sources import JoinEnd, Ucq, Walk, WrapperSchema, linked_order
 
 Row = tuple[str, ...]
 
@@ -229,27 +229,23 @@ def eval_walk(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]) -> Re
 def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
     """The walk's hash-join steps, the last of which picks the ``output`` ends.
 
-    Each step adds the first remaining wrapper that joins the prefix. A step
-    is (wrapper, kept attributes, right key attributes, left key positions in
+    The steps follow ``linked_order`` over the walk's joins: the least
+    wrapper, then each time the least one left that a join links to the
+    prefix, on every such join. A step is (wrapper, kept attributes, right key attributes, left key positions in
     the prefix row, positions picked from the prefix row plus the kept
     attributes, or None to keep them all). The rows a step's input row yields
     through the steps from there on depend only on its values and on those
     steps.
     """
     names = w.names
-    order = [(names[0], ())]
-    joined = {names[0]}
-    remaining = list(names[1:])
-    while remaining:
-        for name in remaining:
-            conds = _join_conds(w, joined, name)
-            if conds:
-                break
-        else:
-            raise InvalidWalk(f"walk is disconnected: no join reaches {', '.join(remaining)}")
-        remaining.remove(name)
-        joined.add(name)
-        order.append((name, tuple(conds)))
+    linked = linked_order(names, [(a[0], b[0], (a, b)) for a, b in w.joins])
+    cut = next((i for i, (_, joins) in enumerate(linked) if i and not joins), None)
+    if cut is not None:
+        remaining = sorted(name for name, _ in linked[cut:])
+        raise InvalidWalk(f"walk is disconnected: no join reaches {', '.join(remaining)}")
+    # Each join oriented as (prefix end, new-wrapper end).
+    order = [(name, tuple((a, b) if b[0] == name else (b, a) for a, b in joins))
+             for name, joins in linked]
 
     # The ends live after each step: the projected and identifier ends that
     # the output or a later step's left join key reads.
@@ -280,17 +276,6 @@ def _plan(w: Walk, shared: _SharedBindings, output: Sequence[JoinEnd]):
         plan.append((name, keep, tuple(attr for _, (_, attr) in conds), left, pick))
         layout = target
     return tuple(plan)
-
-
-def _join_conds(w: Walk, joined: set[str], name: str) -> list[tuple[JoinEnd, JoinEnd]]:
-    """Join conditions oriented as (prefix endpoint, new-wrapper endpoint)."""
-    conds = []
-    for a, b in w.joins:
-        if a[0] in joined and b[0] == name:
-            conds.append((a, b))
-        elif b[0] in joined and a[0] == name:
-            conds.append((b, a))
-    return conds
 
 
 def _column_names(features) -> list[str]:

@@ -2,7 +2,9 @@
 
 Accepted queries project IRIs (never variables) through a single-row VALUES
 binding and state a connected basic graph pattern of IRIs over the global
-graph. Projected concepts are repaired into their identifier features.
+graph: in ``sources.linked_order`` over the pattern's subjects and objects,
+each vertex after the first links to one before it. Projected concepts are
+repaired into their identifier features.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import (
     UnknownIri,
 )
 from .quadstore import Dataset, Triple
-from .sources import wrapper_schemas
+from .sources import linked_order, wrapper_schemas
 from .terms import G_FEATURE, G_HAS_FEATURE, GLOBAL_GRAPH, RDF_TYPE, Iri
 
 
@@ -233,7 +235,9 @@ def parse_omq(text: str, ds: Dataset) -> OmqQuery:
             tok = bound_at[var]
             raise OmqSyntaxError(f"projected <{element}> is not a vertex of the pattern",
                                  tok.line, tok.column)
-    _check_connected(phi)
+    order = linked_order(vertices, [(s, o, None) for s, _, o in phi])
+    if not all(links for _, links in order[1:]):
+        raise DisconnectedPattern("the pattern does not form a connected subgraph")
     return OmqQuery(pi=pi, phi=frozenset(phi))
 
 
@@ -244,31 +248,7 @@ def _expand_checked(tok: _Token, prefixes) -> Iri:
         raise OmqSyntaxError(str(exc), tok.line, tok.column) from exc
 
 
-def _check_connected(phi: set[Triple]) -> None:
-    """Raise DisconnectedPattern unless the triples' subjects and objects form
-    one connected undirected graph."""
-    adjacency: dict[Iri, set[Iri]] = {}
-    for s, _, o in phi:
-        adjacency.setdefault(s, set()).add(o)
-        adjacency.setdefault(o, set()).add(s)
-    start = next(iter(adjacency))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for nxt in adjacency[frontier.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != len(adjacency):
-        raise DisconnectedPattern("the pattern does not form a connected subgraph")
-
-
 # --- well-formedness repair --------------------------------------------------
-
-def concept_edges(phi: frozenset[Triple] | set[Triple]) -> set[Triple]:
-    """Pattern triples that traverse between concepts (everything but hasFeature)."""
-    return {t for t in phi if t[1] != G_HAS_FEATURE}
-
 
 def well_formed_rewrite(ds: Dataset, q: OmqQuery) -> OmqQuery:
     """Repair projections of concepts into projections of their ID features.

@@ -1,12 +1,12 @@
 """Three-phase compilation of a pattern query into a union of walks.
 
 Phase 1 expands the query with identifier features and orders its concepts
-so that each one after the first shares a pattern edge with those before it,
-wherever the pattern allows. Phase 2 produces single-wrapper partial walks
-per concept. Phase 3 joins the walks built so far to each next concept's
-one-wrapper walks on the identifier features of the pattern's concepts: a
-walk equates, per identifier feature, every attribute its wrappers map to
-it. Each concept occurs once in a pattern, so each identifier feature names
+by ``sources.linked_order`` over the pattern's edges, so that each one after
+the first shares a pattern edge with those before it, wherever the pattern
+allows. Phase 2 produces single-wrapper partial walks per concept. Phase 3
+joins the walks built so far to each next concept's one-wrapper walks on the
+identifier features of the pattern's concepts: a walk equates, per
+identifier feature, every attribute its wrappers map to it. Each concept occurs once in a pattern, so each identifier feature names
 one query variable. The result is filtered to covering, minimal walks and
 projected back to the analyst's requested features.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import MissingIdAttribute, NoJoinPath, NoWrapperForConcept
 from .quadstore import Dataset
-from .queries import OmqQuery, concept_edges, parse_omq, well_formed_rewrite
+from .queries import OmqQuery, parse_omq, well_formed_rewrite
 from .sources import (
     Catalog,
     JoinEnd,
@@ -38,6 +38,7 @@ from .sources import (
     Walk,
     canonical_join,
     coverage,
+    linked_order,
     minimality,
     wrapper_schemas,
 )
@@ -98,22 +99,17 @@ class RewriteTrace:
 def query_expansion(q: OmqQuery, ds: Dataset) -> ExpandedQuery:
     """Order the pattern's concepts and join every identifier feature into it.
 
-    The concepts are the vertices of the pattern's concept edges, or its
-    subjects when it has none, that are typed as concepts. The least comes
-    first, then each time the least remaining one that a pattern edge links
-    to those before it, or else the least remaining one: A, B, C for
-    A -> B <- C. Edge directions do not matter, so a cycle is ordered like
-    any other pattern."""
-    edges = concept_edges(q.phi)
-    vertices = {s for s, _, _ in edges} | {o for _, _, o in edges} or {s for s, _, _ in q.phi}
-    order = sorted(v for v in vertices
-                   if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT))
-    concepts: list[Iri] = []
-    while order:
-        linked = (c for c in order if any(c in (s, o) and (s in concepts or o in concepts)
-                                          for s, _, o in edges))
-        concepts.append(next(linked, order[0]))
-        order.remove(concepts[-1])
+    The concepts are the vertices of the pattern's concept edges (all but
+    hasFeature), or its subjects when it has none, that are typed as
+    concepts. They come in ``linked_order`` over those edges: the least
+    first, then each time the least one left that an edge links to those
+    before it, or else the least one left: A, B, C for A -> B <- C. Edge
+    directions do not matter, so a cycle is ordered like any other pattern."""
+    edges = [(s, o, None) for s, p, o in q.phi if p != G_HAS_FEATURE]
+    vertices = {s for s, _, _ in edges} | {o for _, o, _ in edges} or {s for s, _, _ in q.phi}
+    concepts = [c for c, _ in linked_order(
+        (v for v in vertices
+         if ds.match(GLOBAL_GRAPH, subject=v, predicate=RDF_TYPE, object=G_CONCEPT)), edges)]
     catalog = wrapper_schemas(ds)
     phi = set(q.phi)
     for c in concepts:

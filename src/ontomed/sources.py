@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from heapq import heappop, heappush
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 from .errors import InvalidWalk, MissingMapping, NotCovering
 from .quadstore import Dataset, Triple
@@ -52,6 +53,8 @@ from .terms import (
 
 JoinEnd = tuple[str, str]            # (wrapper name, attribute name)
 Join = tuple[JoinEnd, JoinEnd]       # canonically sorted endpoint pair
+N = TypeVar("N")                     # a node of ``linked_order``
+V = TypeVar("V")                     # the value a link carries
 
 
 # Matches exactly the characters for which str.isspace is true, the ones
@@ -101,6 +104,38 @@ class WrapperSchema:
 
 def canonical_join(a: JoinEnd, b: JoinEnd) -> Join:
     return (a, b) if a <= b else (b, a)
+
+
+def linked_order(nodes: Iterable[N], links: Iterable[tuple[N, N, V]]) -> list[tuple[N, list[V]]]:
+    """The nodes in linking order, each with the values of its links to the
+    nodes placed before it, in the order of ``links``.
+
+    The least node comes first, then each time the least one that a link
+    joins to those placed, or else the least one left, whose values are then
+    empty. A link (u, v, value) has no direction and is ignored when u or v
+    is not among ``nodes``. Rewriter phase 1 orders a pattern's concepts by
+    this rule, the query parser checks a pattern's connectivity with it, and
+    the executor orders a walk's joins with it.
+    """
+    incident: dict[N, list[tuple[N, V]]] = {node: [] for node in nodes}
+    for u, v, value in links:
+        if u in incident and v in incident:
+            incident[u].append((v, value))
+            incident[v].append((u, value))
+    rest = sorted(incident, reverse=True)
+    linked: list[N] = []        # a heap of the nodes linked to those placed
+    placed: set[N] = set()
+    order = []
+    while linked or rest:
+        node = heappop(linked) if linked else rest.pop()
+        if node in placed:
+            continue
+        order.append((node, [value for other, value in incident[node] if other in placed]))
+        placed.add(node)
+        for other, _ in incident[node]:
+            if other not in placed:
+                heappush(linked, other)
+    return order
 
 
 class Walk(NamedTuple):

@@ -1,6 +1,6 @@
 """Structural validation of a dataset against the metadata vocabulary.
 
-Seven rules cover the legal instantiation of the global, source, and mapping
+Eight rules cover the legal instantiation of the global, source, and mapping
 graphs. Violations are data, not faults: validation always returns a report,
 its violations sorted by rule, subject and detail.
 """
@@ -103,7 +103,8 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             report.violations.append(Violation("V3", q.subject, "hasAttribute subject is not a Wrapper"))
         if q.object not in attributes:
             report.violations.append(Violation("V3", q.object, "hasAttribute object is not an Attribute"))
-    for w in wrappers.difference(q.subject for q in has_attribute):
+    attributed = {q.subject for q in has_attribute}
+    for w in wrappers.difference(attributed):
         report.violations.append(Violation("V3", w, "Wrapper has no hasAttribute link"))
 
     # V4: each attribute maps to at most one feature.
@@ -120,7 +121,9 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
 
     # V5: every mapping named graph is a subset of the global graph's triples.
     global_triples = ds.graph_triples(GLOBAL_GRAPH)
+    mappings: dict[Iri, int] = {}
     for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING):
+        mappings[q.subject] = mappings.get(q.subject, 0) + 1
         extras = ds.graph_triples(q.object) - global_triples
         for s, p, o in extras:
             report.violations.append(
@@ -142,6 +145,16 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
         if src.startswith(source_ns) and "/" in src[len(source_ns):]:
             report.violations.append(
                 Violation("V7", src, f"source name {src[len(source_ns):]!r} contains '/'"))
+
+    # V8: each wrapper has exactly one M:mapping link. The catalog skips a
+    # wrapper that has none and reads only the least of several. A wrapper
+    # that lacks an owner or attributes is left to V3, so that a wrapper
+    # written in part is reported once.
+    for w in wrappers.intersection(wrapper_source, attributed):
+        if w not in mappings:
+            report.violations.append(Violation("V8", w, "Wrapper has no M:mapping link"))
+        elif mappings[w] > 1:
+            report.violations.append(Violation("V8", w, f"Wrapper has {mappings[w]} M:mapping links"))
 
     # The rules walk sets, whose order follows the hash seed.
     report.violations.sort()

@@ -260,6 +260,31 @@ def validate_walk(walk, catalog) -> None:
         raise InvalidWalk("walk join graph is not connected")
 
 
+def pattern_connected(phi) -> bool:
+    """True iff the triples' subjects and objects form one connected
+    undirected graph, by the search ``validate_walk`` makes."""
+    vertices = {s for s, _, _ in phi} | {o for _, _, o in phi}
+    return _spans(vertices, [((s, p), (o, p)) for s, p, o in phi])
+
+
+def reference_linked_order(nodes, links) -> list:
+    """``linked_order`` restated: each time, scan every node left for the
+    least one linked to those placed, else take the least one left."""
+    links = list(links)
+    left, placed, order = sorted(set(nodes)), [], []
+
+    def values(node):
+        return [value for u, v, value in links
+                if (u == node and v in placed) or (v == node and u in placed)]
+
+    while left:
+        node = next((n for n in left if values(n)), left[0])
+        order.append((node, values(node)))
+        placed.append(node)
+        left.remove(node)
+    return order
+
+
 def _spans(subset, joins) -> bool:
     adjacency = {n: set() for n in subset}
     for (wl, _), (wr, _) in joins:

@@ -21,6 +21,8 @@ from ontomed.sources import wrapper_schemas
 from ontomed.terms import (
     G_HAS_FEATURE,
     GLOBAL_GRAPH,
+    M_MAPPING,
+    MAPPINGS_GRAPH,
     RDF_TYPE,
     S_ATTRIBUTE,
     S_DATA_SOURCE,
@@ -28,6 +30,7 @@ from ontomed.terms import (
     S_HAS_WRAPPER,
     S_WRAPPER,
     SOURCE_GRAPH,
+    mapping_graph_iri,
     source_iri,
     wrapper_iri,
 )
@@ -186,6 +189,25 @@ class TestWorkflow:
         assert capsys.readouterr().out == (
             f"RULEV7 <{source_iri('D/1')}> source name 'D/1' contains '/'\n")
 
+    # The W1 link dropped, or a second one to a graph with no quads, which
+    # sorts before W1's own: either way the catalog reads no LAV graph for
+    # W1, and the query loses W1's walk without an error.
+    @pytest.mark.parametrize("count, detail", [(0, "no M:mapping link"), (2, "2 M:mapping links")])
+    def test_validate_reports_wrapper_without_one_mapping_link(self, loaded_ws, capsys,
+                                                               count, detail):
+        assert main(["-w", str(loaded_ws), "release", str(DEMO / "releases" / "w4.json")]) == 0
+        path = loaded_ws / "ontology.quads"
+        link = f"<{MAPPINGS_GRAPH}> <{wrapper_iri('W1')}> <{M_MAPPING}> <{mapping_graph_iri('W%s')}>\n"
+        text = path.read_text(encoding="utf-8")
+        assert link % 1 in text
+        path.write_text(text.replace(link % 1, "") if count == 0 else text + link % 0,
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 0
+        assert "1 walk(s)" in capsys.readouterr().out
+        assert main(["-w", str(loaded_ws), "validate"]) == 2
+        assert capsys.readouterr().out == f"RULEV8 <{wrapper_iri('W1')}> Wrapper has {detail}\n"
+
 
 class TestExitCodes:
     def test_duplicate_release_is_validation_error(self, loaded_ws, capsys):
@@ -285,6 +307,20 @@ class TestMalformedInputs:
         (loaded_ws / "data" / "w1.csv").write_bytes(b"VoDmonitorId,lagRatio\n12,\xff\xfe\n")
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
         assert "w1.csv" in one_line_error(capsys)
+
+    def test_non_utf8_query_on_standard_input(self, loaded_ws, tmp_path, monkeypatch, capsys):
+        # Under the C and POSIX locales Python decodes standard input with
+        # surrogateescape, which would turn the bad byte into a query error.
+        query = tmp_path / "query.rq"
+        query.write_bytes(b"SELECT \xff")
+        assert main(["-w", str(loaded_ws), "query", str(query)]) == 4
+        from_file = one_line_error(capsys)
+        stdin = io.TextIOWrapper(io.BytesIO(b"SELECT \xff"), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["-w", str(loaded_ws), "query", "-"]) == 4
+        assert one_line_error(capsys) == from_file.replace(str(query), "-")
+        assert from_file == f"error: {query}: not UTF-8 text: invalid start byte"
 
     def test_oversized_wrapper_csv_field(self, loaded_ws, capsys):
         # The csv module refuses a field over 131,072 characters.

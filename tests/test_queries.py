@@ -1,5 +1,7 @@
 """Query frontend: template parsing, repair into identifier projections."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDEN
 
 from conftest import CONCEPT_PROJECTION_QUERY, MONITOR_QUERY, iri
 from generators import render_omq
+from oracles import pattern_connected
 
 
 class TestParse:
@@ -144,6 +147,26 @@ class TestParse:
             "sc:SoftwareApplication sup:hasMonitor sup:Monitor .\n", "")
         with pytest.raises(DisconnectedPattern):
             parse_omq(text, global_ds)
+
+    def test_disconnected_exactly_when_the_reference_splits(self, global_ds):
+        # Random patterns over the global graph's terms, each projecting one
+        # of its subjects: 27 of the 150 fall apart.
+        terms = sorted(global_ds.terms_of_graph(GLOBAL_GRAPH))
+        rng = random.Random(20261020)
+        outcomes = set()
+        for trial in range(150):
+            vertices = rng.sample(terms, rng.randint(1, 6))
+            phi = frozenset((rng.choice(vertices), rng.choice(terms), rng.choice(vertices))
+                            for _ in range(rng.randint(1, 6)))
+            text = render_omq(OmqQuery(pi=(min(phi)[0],), phi=phi), global_ds)
+            split = not pattern_connected(phi)
+            if split:
+                with pytest.raises(DisconnectedPattern):
+                    parse_omq(text, global_ds)
+            else:
+                assert parse_omq(text, global_ds).phi == phi, f"trial {trial}"
+            outcomes.add(split)
+        assert outcomes == {False, True}
 
     def test_projection_outside_pattern(self, global_ds):
         text = MONITOR_QUERY.replace(

@@ -24,6 +24,7 @@ from ontomed.sources import (
     WrapperSchema,
     _SPACE,
     coverage,
+    linked_order,
     minimality,
     wrapper_schemas,
 )
@@ -32,7 +33,14 @@ from ontomed.vocab import validate_ontology
 
 from conftest import MONITOR_QUERY, make_global_dataset, make_releases
 from generators import make_instance
-from oracles import _lav_triples, reference_render_body, validate_walk, walk_key, with_join
+from oracles import (
+    _lav_triples,
+    reference_linked_order,
+    reference_render_body,
+    validate_walk,
+    walk_key,
+    with_join,
+)
 
 
 def make_catalog():
@@ -358,3 +366,23 @@ class TestCoverageMinimality:
             minimal = all(not goal <= set().union(*(lav[m] for m in chosen if m != dropped))
                           for dropped in chosen)
             assert minimality(walk, masks) == minimal
+
+
+class TestLinkedOrder:
+    def test_matches_the_rule_restated(self):
+        # Links are drawn over a pool wider than the nodes, so some reach
+        # outside them; repeated draws give self-loops and parallel links.
+        rng = random.Random(20261020)
+        seen = dict.fromkeys(["self-loop", "parallel", "outside", "isolated"], 0)
+        for trial in range(400):
+            pool = [f"n{i}" for i in range(rng.randint(1, 9))]
+            nodes = rng.sample(pool, rng.randint(1, len(pool)))
+            ends = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 10))]
+            links = [(u, v, value) for value, (u, v) in enumerate(ends)]
+            order = linked_order(nodes, links)
+            assert order == reference_linked_order(nodes, links), f"trial {trial}"
+            seen["self-loop"] += any(u == v and u in nodes for u, v in ends)
+            seen["parallel"] += len({frozenset(e) for e in ends}) < len(ends)
+            seen["outside"] += any(u not in nodes or v not in nodes for u, v in ends)
+            seen["isolated"] += any(all(n not in e for e in ends) for n in nodes)
+        assert all(seen.values()), seen

@@ -1,6 +1,6 @@
 """Vocabulary validation: each rule fires on its own violation generator."""
 
-from ontomed.quadstore import Quad
+from ontomed.quadstore import Dataset, Quad
 from ontomed.releases import apply_release
 from ontomed.terms import (
     G_HAS_FEATURE,
@@ -105,6 +105,22 @@ def test_v7_source_name_with_slash(global_ds):
     ds._add(Quad(SOURCE_GRAPH, source_iri("D/1"), RDF_TYPE, S_DATA_SOURCE))
     assert validate_ontology(ds).violations == [
         Violation("V7", source_iri("D/1"), "source name 'D/1' contains '/'")]
+
+
+def test_v8_wrapper_without_or_with_two_mapping_links(pre_evolution_ds, releases):
+    w1 = releases["W1"].wrapper.iri
+    link = Quad(MAPPINGS_GRAPH, w1, M_MAPPING, mapping_graph_iri("W1"))
+    unmapped = Dataset(pre_evolution_ds.prefixes)
+    for q in pre_evolution_ds:
+        if q != link:
+            unmapped._add(q)
+    assert validate_ontology(unmapped).violations == [
+        Violation("V8", w1, "Wrapper has no M:mapping link")]
+    # A second link to a graph that holds no quads.
+    twice = pre_evolution_ds.copy()
+    twice._add(Quad(MAPPINGS_GRAPH, w1, M_MAPPING, mapping_graph_iri("W0")))
+    assert validate_ontology(twice).violations == [
+        Violation("V8", w1, "Wrapper has 2 M:mapping links")]
 
 
 def test_report_render_lists_rule_and_subject(global_ds):
