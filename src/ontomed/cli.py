@@ -121,8 +121,14 @@ def _cmd_validate(args) -> int:
 def _cmd_query(args) -> int:
     ws = Workspace.load(_workspace_root(args))
     # Standard input is read as bytes, like a file, so that its text does not
-    # depend on the locale's encoding.
-    data = sys.stdin.buffer.read() if args.query_file == "-" else Path(args.query_file).read_bytes()
+    # depend on the locale's encoding. Python sets sys.stdin to None when the
+    # process starts with it closed.
+    if args.query_file != "-":
+        data = Path(args.query_file).read_bytes()
+    elif sys.stdin is None:
+        raise WorkspaceError("standard input is closed")
+    else:
+        data = sys.stdin.buffer.read()
     try:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:

@@ -8,9 +8,10 @@ predicate, the two shapes the program looks up. They are a cache, as the
 derived values are: the first lookup that needs one builds both, an add
 drops them, and a copy carries none. So a command that only adds quads and
 saves, such as a release, never builds them. A point lookup, with all four
-positions bound, reads the quad dict. A loop that needs a subject or an
-object groups its bucket once before it starts, so an index by subject or by
-object would only slow every index build. Other shapes filter a bucket or
+positions bound, reads the quad dict. ``links`` groups one (graph,
+predicate) bucket by subject, or by object, in one pass; the catalog and
+``validate`` read every link they need that way, so an index by subject or
+by object would only slow every index build. Other shapes filter a bucket or
 all quads.
 
 Terms are strings (see :class:`Iri`), so the hash and equality tests behind
@@ -144,6 +145,16 @@ class Dataset:
                 and (predicate is None or q.predicate == predicate)
                 and (object is None or q.object == object)}
 
+    def links(self, graph: Iri, predicate: Iri, inverse: bool = False) -> dict[Iri, list[Iri]]:
+        """Per subject, its objects under ``predicate`` in ``graph``, or with
+        ``inverse`` per object, its subjects; read from the (graph, predicate)
+        index. A list holds distinct terms, in no set order."""
+        grouped: dict[Iri, list[Iri]] = {}
+        for key, value in map(_OBJECT_SUBJECT if inverse else _SUBJECT_OBJECT,
+                              self._indexes()[1].get((graph, predicate), ())):
+            grouped.setdefault(key, []).append(value)
+        return grouped
+
     def derived(self, key, builder):
         """Memoized value computed from the dataset's quads.
 
@@ -227,6 +238,8 @@ _RECORD = "<%s> <%s> <%s> <%s>\n"
 _prefix = re.compile(r"@prefix\s+(\S*):\s+<([^<>\s]*)>").fullmatch
 _new_quad = partial(tuple.__new__, Quad)
 _TRIPLE = itemgetter(1, 2, 3)
+_SUBJECT_OBJECT = itemgetter(1, 3)
+_OBJECT_SUBJECT = itemgetter(3, 1)
 
 
 def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:

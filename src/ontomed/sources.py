@@ -263,34 +263,22 @@ class Catalog(Mapping[str, WrapperSchema]):
     """
 
     def __init__(self, ds: Dataset):
-        def least(pairs) -> dict[Iri, Iri]:
-            out: dict[Iri, Iri] = {}
-            for key, value in pairs:
-                if key not in out or value < out[key]:
-                    out[key] = value
-            return out
-
-        owner = least((q.object, q.subject)
-                      for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER))
-        same_as = least((q.subject, q.object)
-                        for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS))
-        mapping = least((q.subject, q.object)
-                        for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING))
-        attributes: dict[Iri, list[Iri]] = {}
-        for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE):
-            attributes.setdefault(q.subject, []).append(q.object)
+        owners = ds.links(SOURCE_GRAPH, S_HAS_WRAPPER, inverse=True)
+        # Each version of a source holds its attributes again, so an
+        # attribute's least target is taken once, here.
+        same_as = {a: min(fs) for a, fs in ds.links(MAPPINGS_GRAPH, OWL_SAME_AS).items()}
+        mapping = ds.links(MAPPINGS_GRAPH, M_MAPPING)
+        attributes = ds.links(SOURCE_GRAPH, S_HAS_ATTRIBUTE)
+        children = ds.links(GLOBAL_GRAPH, RDFS_SUBCLASS_OF, inverse=True)
         identifiers, frontier = {SC_IDENTIFIER}, [SC_IDENTIFIER]
         while frontier:
-            for q in ds.match(GLOBAL_GRAPH, predicate=RDFS_SUBCLASS_OF, object=frontier.pop()):
-                if q.subject not in identifiers:
-                    identifiers.add(q.subject)
-                    frontier.append(q.subject)
-        ids: dict[Iri, list[Iri]] = {}
-        for q in ds.match(GLOBAL_GRAPH, predicate=G_HAS_FEATURE):
-            if q.object in identifiers:
-                ids.setdefault(q.subject, []).append(q.object)
+            for child in children.get(frontier.pop(), ()):
+                if child not in identifiers:
+                    identifiers.add(child)
+                    frontier.append(child)
         self._ids: dict[Iri, tuple[Iri, ...]] = {
-            concept: tuple(sorted(features)) for concept, features in ids.items()}
+            concept: tuple(sorted(identifiers.intersection(features)))
+            for concept, features in ds.links(GLOBAL_GRAPH, G_HAS_FEATURE).items()}
         wrapper_ns, source_ns = wrapper_iri(""), source_iri("")
         self._schemas: dict[str, WrapperSchema] = {}
         self._features: dict[JoinEnd, Iri] = {}
@@ -298,10 +286,11 @@ class Catalog(Mapping[str, WrapperSchema]):
         self._lav: dict[str, frozenset[Triple]] = {}
         self._providers: dict[Triple, list[str]] = {}
         # Sorted wrapper IRIs share one prefix, so names come in sorted order.
-        for q in sorted(ds.match(SOURCE_GRAPH, predicate=RDF_TYPE, object=S_WRAPPER)):
-            w_iri, src = q.subject, owner.get(q.subject)
-            if src is None or not (w_iri.startswith(wrapper_ns)
-                                   and src.startswith(source_ns)):
+        for w_iri in sorted(ds.links(SOURCE_GRAPH, RDF_TYPE, inverse=True).get(S_WRAPPER, ())):
+            if w_iri not in owners or not w_iri.startswith(wrapper_ns):
+                continue
+            src = min(owners[w_iri])
+            if not src.startswith(source_ns):
                 continue
             name, prefix = w_iri[len(wrapper_ns):], src + "/"
             id_attrs: list[str] = []
@@ -326,7 +315,7 @@ class Catalog(Mapping[str, WrapperSchema]):
                 non_id_attrs=tuple(sorted(non_id_attrs)),
             )
             if w_iri in mapping:
-                self._lav[name] = ds.graph_triples(mapping[w_iri])
+                self._lav[name] = ds.graph_triples(min(mapping[w_iri]))
                 for t in self._lav[name]:
                     self._providers.setdefault(t, []).append(name)
 

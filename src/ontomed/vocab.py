@@ -1,6 +1,6 @@
 """Structural validation of a dataset against the metadata vocabulary.
 
-Eight rules cover the legal instantiation of the global, source, and mapping
+Nine rules cover the legal instantiation of the global, source, and mapping
 graphs. Violations are data, not faults: validation always returns a report,
 its violations sorted by rule, subject and detail.
 """
@@ -27,6 +27,7 @@ from .terms import (
     SOURCE_GRAPH,
     Iri,
     source_iri,
+    wrapper_iri,
 )
 
 
@@ -57,30 +58,28 @@ class ValidationReport:
         return "\n".join(v.render() for v in self.violations)
 
 
-def _typed(ds: Dataset, graph: Iri, type_iri: Iri) -> set[Iri]:
-    return {q.subject for q in ds.match(graph, predicate=RDF_TYPE, object=type_iri)}
-
-
 def validate_ontology(ds: Dataset) -> ValidationReport:
     report = ValidationReport()
-    concepts = _typed(ds, GLOBAL_GRAPH, G_CONCEPT)
-    features = _typed(ds, GLOBAL_GRAPH, G_FEATURE)
-    sources = _typed(ds, SOURCE_GRAPH, S_DATA_SOURCE)
-    wrappers = _typed(ds, SOURCE_GRAPH, S_WRAPPER)
-    attributes = _typed(ds, SOURCE_GRAPH, S_ATTRIBUTE)
+    global_types = ds.links(GLOBAL_GRAPH, RDF_TYPE, inverse=True)
+    source_types = ds.links(SOURCE_GRAPH, RDF_TYPE, inverse=True)
+    concepts = set(global_types.get(G_CONCEPT, ()))
+    features = set(global_types.get(G_FEATURE, ()))
+    sources = set(source_types.get(S_DATA_SOURCE, ()))
+    wrappers = set(source_types.get(S_WRAPPER, ()))
+    attributes = set(source_types.get(S_ATTRIBUTE, ()))
 
     # V1: hasFeature edges link a concept to a feature.
-    feature_owners: dict[Iri, set[Iri]] = {}
-    for q in ds.match(GLOBAL_GRAPH, predicate=G_HAS_FEATURE):
-        feature_owners.setdefault(q.object, set()).add(q.subject)
-        if q.subject not in concepts:
-            report.violations.append(Violation("V1", q.subject, "hasFeature subject is not a Concept"))
-        if q.object not in features:
-            report.violations.append(Violation("V1", q.object, "hasFeature object is not a Feature"))
+    feature_owners = ds.links(GLOBAL_GRAPH, G_HAS_FEATURE, inverse=True)
+    for f, owners in feature_owners.items():
+        for c in owners:
+            if c not in concepts:
+                report.violations.append(Violation("V1", c, "hasFeature subject is not a Concept"))
+            if f not in features:
+                report.violations.append(Violation("V1", f, "hasFeature object is not a Feature"))
 
     # V2: a feature belongs to at most one concept.
     for f in features:
-        owners = feature_owners.get(f, set())
+        owners = feature_owners.get(f, ())
         if len(owners) > 1:
             names = ", ".join(sorted(owners))
             report.violations.append(Violation("V2", f, f"feature owned by {len(owners)} concepts: {names}"))
@@ -88,31 +87,29 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
     # V3: hasWrapper links DataSource to Wrapper, and every wrapper has an
     # owner; hasAttribute links Wrapper to Attribute, and every wrapper has
     # at least one attribute.
-    wrapper_source: dict[Iri, set[Iri]] = {}
-    for q in ds.match(SOURCE_GRAPH, predicate=S_HAS_WRAPPER):
-        wrapper_source.setdefault(q.object, set()).add(q.subject)
-        if q.subject not in sources:
-            report.violations.append(Violation("V3", q.subject, "hasWrapper subject is not a DataSource"))
-        if q.object not in wrappers:
-            report.violations.append(Violation("V3", q.object, "hasWrapper object is not a Wrapper"))
+    wrapper_source = ds.links(SOURCE_GRAPH, S_HAS_WRAPPER, inverse=True)
+    for w, srcs in wrapper_source.items():
+        for src in srcs:
+            if src not in sources:
+                report.violations.append(Violation("V3", src, "hasWrapper subject is not a DataSource"))
+            if w not in wrappers:
+                report.violations.append(Violation("V3", w, "hasWrapper object is not a Wrapper"))
     for w in wrappers.difference(wrapper_source):
         report.violations.append(Violation("V3", w, "Wrapper has no hasWrapper link"))
-    has_attribute = ds.match(SOURCE_GRAPH, predicate=S_HAS_ATTRIBUTE)
-    for q in has_attribute:
-        if q.subject not in wrappers:
-            report.violations.append(Violation("V3", q.subject, "hasAttribute subject is not a Wrapper"))
-        if q.object not in attributes:
-            report.violations.append(Violation("V3", q.object, "hasAttribute object is not an Attribute"))
-    attributed = {q.subject for q in has_attribute}
-    for w in wrappers.difference(attributed):
+    has_attribute = ds.links(SOURCE_GRAPH, S_HAS_ATTRIBUTE)
+    for w, attrs in has_attribute.items():
+        for a in attrs:
+            if w not in wrappers:
+                report.violations.append(Violation("V3", w, "hasAttribute subject is not a Wrapper"))
+            if a not in attributes:
+                report.violations.append(Violation("V3", a, "hasAttribute object is not an Attribute"))
+    for w in wrappers.difference(has_attribute):
         report.violations.append(Violation("V3", w, "Wrapper has no hasAttribute link"))
 
     # V4: each attribute maps to at most one feature.
-    same_as: dict[Iri, set[Iri]] = {}
-    for q in ds.match(MAPPINGS_GRAPH, predicate=OWL_SAME_AS):
-        same_as.setdefault(q.subject, set()).add(q.object)
+    same_as = ds.links(MAPPINGS_GRAPH, OWL_SAME_AS)
     for a in attributes:
-        targets = same_as.get(a, set())
+        targets = same_as.get(a, ())
         if len(targets) > 1:
             report.violations.append(Violation("V4", a, f"attribute mapped to {len(targets)} features"))
         for t in targets:
@@ -121,22 +118,22 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
 
     # V5: every mapping named graph is a subset of the global graph's triples.
     global_triples = ds.graph_triples(GLOBAL_GRAPH)
-    mappings: dict[Iri, int] = {}
-    for q in ds.match(MAPPINGS_GRAPH, predicate=M_MAPPING):
-        mappings[q.subject] = mappings.get(q.subject, 0) + 1
-        extras = ds.graph_triples(q.object) - global_triples
-        for s, p, o in extras:
-            report.violations.append(
-                Violation("V5", q.object, f"named graph triple <{s}> <{p}> <{o}> absent from global graph")
-            )
+    mappings = ds.links(MAPPINGS_GRAPH, M_MAPPING)
+    for graphs in mappings.values():
+        for g in graphs:
+            for s, p, o in ds.graph_triples(g) - global_triples:
+                report.violations.append(
+                    Violation("V5", g, f"named graph triple <{s}> <{p}> <{o}> absent from global graph")
+                )
 
     # V6: attribute identifiers carry the prefix of their owning source.
-    for q in has_attribute:
-        for src in wrapper_source.get(q.subject, set()):
-            if not q.object.startswith(src + "/"):
-                report.violations.append(
-                    Violation("V6", q.object, f"attribute not prefixed by its source <{src}>")
-                )
+    for w, attrs in has_attribute.items():
+        for src in wrapper_source.get(w, ()):
+            for a in attrs:
+                if not a.startswith(src + "/"):
+                    report.violations.append(
+                        Violation("V6", a, f"attribute not prefixed by its source <{src}>")
+                    )
 
     # V7: a source's name, its IRI after S:DataSource/, holds no "/", since
     # an attribute's IRI is its source's IRI, "/" and its name.
@@ -150,11 +147,22 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
     # wrapper that has none and reads only the least of several. A wrapper
     # that lacks an owner or attributes is left to V3, so that a wrapper
     # written in part is reported once.
-    for w in wrappers.intersection(wrapper_source, attributed):
-        if w not in mappings:
+    for w in wrappers.intersection(wrapper_source, has_attribute):
+        graphs = mappings.get(w, ())
+        if not graphs:
             report.violations.append(Violation("V8", w, "Wrapper has no M:mapping link"))
-        elif mappings[w] > 1:
-            report.violations.append(Violation("V8", w, f"Wrapper has {mappings[w]} M:mapping links"))
+        elif len(graphs) > 1:
+            report.violations.append(Violation("V8", w, f"Wrapper has {len(graphs)} M:mapping links"))
+
+    # V9: wrapper and data source IRIs lie under S:Wrapper/ and
+    # S:DataSource/, since the catalog names a wrapper and its source by the
+    # rest of the IRI and leaves out a wrapper whose IRI, or whose owner's,
+    # lies elsewhere.
+    for kind, namespace, typed in (("Wrapper", wrapper_iri(""), wrappers),
+                                   ("DataSource", source_ns, sources)):
+        for t in typed:
+            if not t.startswith(namespace):
+                report.violations.append(Violation("V9", t, f"{kind} IRI is not under <{namespace}>"))
 
     # The rules walk sets, whose order follows the hash seed.
     report.violations.sort()

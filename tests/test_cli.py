@@ -208,6 +208,30 @@ class TestWorkflow:
         assert main(["-w", str(loaded_ws), "validate"]) == 2
         assert capsys.readouterr().out == f"RULEV8 <{wrapper_iri('W1')}> Wrapper has {detail}\n"
 
+    # W1, or its source D1, moved out of S:Wrapper/ or S:DataSource/ in
+    # every quad that holds its IRI: the catalog leaves W1 out, so the query
+    # fails on W1's binding or finds no wrapper for W1's concept.
+    @pytest.mark.parametrize("kind, namespace, name, code, error", [
+        ("Wrapper", wrapper_iri(""), "W1", 4,
+         "error: bound wrapper W1 is not registered in the ontology"),
+        ("DataSource", source_iri(""), "D1", 3,
+         "error: no wrapper answers concept <http://www.supersede.eu/ontology/InfoMonitor>"
+         " with its requested features"),
+    ], ids=["wrapper", "source"])
+    def test_validate_reports_iri_outside_its_namespace(self, loaded_ws, capsys,
+                                                        kind, namespace, name, code, error):
+        assert main(["-w", str(loaded_ws), "release", str(DEMO / "releases" / "w4.json")]) == 0
+        iri, moved = namespace + name, namespace.replace(f"/{kind}/", f"/{kind}s/") + name
+        path = loaded_ws / "ontology.quads"
+        text = path.read_text(encoding="utf-8")
+        assert iri in text
+        path.write_text(text.replace(iri, moved), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == code
+        assert one_line_error(capsys) == error
+        assert main(["-w", str(loaded_ws), "validate"]) == 2
+        assert capsys.readouterr().out == f"RULEV9 <{moved}> {kind} IRI is not under <{namespace}>\n"
+
 
 class TestExitCodes:
     def test_duplicate_release_is_validation_error(self, loaded_ws, capsys):
@@ -321,6 +345,12 @@ class TestMalformedInputs:
         assert main(["-w", str(loaded_ws), "query", "-"]) == 4
         assert one_line_error(capsys) == from_file.replace(str(query), "-")
         assert from_file == f"error: {query}: not UTF-8 text: invalid start byte"
+
+    def test_query_on_closed_standard_input(self, loaded_ws, monkeypatch, capsys):
+        # Python sets sys.stdin to None when the process starts with it closed.
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main(["-w", str(loaded_ws), "query", "-"]) == 4
+        assert capsys.readouterr() == ("", "error: standard input is closed\n")
 
     def test_oversized_wrapper_csv_field(self, loaded_ws, capsys):
         # The csv module refuses a field over 131,072 characters.

@@ -190,6 +190,16 @@ class TestDataset:
             else:
                 terms = tuple(None if v is None else Iri(EX + pos + v) for pos, v in zip("gspo", arg))
                 for d in [ds] + [old for old, _ in snapshots]:
+                    # links, like match, builds the indexes when they are
+                    # missing, so it runs first.
+                    if terms[0] is not None and terms[2] is not None:
+                        for inverse, key, value in ((False, 1, 3), (True, 3, 1)):
+                            grouped: dict = {}
+                            for q in _filtered(d, (terms[0], None, terms[2], None)):
+                                grouped.setdefault(q[key], []).append(q[value])
+                            links = d.links(terms[0], terms[2], inverse)
+                            assert ({k: sorted(v) for k, v in links.items()}
+                                    == {k: sorted(v) for k, v in grouped.items()})
                     assert d.match(*terms) == _filtered(d, terms)
                     if terms[0] is not None:
                         in_graph = [q for q in d if q.graph == terms[0]]

@@ -16,6 +16,7 @@ from ontomed.terms import (
     Iri,
     mapping_graph_iri,
     source_iri,
+    wrapper_iri,
 )
 from ontomed.vocab import Violation, validate_ontology
 
@@ -121,6 +122,20 @@ def test_v8_wrapper_without_or_with_two_mapping_links(pre_evolution_ds, releases
     twice._add(Quad(MAPPINGS_GRAPH, w1, M_MAPPING, mapping_graph_iri("W0")))
     assert validate_ontology(twice).violations == [
         Violation("V8", w1, "Wrapper has 2 M:mapping links")]
+
+
+def test_v9_wrapper_or_source_outside_its_namespace(pre_evolution_ds, releases):
+    w1 = releases["W1"].wrapper
+    for old, kind, namespace in ((w1.iri, "Wrapper", wrapper_iri("")),
+                                 (source_iri(w1.source), "DataSource", source_iri(""))):
+        # Every term that holds the IRI moves with it, so the source's
+        # attributes stay prefixed by its IRI.
+        new = Iri(EX + old[len(namespace):])
+        moved = Dataset(pre_evolution_ds.prefixes)
+        for q in pre_evolution_ds:
+            moved._add(Quad(*(Iri(t.replace(old, new)) for t in q)))
+        assert validate_ontology(moved).violations == [
+            Violation("V9", new, f"{kind} IRI is not under <{namespace}>")]
 
 
 def test_report_render_lists_rule_and_subject(global_ds):
