@@ -8,6 +8,13 @@ restores the caller's setting. What a command allocates in bulk (quads,
 walks, rows, hash-table buckets, catalog dicts) holds no reference cycles,
 so the collector's passes would only traverse it and free nothing. Garbage
 a command leaves is collected by the first pass after `main` returns.
+
+A run builds only the parsers it parses with: the top level, the command's,
+and for `bench` the benchmark kind's. The other commands' parsers stay
+unbuilt (`_Command`): each command is one short run, and building argparse's
+whole tree of nine parsers took a third of a `validate` op on `union-exec`.
+The choices, the help lines and every error message are what the whole tree
+gives.
 """
 
 from __future__ import annotations
@@ -51,6 +58,63 @@ class _Parser(argparse.ArgumentParser):
         raise OntomedError(message)
 
 
+class _Command(_Parser):
+    """A command's parser, built when argparse selects its command.
+
+    ``add_parser`` passes its keywords through to the parser class; this one
+    keeps them, with the function that adds the command's arguments, and
+    finishes ``ArgumentParser.__init__`` only on the first
+    ``parse_known_args``, which argparse calls on the selected command alone.
+    """
+
+    def __init__(self, add_arguments, **kwargs):
+        self._pending = (add_arguments, kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            add_arguments, kwargs = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _init_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("directory")
+    parser.add_argument("--global-graph", required=True, help="quad file holding the global graph")
+
+
+def _release_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("descriptor")
+
+
+def _no_arguments(parser: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _query_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("query_file", help="query file, or - for standard input")
+    parser.add_argument("--explain", action="store_true", help="print the union algebra only")
+    parser.add_argument("--verbose", action="store_true", help="print phase traces")
+
+
+def _walks_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--concepts", type=_positive_int, default=5)
+    parser.add_argument("--wrappers", type=_positive_int, default=10)
+
+
+def _growth_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--releases", required=True, help="directory of release descriptors")
+
+
+def _bench_arguments(parser: argparse.ArgumentParser) -> None:
+    kinds = parser.add_subparsers(dest="bench_kind", required=True, parser_class=_Command)
+    kinds.add_parser("walks", help="worst-case walk-count sweep",
+                     add_arguments=_walks_arguments)
+    kinds.add_parser("growth", help="replay releases, account growth",
+                     add_arguments=_growth_arguments)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ontomed",
@@ -60,32 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "-w", "--workspace", default=None,
         help="workspace directory (default: $ONTOMED_WORKSPACE or '.')",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_init = sub.add_parser("init", help="create a workspace from a global quad file")
-    p_init.add_argument("directory")
-    p_init.add_argument("--global-graph", required=True, help="quad file holding the global graph")
-
-    p_release = sub.add_parser("release", help="apply a wrapper release descriptor")
-    p_release.add_argument("descriptor")
-
-    sub.add_parser("validate", help="check the ontology against the vocabulary rules")
-
-    p_query = sub.add_parser("query", help="rewrite (and execute) a query")
-    p_query.add_argument("query_file", help="query file, or - for standard input")
-    p_query.add_argument("--explain", action="store_true", help="print the union algebra only")
-    p_query.add_argument("--verbose", action="store_true", help="print phase traces")
-
-    sub.add_parser("stats", help="print quad counts per graph")
-
-    p_bench = sub.add_parser("bench", help="run a benchmark")
-    bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
-    p_walks = bench_sub.add_parser("walks", help="worst-case walk-count sweep")
-    p_walks.add_argument("--concepts", type=_positive_int, default=5)
-    p_walks.add_argument("--wrappers", type=_positive_int, default=10)
-    p_growth = bench_sub.add_parser("growth", help="replay releases, account growth")
-    p_growth.add_argument("--releases", required=True, help="directory of release descriptors")
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub.add_parser("init", help="create a workspace from a global quad file",
+                   add_arguments=_init_arguments)
+    sub.add_parser("release", help="apply a wrapper release descriptor",
+                   add_arguments=_release_arguments)
+    sub.add_parser("validate", help="check the ontology against the vocabulary rules",
+                   add_arguments=_no_arguments)
+    sub.add_parser("query", help="rewrite (and execute) a query",
+                   add_arguments=_query_arguments)
+    sub.add_parser("stats", help="print quad counts per graph", add_arguments=_no_arguments)
+    sub.add_parser("bench", help="run a benchmark", add_arguments=_bench_arguments)
     return parser
 
 

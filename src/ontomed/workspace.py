@@ -3,10 +3,11 @@
 A workspace directory holds ``ontology.quads`` (the serialized dataset) and
 ``bindings.json`` (wrapper name to data file). Data file paths resolve
 relative to the workspace directory unless absolute. Both files are written
-through a temporary file and a rename, never in place. A command that loads,
-modifies and saves the workspace holds an exclusive ``fcntl.flock`` on
-``ontomed.lock`` meanwhile (POSIX only), so two such commands run one after
-the other instead of one losing the other's update; readers take no lock.
+through a temporary file and a rename, never in place, and ``bindings.json``
+only when its text changes. A command that loads, modifies and saves the
+workspace holds an exclusive ``fcntl.flock`` on ``ontomed.lock`` meanwhile
+(POSIX only), so two such commands run one after the other instead of one
+losing the other's update; readers take no lock.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class Workspace:
     root: Path
     dataset: Dataset
     data_files: dict[str, str] = field(default_factory=dict)
+    # The text of bindings.json as loaded or last saved; None before either.
+    bindings_text: str | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def init(cls, root: str | Path, global_quads: str | Path) -> "Workspace":
@@ -55,10 +58,11 @@ class Workspace:
         root = Path(root)
         ds = Dataset.load(_ontology_path(root))
         bindings_path = root / BINDINGS_FILE
-        data_files = {}
+        data_files, text = {}, None
         if bindings_path.exists():
             try:
-                data_files = json.loads(bindings_path.read_text(encoding="utf-8-sig"))
+                text = bindings_path.read_text(encoding="utf-8-sig")
+                data_files = json.loads(text)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise WorkspaceError(f"{bindings_path}: malformed bindings file: {exc}") from None
             # The OS refuses a path holding a NUL character.
@@ -66,7 +70,7 @@ class Workspace:
                     and all(isinstance(v, str) and "\0" not in v for v in data_files.values())):
                 raise WorkspaceError(
                     f"{bindings_path}: expected an object mapping wrapper names to data files")
-        return cls(root=root, dataset=ds, data_files=data_files)
+        return cls(root=root, dataset=ds, data_files=data_files, bindings_text=text)
 
     @classmethod
     @contextmanager
@@ -87,7 +91,7 @@ class Workspace:
             os.close(fd)        # closing the descriptor releases the lock
 
     def save(self) -> None:
-        """Replace the quads first, then the bindings.
+        """Replace the quads first, then the bindings if their text changed.
 
         Each file is replaced whole, so a failure between the two leaves the
         new quads with the old bindings. Every command loads that workspace:
@@ -95,8 +99,10 @@ class Workspace:
         wrapper the old bindings name.
         """
         self.dataset.save(self.root / ONTOLOGY_FILE)
-        write_replacing(self.root / BINDINGS_FILE,
-                        json.dumps(self.data_files, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(self.data_files, indent=2, sort_keys=True) + "\n"
+        if text != self.bindings_text:
+            write_replacing(self.root / BINDINGS_FILE, text)
+            self.bindings_text = text
 
     def bind(self, wrapper_name: str, data_file: str) -> None:
         self.data_files[wrapper_name] = data_file

@@ -1,5 +1,6 @@
 """Command-line interface: workflows over the bundled demo, exit codes."""
 
+import argparse
 import gc
 import io
 import json
@@ -326,6 +327,55 @@ def one_line_error(capsys) -> str:
     return lines[0]
 
 
+class TestParsersBuilt:
+    """A run builds the top-level parser and the parsers of the command it
+    runs, never those of the other commands."""
+
+    @pytest.mark.parametrize("argv, built", [
+        (["init", "{tmp}/new", "--global-graph", str(DEMO / "global.quads")], 2),
+        (["-w", "{ws}", "release", str(DEMO / "releases" / "w4.json")], 2),
+        (["-w", "{ws}", "validate"], 2),
+        (["-w", "{ws}", "query", "--explain", str(DEMO / "query.rq")], 2),
+        (["-w", "{ws}", "stats"], 2),
+        (["bench", "walks", "--concepts", "2", "--wrappers", "2"], 3),
+        (["-w", "{ws}", "bench", "growth", "--releases", str(DEMO / "releases")], 3),
+        (["bogus"], 1),
+    ], ids=["init", "release", "validate", "query", "stats", "bench-walks", "bench-growth",
+            "bogus"])
+    def test_parsers_per_command(self, loaded_ws, tmp_path, monkeypatch, capsys, argv, built):
+        argv = [arg.format(ws=loaded_ws, tmp=tmp_path) for arg in argv]
+        assert _parsers_built(monkeypatch, lambda: main(argv)) == built
+
+    def test_parsers_for_top_level_help(self, monkeypatch, capsys):
+        def run():
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0
+        assert _parsers_built(monkeypatch, run) == 1
+        assert "--workspace" in capsys.readouterr().out
+
+    def test_command_parser_built_once(self, monkeypatch):
+        def run():
+            parser = cli._build_parser()
+            for _ in range(2):
+                assert parser.parse_args(["bench", "walks"]).concepts == 5
+        assert _parsers_built(monkeypatch, run) == 3
+
+
+def _parsers_built(monkeypatch, run) -> int:
+    """How many ``ArgumentParser`` objects ``run()`` initializes."""
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run()
+    return len(calls)
+
+
 class TestMalformedInputs:
     def test_non_utf8_wrapper_csv(self, loaded_ws, capsys):
         (loaded_ws / "data" / "w1.csv").write_bytes(b"VoDmonitorId,lagRatio\n12,\xff\xfe\n")
@@ -639,6 +689,49 @@ class TestCrashSafeSave:
         assert main(["-w", str(loaded_ws), "query", "--explain", str(DEMO / "query.rq")]) == 0
         out, err = capsys.readouterr()
         assert err == "" and "2 walk(s)" in out and "W4" in out
+
+
+class TestBindingsWrite:
+    """A save replaces ``bindings.json`` only when its text changes."""
+
+    def test_release_without_data_file_leaves_bindings_file(self, loaded_ws, tmp_path):
+        doc = json.loads((DEMO / "releases" / "w4.json").read_text(encoding="utf-8"))
+        del doc["wrapper"]["data_file"]
+        descriptor = tmp_path / "w4.json"
+        descriptor.write_text(json.dumps(doc), encoding="utf-8")
+        quads = (loaded_ws / "ontology.quads").read_bytes()
+        path = loaded_ws / "bindings.json"
+        os.utime(path, ns=(10**9, 10**9))
+        before = path.read_bytes(), path.stat()
+        assert main(["-w", str(loaded_ws), "release", str(descriptor)]) == 0
+        after = path.read_bytes(), path.stat()
+        assert after[0] == before[0]
+        assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino, 10**9)
+        assert (loaded_ws / "ontology.quads").read_bytes() != quads
+
+    def test_save_after_save_compares_with_the_saved_text(self, loaded_ws):
+        path = loaded_ws / "bindings.json"
+        before = path.read_bytes()
+        ws = Workspace.load(loaded_ws)
+        ws.bind("W9", "data/w9.csv")
+        ws.save()
+        del ws.data_files["W9"]
+        ws.save()
+        assert path.read_bytes() == before
+
+    def test_init_writes_bindings_file(self, ws):
+        assert (ws / "bindings.json").read_text(encoding="utf-8") == "{}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["release", str(DEMO / "releases" / "w4.json")],
+        ["bench", "growth", "--releases", str(DEMO / "releases")],
+    ], ids=["release", "growth"])
+    def test_new_binding_writes_bindings_file(self, ws, capsys, argv):
+        path = ws / "bindings.json"
+        os.utime(path, ns=(10**9, 10**9))
+        assert main(["-w", str(ws), *argv]) == 0
+        assert "W4" in json.loads(path.read_text(encoding="utf-8"))
+        assert path.stat().st_mtime_ns != 10**9
 
 
 def _src_env() -> dict[str, str]:

@@ -5,8 +5,9 @@ and ``bench`` arguments.
 Whatever the input, a command exits 0, 2, 3 or 4; a failing command prints
 exactly one stderr line, starting with ``error:``; a failed ``release`` or
 ``bench growth`` leaves the workspace files byte for byte as they were, and
-a failed ``init`` leaves no workspace directory. The examples are
-derandomized, so a run is repeatable.
+a failed ``init`` leaves no workspace directory. A command line of
+command, option and bogus words parses as it would if every command's parser
+were built up front. The examples are derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -21,7 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomed import cli
 from ontomed.cli import main
+from ontomed.errors import OntomedError
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 QUERY_TOKENS = re.findall(r"\s+|\S+", (DEMO / "query.rq").read_text(encoding="utf-8"))
@@ -53,6 +56,17 @@ BENCH_COUNTS = ["1", "2", "3", "03", "\u0663", "0", "-1", "", "x", "1.5", "2 3"]
 # Tokens a ``bench`` command line may gain; none abbreviates ``--help``.
 BENCH_TOKENS = ["--concepts", "--wrappers", "--releases", "--nope", "-w", "walks", "growth",
                 "bench", *BENCH_COUNTS]
+
+# Words a command line may be made of: every command and option word, the
+# workspace option in its other spellings, the end of options, the help
+# options, and words no parser knows.
+ARGV_TOKENS = ["init", "release", "validate", "query", "stats", "bench", "walks", "growth",
+               "--global-graph", "--explain", "--verbose", "--concepts", "--wrappers",
+               "--releases", "-w", "--workspace", "--workspace=x", "-wx", "--work",
+               "--", "-h", "--help", "x", "2", "-", "--nope", "-q"]
+# The command words a drawn command line may start with.
+COMMAND_WORDS = [["init"], ["release"], ["validate"], ["query"], ["stats"], ["bench"],
+                 ["bench", "walks"], ["bench", "growth"]]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -244,3 +258,52 @@ def test_mutated_bench_args(data):
         _check_outcome(code, err)
         if code != 0 and before is not None:
             assert _snapshot(root) == before
+
+
+class _EagerCommand(cli._Parser):
+    """``cli._Command`` built when it is made, as argparse builds its own
+    sub-parsers."""
+
+    def __init__(self, add_arguments, **kwargs):
+        super().__init__(**kwargs)
+        add_arguments(self)
+
+
+@pytest.fixture(scope="module")
+def eager_parser():
+    """The command-line parser with every command's parser built up front,
+    by the same functions."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_Command", _EagerCommand)
+        return cli._build_parser()
+
+
+def _parse_outcome(parser, argv: list[str]) -> tuple:
+    """The parsed namespace, the error message, or the exit code with what
+    the parser printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return "parsed", vars(parser.parse_args(argv))
+    except OntomedError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+@st.composite
+def command_line(draw) -> list[str]:
+    """1 to 6 words of ``ARGV_TOKENS``. Three in four start with command
+    words, after a workspace option or not, so that most reach a command's
+    parser."""
+    words = draw(st.lists(st.sampled_from(ARGV_TOKENS), min_size=1, max_size=6))
+    if draw(st.integers(0, 3)):
+        lead = draw(st.sampled_from([[], ["-w", "x"], ["-wx"]]))
+        words = [*lead, *draw(st.sampled_from(COMMAND_WORDS)), *words][:6]
+    return words
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(argv=command_line())
+def test_command_line_parses_as_with_every_parser_built(eager_parser, argv):
+    assert _parse_outcome(cli._build_parser(), argv) == _parse_outcome(eager_parser, argv)
