@@ -153,7 +153,9 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
         data_file = w.get("data_file")
         if data_file is not None and "\0" in _string(data_file, "wrapper.data_file"):
             raise ValueError("wrapper.data_file holds a NUL character")
-    except (KeyError, TypeError, ValueError, InvalidIri, InvalidWalk, UnknownPrefix) as exc:
+    # json.loads raises RecursionError on arrays or objects nested too deep.
+    except (KeyError, TypeError, ValueError, RecursionError, InvalidIri, InvalidWalk,
+            UnknownPrefix) as exc:
         raise InvalidRelease(f"{path}: malformed release descriptor: {exc}") from exc
     return Release(
         wrapper=wrapper,
@@ -164,8 +166,16 @@ def load_release(path: str | Path, ds: Dataset) -> Release:
 
 
 def _string(value, what: str) -> str:
+    """The value, if it is a string that UTF-8 can encode: a JSON escape can
+    hold a lone surrogate, which the workspace files, the terminal and the
+    OS's paths would refuse only later."""
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, not {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} holds a lone surrogate, which UTF-8 cannot encode: "
+                         f"{value!r}") from None
     return value
 
 

@@ -15,12 +15,21 @@ compiled catalog (``sources.wrapper_schemas``). On a chain the union holds
 W^C walks, so per-walk work is kept to lookups. Phase 3 decides the joins a
 left walk and a right wrapper add once per tuple of the left walk's holders
 of the identifiers the right wrappers map, so a pair only grows the left
-walk by the right wrapper's step and those joins, through ``Walk.with_step``,
-and dedupes the result on one hash. The stages after phase 3 read tables built
-once per query: the filter decides coverage and minimality once per tuple of
-wrapper bitmasks over the numbered pattern triples, the dedupe keys on the
-walk's own canonical names and joins, and output binding reads, per step,
-the (feature position, least end) pairs of the requested features only.
+walk by the right wrapper's step and those joins, through ``Walk.with_step``.
+The stages after phase 3 read tables built once per query: the filter
+decides coverage and minimality once per tuple of wrapper bitmasks over the
+numbered pattern triples, and output binding reads, per step, the (feature
+position, least end) pairs of the requested features only.
+
+Walks are hashed only where two can collide. When no wrapper name occurs in
+two concepts' phase-2 lists (``PartialWalkSet.one_concept_per_wrapper``), a
+right wrapper is never in a left walk and the left walks are distinct, so
+distinct pairs yield distinct walks, and each wrapper keeps its one phase-2
+step, so no two walks share names and joins. Phase 3 then keeps its
+candidates as built and ``rewrite`` sorts the kept walks as they are.
+Otherwise phase 3 dedupes its candidates on one hash each, and ``rewrite``
+merges the walks equal up to projections, keyed on their canonical names
+and joins.
 """
 
 from __future__ import annotations
@@ -61,6 +70,12 @@ class PartialWalkSet:
     for its concept's requested features."""
 
     per_concept: dict[Iri, list[Walk]]
+
+    def one_concept_per_wrapper(self) -> bool:
+        """True iff no wrapper name occurs in two concepts' lists. Each list
+        names a wrapper once, so it suffices that the names are distinct."""
+        names = [w.names[0] for walks in self.per_concept.values() for w in walks]
+        return len(names) == len(set(names))
 
 
 @dataclass
@@ -203,9 +218,19 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -
     The joins a pair adds depend only on the right step and on the left
     walk's holders of the identifier features the right wrappers map, so
     they are decided once per tuple of holders.
+
+    The candidates are collected in pair order. When no wrapper serves two
+    concepts, a right wrapper is never in a left walk, and the left walks
+    are distinct (by induction from phase 2's lists, which name a wrapper
+    once). A candidate then determines its pair: its one wrapper of the
+    concept's list is the right one, and dropping that step and the joins
+    on it gives back the left walk. So distinct pairs yield distinct walks,
+    and the candidates are kept as they are. Otherwise they are deduped on
+    one hash each, first seen first.
     """
     if not x.concepts:
         return []
+    distinct = p.one_concept_per_wrapper()
     catalog = wrapper_schemas(ds)
     source = {name: schema.source for name, schema in catalog.items()}
     ids = [catalog.attrs_for(f) for f in dict.fromkeys(
@@ -217,9 +242,7 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -
         # Per identifier feature that a right wrapper maps, its attribute per wrapper.
         shared = [attrs for attrs in ids if any(name in attrs for name, _ in rights)]
         decided: dict[tuple, list] = {}
-        # ``joined`` dedupes the candidates on one hash each and keeps them
-        # in first-seen order.
-        joined: dict[Walk, None] = {}
+        joined: list[Walk] = []
         for left in current:
             names = left.names
             holders = tuple(tuple(name for name in names if name in attrs) for attrs in shared)
@@ -234,7 +257,7 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -
             for step, new in zip(rights, added):
                 right = step[0]
                 if right in names:
-                    joined[left.with_step(step)] = None
+                    joined.append(left.with_step(step))
                 elif new and source[right] not in left_sources:
                     # The joins link the left walk to the right wrapper, so
                     # none is among the left walk's joins yet.
@@ -242,13 +265,13 @@ def inter_concept_generation(p: PartialWalkSet, x: ExpandedQuery, ds: Dataset) -
                     # ``right`` is in ``cand``, so ``add_wrapper`` returns
                     # ``cand``. The call stays: perfbench/tracing.py and a
                     # rewriter test count the candidates built through it.
-                    joined[cand.add_wrapper(right)] = None
+                    joined.append(cand.add_wrapper(right))
         if not joined:
             # No pair yields, so each one whose joins are not empty clashes on a source.
             clashed = next((step[0] for step, *news in zip(rights, *decided.values())
                             if any(news)), None)
             raise _join_error(x.query.phi, concept, processed, catalog, clashed)
-        current = list(joined)
+        current = joined if distinct else list(dict.fromkeys(joined))
         processed.add(concept)
     return current
 
@@ -291,14 +314,19 @@ def rewrite(q_text: str, ds: Dataset, trace: RewriteTrace | None = None) -> Ucq:
         elif trace is not None:
             trace.notes.append(f"dropped non-minimal or non-covering walk {w.render()}")
 
-    # names and joins are canonical, so equal keys mean equal walks up to
-    # projections.
-    by_key: dict[tuple, Walk] = {}
-    for w in kept:
-        have = by_key.setdefault((w.names, w.joins), w)
-        if have is not w:
-            by_key[w.names, w.joins] = have.merge(w)
-    final = sorted(by_key.values())
+    if partial.one_concept_per_wrapper():
+        # Phase 3's walks are distinct and each wrapper keeps its one phase-2
+        # step, so no two of them share names and joins: nothing to merge.
+        final = sorted(kept)
+    else:
+        # names and joins are canonical, so equal keys mean equal walks up
+        # to projections.
+        by_key: dict[tuple, Walk] = {}
+        for w in kept:
+            have = by_key.setdefault((w.names, w.joins), w)
+            if have is not w:
+                by_key[w.names, w.joins] = have.merge(w)
+        final = sorted(by_key.values())
 
     bindings = _bind_features(catalog, final, wf.pi)
     return Ucq(walks=final, output_features=tuple(wf.pi), bindings=bindings)

@@ -19,7 +19,15 @@ and minimality read one table built per query, which numbers the pattern's
 triples once and holds each wrapper's LAV graph as an integer bitmask over
 them, so both tests are a few integer operations and dictionary lookups per
 walk. ``Ucq.render`` likewise formats each join once per union, with the
-fragment that places it under its later wrapper.
+fragment that places it under its later wrapper, and each bound (wrapper,
+attribute) end once, and builds each line in one pass.
+
+A walk's hash is not cached and reads every step and join, so the rewriter
+hashes walks only where two can collide: when a wrapper answers two
+concepts, a right wrapper can already be in a left walk, or one wrapper can
+enter two walks with different projections. When none does, distinct
+(left walk, right wrapper) pairs yield distinct walks, and the rewriter
+keeps them without hashing.
 """
 
 from __future__ import annotations
@@ -200,7 +208,7 @@ class Walk(NamedTuple):
     def render_body(self) -> str:
         """The wrappers in canonical order, each with the joins whose later
         endpoint it is, in parentheses."""
-        return _render_bodies([self])[0]
+        return _render_body(self, _JoinTexts().__getitem__)
 
 
 # ``_new(Walk, fields)`` builds a walk from a tuple of its three fields in C,
@@ -222,27 +230,31 @@ class _JoinTexts(dict):
         return entry
 
 
-def _render_bodies(walks: Iterable[Walk]) -> list[str]:
-    """``Walk.render_body`` of each walk, with each join's text formatted
-    once for all of them. A join is placed under its later wrapper, and a
-    join with an endpoint outside the walk is not shown."""
-    entry = _JoinTexts().__getitem__
-    bodies = []
-    for walk in walks:
-        names, joins = walk.names, walk.joins
-        placed = {later: fragment for earlier, later, _, fragment in map(entry, joins)
-                  if earlier in names}
-        if len(placed) < len(joins):
-            # A join is not shown, or a wrapper is the later endpoint of two.
-            conds: dict[str, list[str]] = {}
-            for earlier, later, text, _ in map(entry, joins):
-                if earlier in names:
-                    conds.setdefault(later, []).append(text)
-            placed = {later: f"⋈[{','.join(group)}] {later}" for later, group in conds.items()}
-        parts = list(names[:1])
-        parts += [placed.get(name) or "⋈ " + name for name in names[1:]]
-        bodies.append("( " + " ".join(parts) + " )")
-    return bodies
+class _EndTexts(dict):
+    """Per (wrapper, attribute) end, built on its first lookup: its text."""
+
+    def __missing__(self, end: JoinEnd) -> str:
+        text = self[end] = ".".join(end)
+        return text
+
+
+def _render_body(walk: Walk, entry) -> str:
+    """``Walk.render_body``, reading each join's texts through ``entry``, a
+    ``_JoinTexts`` lookup that a union's walks share. A join is placed
+    under its later wrapper, and a join with an endpoint outside the walk
+    is not shown."""
+    names, joins = walk.names, walk.joins
+    placed = {later: fragment for earlier, later, _, fragment in map(entry, joins)
+              if earlier in names}
+    if len(placed) < len(joins):
+        # A join is not shown, or a wrapper is the later endpoint of two.
+        conds: dict[str, list[str]] = {}
+        for earlier, later, text, _ in map(entry, joins):
+            if earlier in names:
+                conds.setdefault(later, []).append(text)
+        placed = {later: f"⋈[{','.join(group)}] {later}" for later, group in conds.items()}
+    parts = [placed.get(name) or "⋈ " + name for name in names[1:]]
+    return " ".join(["(", names[0], *parts, ")"])
 
 
 # --- the compiled catalog ---------------------------------------------------
@@ -407,8 +419,11 @@ class Ucq:
     bindings: list[dict[Iri, JoinEnd]]
 
     def render(self) -> str:
-        """One line per walk: its output columns, then its body."""
+        """One line per walk, formatted in one pass: its output columns, then
+        its body. Each bound end and each join is formatted once per union."""
         features = self.output_features
+        end, entry = _EndTexts().__getitem__, _JoinTexts().__getitem__
         return "\n".join([
-            "Π{" + ",".join([".".join(binding[f]) for f in features]) + "}" + body
-            for binding, body in zip(self.bindings, _render_bodies(self.walks))])
+            f"Π{{{','.join(map(end, map(binding.__getitem__, features)))}}}"
+            f"{_render_body(walk, entry)}"
+            for walk, binding in zip(self.walks, self.bindings)])

@@ -63,13 +63,17 @@ class Workspace:
             try:
                 text = bindings_path.read_text(encoding="utf-8-sig")
                 data_files = json.loads(text)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # json.loads raises RecursionError on arrays or objects nested too deep.
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise WorkspaceError(f"{bindings_path}: malformed bindings file: {exc}") from None
-            # The OS refuses a path holding a NUL character.
             if not (isinstance(data_files, dict)
-                    and all(isinstance(v, str) and "\0" not in v for v in data_files.values())):
+                    and all(isinstance(v, str) for v in data_files.values())):
                 raise WorkspaceError(
                     f"{bindings_path}: expected an object mapping wrapper names to data files")
+            unfit = next((v for v in data_files.values() if not _os_path(v)), None)
+            if unfit is not None:
+                raise WorkspaceError(f"{bindings_path}: the OS cannot take the data file path "
+                                     f"{unfit!r}")
         return cls(root=root, dataset=ds, data_files=data_files, bindings_text=text)
 
     @classmethod
@@ -120,6 +124,18 @@ class Workspace:
                 path = self.root / path
             out[name] = WrapperBinding(wrapper=schema, data_path=path)
         return out
+
+
+def _os_path(path: str) -> bool:
+    """True iff the OS can take the path: it holds no NUL character, and
+    the file system encoding encodes it. A JSON escape can name a lone
+    surrogate, which it does not, unless its error handler maps it to a
+    byte."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+    return "\0" not in path
 
 
 def _ontology_path(root: Path) -> Path:

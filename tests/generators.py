@@ -18,7 +18,7 @@ from ontomed.bench import BENCH_NS
 from ontomed.quadstore import Dataset, Quad
 from ontomed.queries import OmqQuery
 from ontomed.releases import Release, apply_release
-from ontomed.sources import WrapperSchema
+from ontomed.sources import Ucq, Walk, WrapperSchema, canonical_join
 from ontomed.terms import (
     G_CONCEPT,
     G_FEATURE,
@@ -219,6 +219,42 @@ def named_instance(concepts: dict[str, tuple[str, ...]], wrappers, pattern, proj
              + " .\n".join(f"  <{term(s)}> <{term(p)}> <{term(o)}>" for s, p, o in pattern)
              + "\n}")
     return ds, query
+
+
+def make_union(rng: random.Random) -> Ucq:
+    """A union of hand-drawn walks over wrappers A to E with attributes a to
+    c, and per walk a binding of each output feature to one of its ends.
+    Besides 0 to 5 random walks, whose joins may reach wrappers outside the
+    walk, it always holds three the rewriter's chains do not all show: a
+    single-wrapper walk, a walk with a hidden join (its earlier end outside
+    the walk), and a walk whose last wrapper is the later end of two joins."""
+    names, attrs = "ABCDE", "abc"
+
+    def end(wrappers) -> tuple[str, str]:
+        return rng.choice(sorted(wrappers)), rng.choice(attrs)
+
+    def walk(wrappers, joins) -> Walk:
+        steps = tuple((name, tuple(sorted(rng.sample(attrs, rng.randint(0, 2)))))
+                      for name in sorted(wrappers))
+        return Walk(steps, tuple(sorted(wrappers)), tuple(sorted(set(joins))))
+
+    first, middle, last = sorted(rng.sample(names, 3))
+    walks = [
+        walk({rng.choice(names)}, []),
+        # The earlier end of the second join is outside the walk.
+        walk({middle, last}, [canonical_join(end({middle}), end({last})),
+                              canonical_join(end({first}), end({middle, last}))]),
+        walk({first, middle, last}, [canonical_join(end({first}), end({last})),
+                                     canonical_join(end({middle}), end({last}))]),
+    ]
+    for _ in range(rng.randint(0, 5)):
+        wrappers = set(rng.sample(names, rng.randint(1, 4)))
+        walks.append(walk(wrappers, [canonical_join(end(names), end(names))
+                                     for _ in range(rng.randint(0, 4))]))
+    rng.shuffle(walks)
+    features = tuple(_iri(f"f{rng.randrange(3)}") for _ in range(rng.randint(0, 3)))
+    bindings = [{f: end(w.names) for f in features} for w in walks]
+    return Ucq(walks=walks, output_features=features, bindings=bindings)
 
 
 def make_tree_instance(rng: random.Random):

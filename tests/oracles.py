@@ -120,6 +120,16 @@ def reference_render_body(walk) -> str:
     return "( " + " ".join(parts) + " )"
 
 
+def reference_render(ucq) -> str:
+    """``Ucq.render`` line by line: per walk, its bound ends joined by "."
+    and its own ``render_body``, which formats its joins afresh. The union
+    renderer must agree with it while sharing its texts across walks."""
+    features = ucq.output_features
+    return "\n".join(
+        "Π{" + ",".join(".".join(b[f]) for f in features) + "}" + w.render_body()
+        for w, b in zip(ucq.walks, ucq.bindings))
+
+
 def reference_bind_features(catalog, walk, features) -> dict:
     """Bind each feature to the least (wrapper, attribute) the walk projects
     and maps to it, walk by walk: the binder ``rewriter._bind_features``

@@ -40,6 +40,8 @@ from ontomed.workspace import LOCK_FILE, Workspace
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 W1_TEXT = (DEMO / "releases" / "w1.json").read_text(encoding="utf-8")
 W1_DOC = json.loads(W1_TEXT)
+# Nested far beyond the recursion limit, which json.loads meets as a RecursionError.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.fixture
@@ -411,9 +413,12 @@ class TestMalformedInputs:
         line = one_line_error(capsys)
         assert line.startswith(f"error: {path}:3: ") and "field limit" in line
 
-    # The last names a wrapper the ontology has not registered.
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"W1": 5}',
-                                      '{"W1": "data/\\u0000w1.csv"}', '{"W9": "data/w1.csv"}'])
+    # The last names a wrapper the ontology has not registered. A lone
+    # surrogate is a path the OS cannot encode.
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '{"W1": 5}', '{"W1": "data/\\u0000w1.csv"}', '{"W9": "data/w1.csv"}',
+        pytest.param('{"W1": "data/x\\ud800.csv"}', id="data-file-surrogate"),
+        pytest.param(DEEP_JSON, id="deep-nesting")])
     def test_malformed_bindings_file(self, loaded_ws, capsys, text):
         (loaded_ws / "bindings.json").write_text(text, encoding="utf-8")
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
@@ -442,6 +447,15 @@ class TestMalformedInputs:
         pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"],
                                                        "data_file": "data/\0w1.csv"}}),
                      id="data-file-nul"),
+        # A JSON escape can hold a lone surrogate, which UTF-8 cannot encode:
+        # saved, the name would fail the quad file's write, and the data
+        # file every later query.
+        pytest.param(W1_TEXT.replace('"name": "W1"', '"name": "W4\\ud800"'),
+                     id="wrapper-name-surrogate"),
+        pytest.param(json.dumps({**W1_DOC, "wrapper": {**W1_DOC["wrapper"],
+                                                       "data_file": "data/x\ud800.csv"}}),
+                     id="data-file-surrogate"),
+        pytest.param(DEEP_JSON, id="deep-nesting"),
     ])
     def test_malformed_release_descriptor(self, ws, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -450,6 +464,20 @@ class TestMalformedInputs:
         assert main(["-w", str(ws), "release", str(bad)]) == 2
         assert "bad.json: malformed release descriptor" in one_line_error(capsys)
         assert {name: (ws / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["query", str(DEMO / "query.rq")], ["validate"], ["stats"],
+        ["release", str(DEMO / "releases" / "w4.json")],
+        ["bench", "growth", "--releases", str(DEMO / "releases")]],
+        ids=["query", "validate", "stats", "release", "growth"])
+    def test_deep_bindings_file_refused_by_every_command(self, loaded_ws, capsys, argv):
+        path = loaded_ws / "bindings.json"
+        path.write_text(DEEP_JSON, encoding="utf-8")
+        before = {name: (loaded_ws / name).read_bytes()
+                  for name in ("ontology.quads", "bindings.json")}
+        assert main(["-w", str(loaded_ws), *argv]) == 4
+        assert one_line_error(capsys).startswith(f"error: {path}: malformed bindings file: ")
+        assert {name: (loaded_ws / name).read_bytes() for name in before} == before
 
     def test_non_string_data_file_refused(self, ws, tmp_path, capsys):
         doc = json.loads((DEMO / "releases" / "w1.json").read_text(encoding="utf-8"))
@@ -911,6 +939,15 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: wrapper W1 already registered"]
+
+    def test_growth_bench_refuses_a_deep_descriptor(self, ws, tmp_path, capsys):
+        releases = tmp_path / "releases"
+        releases.mkdir()
+        (releases / "deep.json").write_text(DEEP_JSON, encoding="utf-8")
+        before = {name: (ws / name).read_bytes() for name in ("ontology.quads", "bindings.json")}
+        assert main(["-w", str(ws), "bench", "growth", "--releases", str(releases)]) == 2
+        assert "deep.json: malformed release descriptor: " in one_line_error(capsys)
+        assert {name: (ws / name).read_bytes() for name in before} == before
 
     def test_growth_bench_binds_data_files(self, ws, tmp_path, capsys):
         # The bench registers the same wrappers as one release per

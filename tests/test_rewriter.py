@@ -16,6 +16,7 @@ from ontomed.quadstore import Dataset
 from ontomed.queries import parse_omq, well_formed_rewrite
 from ontomed.releases import Release, apply_release
 from ontomed.rewriter import (
+    PartialWalkSet,
     RewriteTrace,
     _bind_features,
     inter_concept_generation,
@@ -275,6 +276,41 @@ class TestTailReference:
         assert ucq.render().split("\n") == [
             "Π{" + ",".join(".".join(b[f]) for f in features) + "}" + reference_render_body(w)
             for w, b in zip(ucq.walks, ucq.bindings)]
+
+
+class TestOneConceptPerWrapper:
+    """When no wrapper answers two concepts, phase 3 keeps its candidates
+    and ``rewrite`` its kept walks without deduping or merging them."""
+
+    @staticmethod
+    def partial(ds, query) -> PartialWalkSet:
+        x = query_expansion(well_formed_rewrite(ds, parse_omq(query, ds)), ds)
+        return intra_concept_generation(x, ds)
+
+    def test_fact(self, pre_evolution_ds):
+        # On the demo W1 answers both Monitor and InfoMonitor.
+        assert not self.partial(pre_evolution_ds, MONITOR_QUERY).one_concept_per_wrapper()
+        assert self.partial(build_chain_instance(3, 2), chain_query(3)).one_concept_per_wrapper()
+
+    # More than half of make_instance's instances that pass phase 2 meet the fact.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_skipping_the_hashes_is_exact(self, seed):
+        # The same union, bindings and phase-3 walks with the fact taken as
+        # false, so that both stages dedupe and merge as if it failed.
+        ds, query = make_instance(random.Random(seed))
+        runs = []
+        for fact in (PartialWalkSet.one_concept_per_wrapper, lambda self: False):
+            trace = RewriteTrace()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(PartialWalkSet, "one_concept_per_wrapper", fact)
+                try:
+                    ucq = rewrite(query, ds, trace)
+                except (NoWrapperForConcept, NoJoinPath, MissingIdAttribute) as exc:
+                    runs.append((type(exc), str(exc)))
+                    continue
+            runs.append((ucq.walks, repr(ucq.bindings), ucq.render(), trace.phase3_walks))
+        assert runs[0] == runs[1]
 
 
 class TestRewrite:

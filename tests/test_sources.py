@@ -32,10 +32,11 @@ from ontomed.terms import G_HAS_FEATURE, GLOBAL_GRAPH, RDFS_SUBCLASS_OF, SC_IDEN
 from ontomed.vocab import validate_ontology
 
 from conftest import MONITOR_QUERY, make_global_dataset, make_releases
-from generators import make_instance
+from generators import make_instance, make_union
 from oracles import (
     _lav_triples,
     reference_linked_order,
+    reference_render,
     reference_render_body,
     validate_walk,
     walk_key,
@@ -139,6 +140,18 @@ class TestCompiledWalk:
         ucq = rewrite(chain_query(4), build_chain_instance(4, 3))
         for walk in ucq.walks:
             assert_plain_walk(walk)
+
+
+class TestUnionRender:
+    """``Ucq.render`` formats each line in one pass and each end and join
+    once per union; the reference renders each walk on its own."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_walk_reference(self, seed):
+        ucq = make_union(random.Random(seed))
+        assert ucq.render() == reference_render(ucq)
+        assert [w.render_body() for w in ucq.walks] == [reference_render_body(w) for w in ucq.walks]
 
 
 def assert_plain_walk(walk):
