@@ -184,14 +184,14 @@ def _cmd_query(args) -> int:
         raise WorkspaceError(f"{args.query_file}: not UTF-8 text: {exc.reason}") from None
     trace = RewriteTrace() if args.verbose else None
     ucq = rewrite(text, ws.dataset, trace)
+    # A binding error comes before any output, so a failing run prints none.
+    bindings = None if args.explain else ws.bindings()
     if trace is not None:
         print(trace.render(ws.dataset))
     print(f"{len(ucq.walks)} walk(s)")
     print(ucq.render())
-    if args.explain:
-        return EXIT_OK
-    result = eval_ucq(ucq, ws.bindings())
-    print(result.render())
+    if bindings is not None:
+        print(eval_ucq(ucq, bindings).render())
     return EXIT_OK
 
 

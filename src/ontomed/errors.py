@@ -25,15 +25,6 @@ class InvalidWalk(OntomedError):
     """A walk violates the structural rules of the walk algebra."""
 
 
-class MissingMapping(OntomedError):
-    """A wrapper participating in a walk has no mapping named graph."""
-    exit_code = 3
-
-
-class NotCovering(OntomedError):
-    """Minimality was asked for a walk that does not cover the query."""
-
-
 # --- release manager ------------------------------------------------------
 
 class InvalidRelease(OntomedError):

@@ -14,13 +14,15 @@ canonical already. ``merge`` and ``add_wrapper`` are stated on it, and phase
 
 The catalog compiles a snapshot's source and mapping graphs, and the
 identifier facts of its global graph, once: the wrapper schemas plus the
-attribute, feature, identifier and LAV indexes the rewriter reads. Coverage
-and minimality read one table built per query, which numbers the pattern's
-triples once and holds each wrapper's LAV graph as an integer bitmask over
-them, so both tests are a few integer operations and dictionary lookups per
-walk. ``Ucq.render`` likewise formats each join once per union, with the
-fragment that places it under its later wrapper, and each bound (wrapper,
-attribute) end once, and builds each line in one pass.
+attribute, feature and identifier indexes the rewriter reads, and the LAV
+relation once, as the providers of each mapping-graph triple. Coverage and
+minimality read one table built per query from the providers of each
+pattern triple, which holds each wrapper's LAV graph as an integer bitmask
+over the pattern's numbered triples, so both tests are a few integer
+operations and dictionary lookups per walk. ``Ucq.render`` likewise formats
+each join once per union, with the fragment that places it under its later
+wrapper, and each bound (wrapper, attribute) end once, and builds each line
+in one pass.
 
 A walk's hash is not cached and reads every step and join, so the rewriter
 hashes walks only where two can collide: when a wrapper answers two
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, TypeVar
 
-from .errors import InvalidWalk, MissingMapping, NotCovering
+from .errors import InvalidWalk
 from .quadstore import Dataset, Triple
 from .terms import (
     G_HAS_FEATURE,
@@ -265,11 +267,11 @@ class Catalog(Mapping[str, WrapperSchema]):
 
     Maps each wrapper name to its schema and indexes (wrapper, attribute) ->
     feature, feature -> {wrapper: least attribute}, concept -> identifier
-    features, wrapper -> LAV triples and triple -> the sorted names of the
-    wrappers whose LAV graph holds it. Names are the IRIs with their
-    namespace prefix removed. Where the graphs give a choice, the least IRI
-    wins: a wrapper's owner source, an attribute's owl:sameAs target and a
-    wrapper's mapping graph. The identifiers are sc:identifier and its
+    features and triple -> the sorted names of the wrappers whose LAV graph
+    holds it, the one table of the LAV relation. Names are the IRIs with
+    their namespace prefix removed. Where the graphs give a choice, the least
+    IRI wins: a wrapper's owner source, an attribute's owl:sameAs target and
+    a wrapper's mapping graph. The identifiers are sc:identifier and its
     subclasses, transitively, by the global graph's rdfs:subClassOf edges;
     an attribute counts as ID when its feature is one.
     """
@@ -295,7 +297,6 @@ class Catalog(Mapping[str, WrapperSchema]):
         self._schemas: dict[str, WrapperSchema] = {}
         self._features: dict[JoinEnd, Iri] = {}
         self._attrs: dict[Iri, dict[str, str]] = {}
-        self._lav: dict[str, frozenset[Triple]] = {}
         self._providers: dict[Triple, list[str]] = {}
         # Sorted wrapper IRIs share one prefix, so names come in sorted order.
         for w_iri in sorted(ds.links(SOURCE_GRAPH, RDF_TYPE, inverse=True).get(S_WRAPPER, ())):
@@ -327,8 +328,7 @@ class Catalog(Mapping[str, WrapperSchema]):
                 non_id_attrs=tuple(sorted(non_id_attrs)),
             )
             if w_iri in mapping:
-                self._lav[name] = ds.graph_triples(min(mapping[w_iri]))
-                for t in self._lav[name]:
+                for t in ds.graph_triples(min(mapping[w_iri])):
                     self._providers.setdefault(t, []).append(name)
 
     def __getitem__(self, name: str) -> WrapperSchema:
@@ -352,12 +352,6 @@ class Catalog(Mapping[str, WrapperSchema]):
         """The concept's identifier features, sorted."""
         return self._ids.get(concept, ())
 
-    def lav_triples(self, wrapper: str) -> frozenset[Triple]:
-        try:
-            return self._lav[wrapper]
-        except KeyError:
-            raise MissingMapping(f"wrapper {wrapper} has no mapping named graph") from None
-
     def providers(self, triple: Triple) -> list[str]:
         """Sorted names of the wrappers whose LAV graph holds the triple."""
         return self._providers.get(triple, [])
@@ -372,19 +366,21 @@ def wrapper_schemas(ds: Dataset) -> Catalog:
 
 class LavMasks(dict):
     """Per wrapper name, its LAV graph as a bitmask over a pattern's triples,
-    which are numbered once; each mask is built on its first lookup, and an
-    unknown wrapper raises MissingMapping. ``full`` masks every triple."""
+    numbered once and read from the catalog's providers of each. A wrapper
+    that holds none of them, mapping graph or not, masks 0. ``full`` masks
+    every triple."""
 
     def __init__(self, phi: Iterable[Triple], catalog: Catalog):
         super().__init__()
-        self._bits = {t: 1 << i for i, t in enumerate(phi)}
-        self._catalog = catalog
-        self.full = (1 << len(self._bits)) - 1
+        bit = 1
+        for t in phi:
+            for name in catalog.providers(t):
+                self[name] = self.get(name, 0) | bit
+            bit <<= 1
+        self.full = bit - 1
 
     def __missing__(self, name: str) -> int:
-        bits = self._bits
-        mask = self[name] = sum(bits[t] for t in self._catalog.lav_triples(name) if t in bits)
-        return mask
+        return 0
 
 
 def coverage(walk: Walk, masks: LavMasks) -> bool:
@@ -396,15 +392,14 @@ def coverage(walk: Walk, masks: LavMasks) -> bool:
 
 
 def minimality(walk: Walk, masks: LavMasks) -> bool:
-    """True iff dropping any wrapper breaks coverage. Requires a covering walk."""
+    """True iff each wrapper of the walk holds a pattern triple that no other
+    wrapper of the walk holds. On a covering walk, that is iff dropping any
+    wrapper breaks coverage; ``rewrite`` asks it only of covering walks."""
     held = [masks[name] for name in walk.names]
     once = twice = 0          # the triples held by one wrapper or more, and by two or more
     for mask in held:
         twice |= once & mask
         once |= mask
-    if once != masks.full:
-        raise NotCovering("minimality asked for a non-covering walk")
-    # A wrapper can be dropped iff another wrapper holds each of its triples.
     return all(mask & ~twice for mask in held)
 
 

@@ -84,9 +84,10 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
             names = ", ".join(sorted(owners))
             report.violations.append(Violation("V2", f, f"feature owned by {len(owners)} concepts: {names}"))
 
-    # V3: hasWrapper links DataSource to Wrapper, and every wrapper has an
-    # owner; hasAttribute links Wrapper to Attribute, and every wrapper has
-    # at least one attribute.
+    # V3: hasWrapper links DataSource to Wrapper, and every wrapper has one
+    # owner (the catalog reads only the least of several); hasAttribute
+    # links Wrapper to Attribute, and every wrapper has at least one
+    # attribute.
     wrapper_source = ds.links(SOURCE_GRAPH, S_HAS_WRAPPER, inverse=True)
     for w, srcs in wrapper_source.items():
         for src in srcs:
@@ -94,6 +95,8 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
                 report.violations.append(Violation("V3", src, "hasWrapper subject is not a DataSource"))
             if w not in wrappers:
                 report.violations.append(Violation("V3", w, "hasWrapper object is not a Wrapper"))
+        if len(srcs) > 1:
+            report.violations.append(Violation("V3", w, f"Wrapper has {len(srcs)} hasWrapper links"))
     for w in wrappers.difference(wrapper_source):
         report.violations.append(Violation("V3", w, "Wrapper has no hasWrapper link"))
     has_attribute = ds.links(SOURCE_GRAPH, S_HAS_ATTRIBUTE)

@@ -192,6 +192,21 @@ class TestWorkflow:
         assert capsys.readouterr().out == (
             f"RULEV7 <{source_iri('D/1')}> source name 'D/1' contains '/'\n")
 
+    def test_validate_names_a_wrapper_with_two_owners(self, loaded_ws, capsys):
+        # The catalog reads W1's least owner, D1, so the query still answers;
+        # V6 flags W1's attributes against D2, and V3 names W1 itself.
+        path = loaded_ws / "ontology.quads"
+        with path.open("a", encoding="utf-8") as f:
+            f.write(f"<{SOURCE_GRAPH}> <{source_iri('D2')}> <{S_HAS_WRAPPER}> <{wrapper_iri('W1')}>\n")
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 0
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "validate"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"RULEV3 <{wrapper_iri('W1')}> Wrapper has 2 hasWrapper links",
+            *(f"RULEV6 <{source_iri('D1')}/{attr}> attribute not prefixed by its source "
+              f"<{source_iri('D2')}>" for attr in ("VoDmonitorId", "lagRatio"))]
+
     # The W1 link dropped, or a second one to a graph with no quads, which
     # sorts before W1's own: either way the catalog reads no LAV graph for
     # W1, and the query loses W1's walk without an error.
@@ -302,12 +317,12 @@ class TestExitCodes:
     ], ids=lambda cls: cls.__name__)
     def test_exit_code_per_error_class(self, monkeypatch, capsys, cls):
         expected = {
-            "OntomedError": 2, "UnknownPrefix": 2, "InvalidWalk": 2, "NotCovering": 2,
+            "OntomedError": 2, "UnknownPrefix": 2, "InvalidWalk": 2,
             "InvalidRelease": 2, "SubgraphNotInGlobal": 2, "DuplicateWrapper": 2,
             "DanglingFeatureMap": 2,
             "OmqSyntaxError": 3, "UnknownIri": 3, "DisconnectedPattern": 3,
             "NoIdentifier": 3, "NoWrapperForConcept": 3,
-            "NoJoinPath": 3, "MissingIdAttribute": 3, "NoWalks": 3, "MissingMapping": 3,
+            "NoJoinPath": 3, "MissingIdAttribute": 3, "NoWalks": 3,
             "InvalidIri": 4, "WorkspaceError": 4, "MissingColumn": 4, "MalformedRow": 4,
             "UnboundWrapper": 4,
         }
@@ -413,16 +428,21 @@ class TestMalformedInputs:
         line = one_line_error(capsys)
         assert line.startswith(f"error: {path}:3: ") and "field limit" in line
 
-    # The last names a wrapper the ontology has not registered. A lone
-    # surrogate is a path the OS cannot encode.
+    # The last names a wrapper the ontology has not registered: the query
+    # rewrites, but prints nothing before the error. A lone surrogate is a
+    # path the OS cannot encode.
     @pytest.mark.parametrize("text", [
         "{not json", "[1, 2]", '{"W1": 5}', '{"W1": "data/\\u0000w1.csv"}', '{"W9": "data/w1.csv"}',
         pytest.param('{"W1": "data/x\\ud800.csv"}', id="data-file-surrogate"),
         pytest.param(DEEP_JSON, id="deep-nesting")])
     def test_malformed_bindings_file(self, loaded_ws, capsys, text):
         (loaded_ws / "bindings.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
-        one_line_error(capsys)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     @pytest.mark.parametrize("text", [
         "{not json",
