@@ -162,7 +162,7 @@ def _cmd_release(args) -> int:
 
 def _cmd_validate(args) -> int:
     ws = Workspace.load(_workspace_root(args))
-    report = validate_ontology(ws.dataset)
+    report = validate_ontology(ws.dataset, ws.data_files)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
@@ -184,14 +184,15 @@ def _cmd_query(args) -> int:
         raise WorkspaceError(f"{args.query_file}: not UTF-8 text: {exc.reason}") from None
     trace = RewriteTrace() if args.verbose else None
     ucq = rewrite(text, ws.dataset, trace)
-    # A binding error comes before any output, so a failing run prints none.
-    bindings = None if args.explain else ws.bindings()
+    # A binding or data error comes before any output, so a failing run
+    # prints none.
+    result = None if args.explain else eval_ucq(ucq, ws.bindings())
     if trace is not None:
         print(trace.render(ws.dataset))
     print(f"{len(ucq.walks)} walk(s)")
     print(ucq.render())
-    if bindings is not None:
-        print(eval_ucq(ucq, bindings).render())
+    if result is not None:
+        print(result.render())
     return EXIT_OK
 
 

@@ -18,19 +18,28 @@ Terms are strings (see :class:`Iri`), so the hash and equality tests behind
 every index, and the sort in ``save``, run in C; a term's order is the order
 of its text.
 
+A record's term is a token: ``<iri>``, or a prefixed name ``name:local``
+that stands for the namespace declared for ``name`` (by the file, or by
+default) followed by ``local``. A declaration holds for the whole file.
+``save`` writes each term as ``PrefixTable.compact`` renders it, so a saved
+file is about a fifth as long as one of bracketed IRIs, and ``load`` reads
+both forms.
+
 ``load`` works in bulk, on UTF-8 text less any leading byte-order mark. It
-sets aside the lines that start with "<", which can only be quad records,
-and reads the few others (blank lines, comments, prefix declarations,
-indented records) one by one. It splits all records at once and checks each
-record's token count, then each distinct token's brackets, which must
-enclose it and may not occur inside it, and builds one term per distinct
-token. Only when a check fails does a line-by-line scan run, to report the
+sets aside the lines that start with anything but whitespace, "#" or "@",
+which can only be quad records, and reads the few others (blank lines,
+comments, prefix declarations, indented records) one by one. It splits all
+records at once and checks each record's token count, then reads each
+distinct token once: its brackets or its declared prefix, and a term that
+is not empty and holds no "<" or ">". It builds one term per distinct
+text. Only when a check fails does a line-by-line scan run, to report the
 first bad line in file order. ``copy`` clones the quad dict, which reuses
-the hashes it already holds. ``save`` sorts the quads, formats them with one
-``join``, writes through a temporary file in the same directory and then
-replaces the target, so a reader sees either the old file or the new one. A
-store loaded from a saved file holds one long sorted run plus the quads added
-since, and the sort, a TimSort, merges such runs in near-linear time.
+the hashes it already holds. ``save`` sorts the quads, compacts each
+distinct term once, formats the records with one ``join``, writes through a
+temporary file in the same directory and then replaces the target, so a
+reader sees either the old file or the new one. A store loaded from a saved
+file holds one long sorted run plus the quads added since, and the sort, a
+TimSort, merges such runs in near-linear time.
 """
 
 from __future__ import annotations
@@ -177,12 +186,17 @@ class Dataset:
     # --- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the prefix header followed by one quad record per line."""
+        """Write the prefix header, then one quad record per line, each term
+        written as ``PrefixTable.compact`` renders it."""
         header = "".join(
             f"@prefix {prefix}: <{namespace}>\n"
             for prefix, namespace in sorted(self.prefixes.namespaces().items())
         )
-        records = "".join(map(_RECORD.__mod__, sorted(self._quads)))
+        quads = sorted(self._quads)
+        compact = self.prefixes.compact
+        tokens = {term: compact(term) for term in set(chain.from_iterable(quads))}
+        it = map(tokens.__getitem__, chain.from_iterable(quads))
+        records = "".join(map(_RECORD.__mod__, zip(it, it, it, it)))
         write_replacing(path, header + records)
 
     @classmethod
@@ -196,9 +210,10 @@ class Dataset:
         del text
         quad_lines: list[str] = []
         for raw in lines:
-            # A line that starts with "<" can only be a quad record. The rest
-            # are blank, comments, prefix declarations, indented records or bad.
-            if raw[:1] == "<":
+            # A line that starts with anything but whitespace, "#" or "@" can
+            # only be a quad record. The rest are blank, comments, prefix
+            # declarations, indented records or bad.
+            if raw[:1].strip() not in _NOT_RECORD_START:
                 quad_lines.append(raw)
                 continue
             line = raw.strip()
@@ -217,39 +232,84 @@ class Dataset:
             raise _first_error(path, lines)
         tokens = list(chain.from_iterable(records))
         del records
-        distinct = set(tokens)
-        if "<>" in distinct or not all(t[0] == "<" and t[-1] == ">" for t in distinct):
+        # A declaration holds for the whole file, so a record may come before
+        # the declaration it uses. The grammar is _token_fault's.
+        namespaces = ds.prefixes.namespaces()
+        terms: dict[str, Iri] = {}
+        iris: dict[str, Iri] = {}   # text -> its one Iri, whatever its token
+        for token in set(tokens):
+            if token[0] == "<" and token[-1] == ">":
+                text = token[1:-1]
+            else:
+                name, colon, local = token.partition(":")
+                namespace = namespaces.get(name)
+                if namespace is None or not colon or token[0] == "<" or token[-1] == ">":
+                    raise _first_error(path, lines)
+                text = namespace + local
+            terms[token] = iris.setdefault(text, _new_iri(text))
+        inner = "".join(iris)
+        if "" in iris or "<" in inner or ">" in inner:
             raise _first_error(path, lines)
-        terms = {token: Iri(token[1:-1]) for token in distinct}
-        # A token's end brackets must be its only ones.
-        inner = "".join(terms.values())
-        if "<" in inner or ">" in inner:
-            raise _first_error(path, lines)
-        del lines, inner
+        del lines, inner, iris
         it = map(terms.__getitem__, tokens)
         ds._quads = dict.fromkeys(map(_new_quad, zip(it, it, it, it)))
         return ds
 
 
-_RECORD = "<%s> <%s> <%s> <%s>\n"
+_RECORD = "%s %s %s %s\n"
+_NOT_RECORD_START = frozenset(("", "#", "@"))
 # The (name, namespace) match of a whole, stripped prefix declaration, or
 # None: "@prefix name: <namespace>", with no "<", ">" or whitespace inside
 # the namespace. ``\s`` is exactly the space that str.split separates on.
 _prefix = re.compile(r"@prefix\s+(\S*):\s+<([^<>\s]*)>").fullmatch
+# ``load`` checks the texts for emptiness in bulk, so it skips Iri's check.
+_new_iri = partial(str.__new__, Iri)
 _new_quad = partial(tuple.__new__, Quad)
 _TRIPLE = itemgetter(1, 2, 3)
 _SUBJECT_OBJECT = itemgetter(1, 3)
 _OBJECT_SUBJECT = itemgetter(3, 1)
 
 
+def _token_fault(token: str, namespaces: dict[str, str]) -> str | None:
+    """What is wrong with a record token, or None when it names a term.
+
+    A token that starts with "<" or ends with ">" is an IRI in brackets:
+    "<", the IRI, then ">". Any other token is a prefixed name,
+    ``name:local``, split at its first ":"; it names the namespace declared
+    for ``name`` followed by ``local``. Either way the term is not empty and
+    holds no "<" or ">".
+    """
+    if token[0] == "<" or token[-1] == ">":
+        if token[0] != "<" or token[-1] != ">":
+            return "malformed quad record"
+        text = token[1:-1]
+    else:
+        name, colon, local = token.partition(":")
+        if not colon:
+            return "malformed quad record"
+        if name not in namespaces:
+            return f"undeclared prefix {name!r} in {token}"
+        text = namespaces[name] + local
+    if not text:
+        return "empty IRI"
+    if "<" in text or ">" in text:
+        return f"'<' or '>' inside IRI {token}"
+    return None
+
+
 def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:
     """The error for the first bad line of a quad file, in file order.
 
     ``load`` calls this only once one of its bulk checks has failed, so some
-    line is bad.
+    line is bad. Every well-formed declaration counts, wherever it stands.
     """
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
+    stripped = [raw.strip() for raw in lines]
+    namespaces = PrefixTable().namespaces()
+    for line in stripped:
+        declared = _prefix(line) if line.startswith("@prefix") else None
+        if declared is not None:
+            namespaces[declared[1]] = declared[2]
+    for lineno, line in enumerate(stripped, 1):
         if not line or line.startswith("#"):
             continue
         if line.startswith("@prefix"):
@@ -260,10 +320,7 @@ def _first_error(path: str | Path, lines: list[str]) -> InvalidIri:
         if len(fields) != 4:
             return InvalidIri(f"{path}:{lineno}: malformed quad record")
         for token in fields:
-            if not (token.startswith("<") and token.endswith(">")):
-                return InvalidIri(f"{path}:{lineno}: malformed quad record")
-            if token == "<>":
-                return InvalidIri(f"{path}:{lineno}: empty IRI")
-            if "<" in token[1:-1] or ">" in token[1:-1]:
-                return InvalidIri(f"{path}:{lineno}: '<' or '>' inside IRI {token}")
+            fault = _token_fault(token, namespaces)
+            if fault is not None:
+                return InvalidIri(f"{path}:{lineno}: {fault}")
     raise AssertionError(f"{path}: a bulk check failed, yet no line is bad")

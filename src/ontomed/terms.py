@@ -62,9 +62,13 @@ class PrefixTable:
         self._table: dict[str, str] = dict(DEFAULT_PREFIXES)
         if mapping:
             self._table.update(mapping)
+        # compact's candidates, longest namespace first; None until its first
+        # call after a registration.
+        self._compact_order: list[tuple[str, str, int]] | None = None
 
     def register(self, prefix: str, namespace: str) -> None:
         self._table[prefix] = namespace
+        self._compact_order = None
 
     def namespaces(self) -> dict[str, str]:
         return dict(self._table)
@@ -93,16 +97,30 @@ class PrefixTable:
         return Iri(namespace + local)
 
     def compact(self, iri: Iri) -> str:
-        """Render an Iri in prefixed form when a registered namespace matches."""
-        best: tuple[str, str] | None = None
-        for prefix, namespace in self._table.items():
+        """Render an Iri as ``name:local`` or, when no namespace fits, ``<iri>``.
+
+        The name is that of the longest registered namespace the IRI starts
+        with, ties going to the least name, among the names a saved quad
+        file reads back (see ``_readable_name``). Quad files and the
+        ``--verbose`` trace both use this one rule.
+        """
+        if self._compact_order is None:
+            self._compact_order = [
+                (namespace, prefix + ":", len(namespace))
+                for prefix, namespace in sorted(self._table.items(),
+                                                key=lambda item: (-len(item[1]), item[0]))
+                if _readable_name(prefix)]
+        for namespace, head, length in self._compact_order:
             if iri.startswith(namespace):
-                if best is None or len(namespace) > len(best[1]):
-                    best = (prefix, namespace)
-        if best is None:
-            return f"<{iri}>"
-        prefix, namespace = best
-        return f"{prefix}:{iri[len(namespace):]}"
+                return head + iri[length:]
+        return f"<{iri}>"
+
+
+# A prefix name that a quad record can hold: a letter, then letters, digits,
+# "_", "-" or ".". A name may be declared without being one (it may be
+# empty, hold ":" or start with "#" or "@"), but a token holding it would
+# split at the wrong ":" or begin a comment or a declaration.
+_readable_name = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*").fullmatch
 
 
 # --- vocabulary constants (metamodel of the three graphs) ------------------

@@ -1,12 +1,14 @@
 """Structural validation of a dataset against the metadata vocabulary.
 
 Nine rules cover the legal instantiation of the global, source, and mapping
-graphs. Violations are data, not faults: validation always returns a report,
-its violations sorted by rule, subject and detail.
+graphs, and a tenth the wrapper names a workspace binds to data files.
+Violations are data, not faults: validation always returns a report, its
+violations sorted by rule, subject and detail.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .quadstore import Dataset
@@ -58,7 +60,9 @@ class ValidationReport:
         return "\n".join(v.render() for v in self.violations)
 
 
-def validate_ontology(ds: Dataset) -> ValidationReport:
+def validate_ontology(ds: Dataset, bound: Iterable[str] = ()) -> ValidationReport:
+    """Check ``ds`` against the rules, and each wrapper name in ``bound``,
+    the names a workspace binds to data files, against rule V10."""
     report = ValidationReport()
     global_types = ds.links(GLOBAL_GRAPH, RDF_TYPE, inverse=True)
     source_types = ds.links(SOURCE_GRAPH, RDF_TYPE, inverse=True)
@@ -166,6 +170,13 @@ def validate_ontology(ds: Dataset) -> ValidationReport:
         for t in typed:
             if not t.startswith(namespace):
                 report.violations.append(Violation("V9", t, f"{kind} IRI is not under <{namespace}>"))
+
+    # V10: a bound name names a wrapper, since a full query reads the data
+    # file of every bound name and fails on one the catalog does not hold.
+    for name in bound:
+        if wrapper_iri(name) not in wrappers:
+            report.violations.append(
+                Violation("V10", wrapper_iri(name), "bound to a data file but not a Wrapper"))
 
     # The rules walk sets, whose order follows the hash seed.
     report.violations.sort()

@@ -340,26 +340,40 @@ def nested_loop_join(relations: list[tuple[list[str], list[tuple[str, ...]]]],
 
 def reference_load(path) -> Dataset:
     """Load a quad file line by line, adding each quad on its own: the
-    reference ``Dataset.load`` must agree with, in its result or its error."""
+    reference ``Dataset.load`` must agree with, in its result or its error.
+
+    A token is ``<iri>`` when it starts with "<" or ends with ">", and
+    otherwise ``name:local``, read against the defaults and every
+    well-formed declaration in the file, wherever it stands."""
     ds = Dataset()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidIri(f"{path}: not UTF-8 text: {exc}") from exc
-    terms: dict[str, Iri] = {}   # token, brackets included -> its one Iri
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    lines = [raw.strip() for raw in text.splitlines()]
+
+    def declaration(line):
+        # Exactly "@prefix name: <namespace>", with no brackets inside the
+        # namespace: its (name, namespace), or None.
+        parts = line.split()
+        if (len(parts) != 3 or parts[0] != "@prefix" or not parts[1].endswith(":")
+                or parts[2][:1] != "<" or parts[2][-1:] != ">"
+                or "<" in parts[2][1:-1] or ">" in parts[2][1:-1]):
+            return None
+        return parts[1][:-1], parts[2][1:-1]
+
+    for line in lines:
+        declared = declaration(line) if line.startswith("@prefix") else None
+        if declared is not None:
+            ds.prefixes.register(*declared)
+    namespaces = ds.prefixes.namespaces()
+    terms: dict[str, Iri] = {}   # token, brackets included -> its Iri
+    for lineno, line in enumerate(lines, 1):
         if not line or line.startswith("#"):
             continue
         if line.startswith("@prefix"):
-            # Exactly "@prefix name: <namespace>", with no brackets inside
-            # the namespace.
-            parts = line.split()
-            if (len(parts) != 3 or parts[0] != "@prefix" or not parts[1].endswith(":")
-                    or parts[2][:1] != "<" or parts[2][-1:] != ">"
-                    or "<" in parts[2][1:-1] or ">" in parts[2][1:-1]):
+            if declaration(line) is None:
                 raise InvalidIri(f"{path}:{lineno}: malformed prefix declaration")
-            ds.prefixes.register(parts[1][:-1], parts[2][1:-1])
             continue
         fields = line.split()
         if len(fields) != 4:
@@ -368,12 +382,23 @@ def reference_load(path) -> Dataset:
         for token in fields:
             iri = terms.get(token)
             if iri is None:
-                if not (token.startswith("<") and token.endswith(">")):
+                if token.startswith("<") or token.endswith(">"):
+                    if not (len(token) > 1 and token.startswith("<") and token.endswith(">")):
+                        raise InvalidIri(f"{path}:{lineno}: malformed quad record")
+                    value = token[1:-1]
+                elif ":" in token:
+                    name, local = token.split(":", 1)
+                    if name not in namespaces:
+                        raise InvalidIri(f"{path}:{lineno}: undeclared prefix {name!r} in {token}")
+                    value = namespaces[name] + local
+                else:
                     raise InvalidIri(f"{path}:{lineno}: malformed quad record")
                 try:
-                    iri = terms[token] = Iri(token[1:-1])
+                    iri = terms[token] = Iri(value)
                 except InvalidIri as exc:
                     raise InvalidIri(f"{path}:{lineno}: {exc}") from None
+                if "<" in value or ">" in value:
+                    raise InvalidIri(f"{path}:{lineno}: '<' or '>' inside IRI {token}")
             quad.append(iri)
         ds._add(Quad(*quad))
     return ds

@@ -22,8 +22,6 @@ from ontomed.sources import wrapper_schemas
 from ontomed.terms import (
     G_HAS_FEATURE,
     GLOBAL_GRAPH,
-    M_MAPPING,
-    MAPPINGS_GRAPH,
     RDF_TYPE,
     S_ATTRIBUTE,
     S_DATA_SOURCE,
@@ -31,7 +29,6 @@ from ontomed.terms import (
     S_HAS_WRAPPER,
     S_WRAPPER,
     SOURCE_GRAPH,
-    mapping_graph_iri,
     source_iri,
     wrapper_iri,
 )
@@ -215,7 +212,8 @@ class TestWorkflow:
                                                                count, detail):
         assert main(["-w", str(loaded_ws), "release", str(DEMO / "releases" / "w4.json")]) == 0
         path = loaded_ws / "ontology.quads"
-        link = f"<{MAPPINGS_GRAPH}> <{wrapper_iri('W1')}> <{M_MAPPING}> <{mapping_graph_iri('W%s')}>\n"
+        # The record as the workspace saves it, each term compacted.
+        link = "M: S:Wrapper/W1 M:mapping M:graph/W%s\n"
         text = path.read_text(encoding="utf-8")
         assert link % 1 in text
         path.write_text(text.replace(link % 1, "") if count == 0 else text + link % 0,
@@ -239,16 +237,35 @@ class TestWorkflow:
     def test_validate_reports_iri_outside_its_namespace(self, loaded_ws, capsys,
                                                         kind, namespace, name, code, error):
         assert main(["-w", str(loaded_ws), "release", str(DEMO / "releases" / "w4.json")]) == 0
-        iri, moved = namespace + name, namespace.replace(f"/{kind}/", f"/{kind}s/") + name
+        moved = namespace.replace(f"/{kind}/", f"/{kind}s/") + name
         path = loaded_ws / "ontology.quads"
         text = path.read_text(encoding="utf-8")
-        assert iri in text
-        path.write_text(text.replace(iri, moved), encoding="utf-8")
+        # The workspace saves the IRI compacted, as S:{kind}/{name}.
+        token = f"S:{kind}/{name}"
+        assert token in text
+        path.write_text(text.replace(token, f"S:{kind}s/{name}"), encoding="utf-8")
         capsys.readouterr()
         assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == code
         assert one_line_error(capsys) == error
         assert main(["-w", str(loaded_ws), "validate"]) == 2
-        assert capsys.readouterr().out == f"RULEV9 <{moved}> {kind} IRI is not under <{namespace}>\n"
+        # W1 stays bound, so a moved W1 also leaves its binding with no wrapper.
+        unbound = (f"RULEV10 <{namespace}{name}> bound to a data file but not a Wrapper\n"
+                   if kind == "Wrapper" else "")
+        assert capsys.readouterr().out == (
+            unbound + f"RULEV9 <{moved}> {kind} IRI is not under <{namespace}>\n")
+
+    def test_validate_reports_binding_to_unregistered_wrapper(self, loaded_ws, capsys):
+        # A full query reads every bound name's data file, so it fails on
+        # W9's binding.
+        path = loaded_ws / "bindings.json"
+        bindings = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**bindings, "W9": "data/w1.csv"}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        assert one_line_error(capsys) == "error: bound wrapper W9 is not registered in the ontology"
+        assert main(["-w", str(loaded_ws), "validate"]) == 2
+        assert capsys.readouterr().out == (
+            f"RULEV10 <{wrapper_iri('W9')}> bound to a data file but not a Wrapper\n")
 
 
 class TestExitCodes:
@@ -428,6 +445,17 @@ class TestMalformedInputs:
         line = one_line_error(capsys)
         assert line.startswith(f"error: {path}:3: ") and "field limit" in line
 
+    def test_data_error_prints_nothing_on_stdout(self, loaded_ws, capsys):
+        # The union is evaluated before the first line is printed.
+        path = loaded_ws / "data" / "w1.csv"
+        path.write_text("VoDmonitorId\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        assert capsys.readouterr().out == ""
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 4
+        assert one_line_error(capsys) == (
+            f"error: {path}: header lacks attribute column lagRatio")
+
     # The last names a wrapper the ontology has not registered: the query
     # rewrites, but prints nothing before the error. A lone surrogate is a
     # path the OS cannot encode.
@@ -552,8 +580,7 @@ class TestMalformedInputs:
         # no walk projects its feature; the query fails instead of crashing.
         path = loaded_ws / "ontology.quads"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        typed = [line for line in lines if "<http://schema.org/SoftwareApplication> <http://"
-                 "www.w3.org/1999/02/22-rdf-syntax-ns#type>" in line]
+        typed = [line for line in lines if " sc:SoftwareApplication rdf:type " in line]
         assert len(typed) == 1
         lines.remove(typed[0])
         path.write_text("".join(lines), encoding="utf-8")

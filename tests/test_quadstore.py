@@ -18,6 +18,7 @@ from ontomed.errors import InvalidIri, UnknownPrefix
 from ontomed.quadstore import Dataset, Quad
 from ontomed.terms import Iri, PrefixTable
 
+from generators import make_instance, make_wide_instance
 from oracles import reference_load
 
 
@@ -52,6 +53,17 @@ class TestPrefixTable:
         t.register("exsub", EX + "sub/")
         assert t.compact(Iri(EX + "sub/x")) == "exsub:x"
         assert t.compact(Iri("mailto:nobody")) == "<mailto:nobody>"
+        # A longer namespace under a name a quad file cannot read back is
+        # skipped; of two names for one namespace the least wins, whatever
+        # the order they were registered in.
+        for name in ("", "a:b", "#h", "@at", "1x", "é"):
+            t.register(name, EX + "sub/x")
+        assert t.compact(Iri(EX + "sub/xy")) == "exsub:xy"
+        for names in (("exb", "exa"), ("exa", "exb")):
+            table = t.copy()
+            for name in names:
+                table.register(name, EX + "sub/x")
+            assert table.compact(Iri(EX + "sub/xy")) == "exa:y"
 
     def test_empty_iri_rejected(self):
         with pytest.raises(InvalidIri):
@@ -295,7 +307,7 @@ class TestPersistence:
         # comment, a duplicate line and CRLF endings.
         lines = expected.decode("utf-8").splitlines()
         random.Random(5).shuffle(lines)
-        first, second = [i for i, line in enumerate(lines) if line.startswith("<")][:2]
+        first, second = [i for i, line in enumerate(lines) if not line.startswith("@")][:2]
         lines[first] = lines[first].replace(" ", "\t", 1)
         lines[second] = "  " + lines[second]
         lines[3:3] = ["# a comment", lines[first]]
@@ -312,11 +324,12 @@ class TestPersistence:
             assert saved.read_bytes() == expected
 
     def test_saved_bytes_pinned(self, tmp_path):
-        # A 1,479-quad store, saved in the order of its terms' text: a change
-        # to that order or to the record format changes the digest.
+        # A 1,479-quad store, saved in the order of its terms' text, each term
+        # compacted against the header's prefixes: a change to that order, to
+        # the compaction rule or to the record format changes the digest.
         path = tmp_path / "chain.quads"
         build_chain_instance(20, 4).save(path)
-        assert hashlib.sha1(path.read_bytes()).hexdigest() == "1afc892331854b15952bd438e0e817db7abbc865"
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == "0ccf6195dacc71e8c977e7814bbb039a8dfb2fad"
 
     def test_failed_save_leaves_file_unchanged(self, tmp_path, monkeypatch):
         path = tmp_path / "d.quads"
@@ -333,8 +346,53 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["d.quads"]
 
 
-_GOOD = ("<http://x/a>", "<http://x/b>", "<http://x/a/b>", "<urn:c>", "<http://x/\u00e9>")
-_BAD = ("http://x/a>", "<http://x/a", "<>", "<>", "<", "x")
+# Prefix names the writer uses ("G" and "rdf" override defaults), then names
+# it must skip: a token holding them would split at the wrong ":" or begin a
+# comment or a declaration.
+_NAMES = ("a", "b", "ab", "n1", "x.y", "n-1", "Z_", "G", "rdf", "", ":", "a:b", "#", "#h", "@", "@at")
+
+
+@st.composite
+def _stores_with_prefixes(draw):
+    """A generated store whose table also maps random names to prefixes of
+    its terms: nested namespaces, a term equal to its namespace, the empty
+    namespace, and up to three names for one namespace."""
+    kind = draw(st.sampled_from(("instance", "wide", "chain")))
+    if kind == "chain":
+        ds = build_chain_instance(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        make = make_instance if kind == "instance" else make_wide_instance
+        ds, _ = make(random.Random(draw(st.integers(0, 10_000))))
+    terms = sorted({term for quad in ds for term in quad})
+    for _ in range(draw(st.integers(0, 6))):
+        term = draw(st.sampled_from(terms))
+        cut = draw(st.integers(0, len(term)))
+        for namespace in (term[:cut], term[:draw(st.integers(cut, len(term)))]):
+            for name in draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3)):
+                ds.prefixes.register(name, namespace)
+    return ds
+
+
+class TestCompactRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_stores_with_prefixes())
+    def test_load_of_save_is_the_store(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("quads") / "d.quads"
+        ds.save(path)
+        loaded = Dataset.load(path)
+        assert frozenset(loaded) == frozenset(ds)
+        assert loaded.prefixes.namespaces() == ds.prefixes.namespaces()
+        again = path.with_name("again.quads")
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+# Prefixed tokens: a default prefix, prefixes the file may or may not
+# declare (in any line), the empty name, an empty local part and a local
+# part holding ":".
+_GOOD = ("<http://x/a>", "<http://x/b>", "<http://x/a/b>", "<urn:c>", "<http://x/\u00e9>",
+         "G:a", "ex:a", "ex:", "p:a:b", ":a")
+_BAD = ("http://x/a>", "<http://x/a", "<>", "<>", "<", "x", "nope:a", "G:a<b", "ex:a>b", "G:a>")
 _GAPS = (" ", "\t", "   ", " \t ", "\xa0")
 _INDENTS = ("", "", " ", "\t", "\xa0")
 # Each of these ends a line for str.splitlines; "\u2028" and "\x1c" are
@@ -355,7 +413,7 @@ def _record(draw, count=4, bad=False):
 
 _prefix = st.builds(
     "{}@prefix{}{}:{}<{}>".format,
-    st.sampled_from(_INDENTS), st.sampled_from(_GAPS), st.sampled_from(("ex", "G", "p")),
+    st.sampled_from(_INDENTS), st.sampled_from(_GAPS), st.sampled_from(("ex", "G", "p", "")),
     st.sampled_from(_GAPS), st.sampled_from(("http://x/", "http://y/", "urn:z:")))
 _good_line = st.one_of(
     _record(), _record(), _prefix,
@@ -412,7 +470,11 @@ class TestBulkLoad:
         ("<http://x/g> <http://x/s> http://x/p> <http://x/o>", "malformed quad record"),
         ("<http://x/g> <> <http://x/p> <http://x/o>", "empty IRI"),
         ("@prefix ex <http://x/>", "malformed prefix declaration"),
-    ], ids=["token-count", "bracket", "empty-iri", "prefix"])
+        ("ex:g ex:s nope:p ex:o", "undeclared prefix 'nope' in nope:p"),
+        ("ex:g ex:s ex:p o", "malformed quad record"),
+        ("ex:g ex:s ex:p ex:a<b", "'<' or '>' inside IRI ex:a<b"),
+    ], ids=["token-count", "bracket", "empty-iri", "prefix", "undeclared", "no-colon",
+            "bracket-in-local"])
     def test_bad_line_in_large_file_reports_its_number(self, tmp_path, line, message):
         path = self._large_file(tmp_path, {1013: line})
         with pytest.raises(InvalidIri, match=f"^{re.escape(str(path))}:1013: {message}$"):

@@ -138,6 +138,11 @@ def test_v9_wrapper_or_source_outside_its_namespace(pre_evolution_ds, releases):
             Violation("V9", new, f"{kind} IRI is not under <{namespace}>")]
 
 
+def test_v10_bound_name_not_a_wrapper(pre_evolution_ds):
+    assert validate_ontology(pre_evolution_ds, ["W1", "W9"]).violations == [
+        Violation("V10", wrapper_iri("W9"), "bound to a data file but not a Wrapper")]
+
+
 def test_report_render_lists_rule_and_subject(global_ds):
     ds = global_ds.copy()
     ds._add(Quad(GLOBAL_GRAPH, iri("sup:Monitor"), G_HAS_FEATURE, iri("sup:lagRatio")))
