@@ -157,12 +157,15 @@ class Dataset:
     def links(self, graph: Iri, predicate: Iri, inverse: bool = False) -> dict[Iri, list[Iri]]:
         """Per subject, its objects under ``predicate`` in ``graph``, or with
         ``inverse`` per object, its subjects; read from the (graph, predicate)
-        index. A list holds distinct terms, in no set order."""
-        grouped: dict[Iri, list[Iri]] = {}
-        for key, value in map(_OBJECT_SUBJECT if inverse else _SUBJECT_OBJECT,
-                              self._indexes()[1].get((graph, predicate), ())):
-            grouped.setdefault(key, []).append(value)
-        return grouped
+        index. A list holds distinct terms, in no set order. The grouping is
+        shared through ``derived``: callers must not mutate it."""
+        def group() -> dict[Iri, list[Iri]]:
+            grouped: dict[Iri, list[Iri]] = {}
+            for key, value in map(_OBJECT_SUBJECT if inverse else _SUBJECT_OBJECT,
+                                  self._indexes()[1].get((graph, predicate), ())):
+                grouped.setdefault(key, []).append(value)
+            return grouped
+        return self.derived(("links", graph, predicate, inverse), group)
 
     def derived(self, key, builder):
         """Memoized value computed from the dataset's quads.

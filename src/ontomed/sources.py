@@ -261,28 +261,90 @@ def _render_body(walk: Walk, entry) -> str:
 
 # --- the compiled catalog ---------------------------------------------------
 
+Note = tuple[str, Iri, str]                          # (rule, subject, detail)
+
+
+_WRAPPER_NS, _SOURCE_NS = wrapper_iri(""), source_iri("")
+
+
+def source_note(src: Iri) -> Note | None:
+    """Rule V9's note on a data source IRI outside S:DataSource/, or V7's on
+    one whose name, the rest of the IRI, holds "/", since an attribute's IRI
+    is its source's IRI, "/" and its name; else None."""
+    if not src.startswith(_SOURCE_NS):
+        return ("V9", src, f"DataSource IRI is not under <{_SOURCE_NS}>")
+    if "/" in src[len(_SOURCE_NS):]:
+        return ("V7", src, f"source name {src[len(_SOURCE_NS):]!r} contains '/'")
+    return None
+
+
+def _links_text(count: int, link: str) -> str:
+    return f"Wrapper has {count or 'no'} {link} link" + "s" * (count > 1)
+
+
+def registrations(ds: Dataset) -> tuple[list[tuple], list[Note]]:
+    """One walk over the typed S:Wrappers in IRI order: the rows the catalog
+    reads, and a note for each wrapper it skips and each choice it makes.
+
+    A row is (wrapper name, source name, attribute IRIs, least M:mapping
+    graph or None), in name order, since every kept IRI starts with
+    S:Wrapper/; an attribute IRI is the source's IRI, "/" and the name. Skipped: a wrapper with no owner (V3), whose IRI
+    or least owner's lies outside its namespace (V9), whose least owner's
+    name holds "/" (V7), or with no hasAttribute link (V3) or none prefixed
+    by that owner (V6). Chosen, the least IRI: of several owners (V3), and
+    of several mapping graphs, or none (V8); an attribute not prefixed by
+    the owner is left out (V6).
+    """
+    owners = ds.links(SOURCE_GRAPH, S_HAS_WRAPPER, inverse=True)
+    attributes = ds.links(SOURCE_GRAPH, S_HAS_ATTRIBUTE)
+    mapping = ds.links(MAPPINGS_GRAPH, M_MAPPING)
+    rows, notes = [], []
+    for w_iri in sorted(ds.links(SOURCE_GRAPH, RDF_TYPE, inverse=True).get(S_WRAPPER, ())):
+        srcs = owners.get(w_iri, ())
+        if len(srcs) != 1:
+            notes.append(("V3", w_iri, _links_text(len(srcs), "hasWrapper")))
+            if not srcs:
+                continue
+        src = min(srcs)
+        skip = (("V9", w_iri, f"Wrapper IRI is not under <{_WRAPPER_NS}>")
+                if not w_iri.startswith(_WRAPPER_NS) else source_note(src))
+        if skip is None and w_iri not in attributes:
+            skip = ("V3", w_iri, _links_text(0, "hasAttribute"))
+        if skip is not None:
+            notes.append(skip)
+            continue
+        prefix, linked = src + "/", attributes[w_iri]
+        attrs = [a_iri for a_iri in linked if a_iri.startswith(prefix)]
+        if len(attrs) < len(linked):
+            notes.extend(("V6", a_iri, f"attribute not prefixed by its source <{src}>")
+                         for a_iri in linked if not a_iri.startswith(prefix))
+            if not attrs:
+                continue
+        graphs = mapping.get(w_iri, ())
+        if len(graphs) != 1:
+            notes.append(("V8", w_iri, _links_text(len(graphs), "M:mapping")))
+        rows.append((w_iri[len(_WRAPPER_NS):], src[len(_SOURCE_NS):], attrs, min(graphs, default=None)))
+    return rows, notes
+
+
 class Catalog(Mapping[str, WrapperSchema]):
     """The wrapper, attribute, feature and identifier facts of one snapshot,
     compiled once from its graphs.
 
-    Maps each wrapper name to its schema and indexes (wrapper, attribute) ->
-    feature, feature -> {wrapper: least attribute}, concept -> identifier
+    Maps each wrapper name in the rows of ``registrations`` to its schema,
+    and indexes (wrapper, attribute) -> feature, feature -> {wrapper: least attribute}, concept -> identifier
     features and triple -> the sorted names of the wrappers whose LAV graph
     holds it, the one table of the LAV relation. Names are the IRIs with
-    their namespace prefix removed. Where the graphs give a choice, the least
-    IRI wins: a wrapper's owner source, an attribute's owl:sameAs target and
-    a wrapper's mapping graph. The identifiers are sc:identifier and its
+    their namespace prefix removed. An attribute's feature is its least
+    owl:sameAs target. The identifiers are sc:identifier and its
     subclasses, transitively, by the global graph's rdfs:subClassOf edges;
     an attribute counts as ID when its feature is one.
     """
 
     def __init__(self, ds: Dataset):
-        owners = ds.links(SOURCE_GRAPH, S_HAS_WRAPPER, inverse=True)
         # Each version of a source holds its attributes again, so an
         # attribute's least target is taken once, here.
         same_as = {a: min(fs) for a, fs in ds.links(MAPPINGS_GRAPH, OWL_SAME_AS).items()}
-        mapping = ds.links(MAPPINGS_GRAPH, M_MAPPING)
-        attributes = ds.links(SOURCE_GRAPH, S_HAS_ATTRIBUTE)
         children = ds.links(GLOBAL_GRAPH, RDFS_SUBCLASS_OF, inverse=True)
         identifiers, frontier = {SC_IDENTIFIER}, [SC_IDENTIFIER]
         while frontier:
@@ -293,25 +355,16 @@ class Catalog(Mapping[str, WrapperSchema]):
         self._ids: dict[Iri, tuple[Iri, ...]] = {
             concept: tuple(sorted(identifiers.intersection(features)))
             for concept, features in ds.links(GLOBAL_GRAPH, G_HAS_FEATURE).items()}
-        wrapper_ns, source_ns = wrapper_iri(""), source_iri("")
         self._schemas: dict[str, WrapperSchema] = {}
         self._features: dict[JoinEnd, Iri] = {}
         self._attrs: dict[Iri, dict[str, str]] = {}
         self._providers: dict[Triple, list[str]] = {}
-        # Sorted wrapper IRIs share one prefix, so names come in sorted order.
-        for w_iri in sorted(ds.links(SOURCE_GRAPH, RDF_TYPE, inverse=True).get(S_WRAPPER, ())):
-            if w_iri not in owners or not w_iri.startswith(wrapper_ns):
-                continue
-            src = min(owners[w_iri])
-            if not src.startswith(source_ns):
-                continue
-            name, prefix = w_iri[len(wrapper_ns):], src + "/"
+        for name, source, attrs, graph in registrations(ds)[0]:
+            cut = len(_SOURCE_NS) + len(source) + 1
             id_attrs: list[str] = []
             non_id_attrs: list[str] = []
-            for a_iri in attributes.get(w_iri, ()):
-                if not a_iri.startswith(prefix):
-                    continue
-                attr = a_iri[len(prefix):]
+            for a_iri in attrs:
+                attr = a_iri[cut:]
                 feature = same_as.get(a_iri)
                 if feature is None:
                     non_id_attrs.append(attr)
@@ -323,12 +376,12 @@ class Catalog(Mapping[str, WrapperSchema]):
                 (id_attrs if feature in identifiers else non_id_attrs).append(attr)
             self._schemas[name] = WrapperSchema(
                 name=name,
-                source=src[len(source_ns):],
+                source=source,
                 id_attrs=tuple(sorted(id_attrs)),
                 non_id_attrs=tuple(sorted(non_id_attrs)),
             )
-            if w_iri in mapping:
-                for t in ds.graph_triples(min(mapping[w_iri])):
+            if graph is not None:
+                for t in ds.graph_triples(graph):
                     self._providers.setdefault(t, []).append(name)
 
     def __getitem__(self, name: str) -> WrapperSchema:

@@ -136,8 +136,8 @@ class TestWorkflow:
         assert "2 walk(s)" in capsys.readouterr().out
 
     def test_validate_reports_wrapper_without_attributes(self, tmp_path, capsys):
-        # A source graph wrapper with no S:hasAttribute fails every query
-        # once the catalog compiles it, so validate must refuse it first.
+        # The catalog skips a source graph wrapper with no S:hasAttribute,
+        # so the query answers from W1-W4, and validate names W9.
         quads = tmp_path / "global.quads"
         quads.write_text((DEMO / "global.quads").read_text(encoding="utf-8") + "".join(
             f"<{SOURCE_GRAPH}> <{s}> <{p}> <{o}>\n" for s, p, o in (
@@ -151,8 +151,10 @@ class TestWorkflow:
         for name in ("w1", "w2", "w3", "w4"):
             assert main(["-w", str(root), "release", str(DEMO / "releases" / f"{name}.json")]) == 0
         capsys.readouterr()
-        assert main(["-w", str(root), "query", str(DEMO / "query.rq")]) == 2
-        assert one_line_error(capsys) == "error: wrapper W9: no attributes"
+        assert main(["-w", str(root), "query", str(DEMO / "query.rq")]) == 0
+        out = capsys.readouterr().out
+        assert "W9" not in out
+        assert out.splitlines()[3:] == ["applicationId,lagRatio", *DEMO_ROWS, "1,0.80", "2,0.2"]
         assert main(["-w", str(root), "validate"]) == 2
         assert capsys.readouterr().out == f"RULEV3 <{wrapper_iri('W9')}> Wrapper has no hasAttribute link\n"
 
@@ -177,21 +179,25 @@ class TestWorkflow:
 
     def test_validate_reports_source_name_with_slash(self, loaded_ws, capsys):
         # Renaming source D1 to D/1 in the saved quads keeps its attributes
-        # prefixed by its IRI, so V6 holds, yet the catalog refuses the name
-        # at the first query, so validate must refuse it first.
+        # prefixed by its IRI, so V6 holds, yet the catalog skips W1, whose
+        # source name holds "/", and the query finds no wrapper for W1's
+        # concept.
         path = loaded_ws / "ontology.quads"
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("DataSource/D1", "DataSource/D/1"), encoding="utf-8")
         capsys.readouterr()
-        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 2
-        assert one_line_error(capsys) == "error: wrapper W1: source name 'D/1' contains '/'"
+        assert main(["-w", str(loaded_ws), "query", str(DEMO / "query.rq")]) == 3
+        assert one_line_error(capsys) == (
+            "error: no wrapper answers concept <http://www.supersede.eu/ontology/InfoMonitor>"
+            " with its requested features")
         assert main(["-w", str(loaded_ws), "validate"]) == 2
         assert capsys.readouterr().out == (
             f"RULEV7 <{source_iri('D/1')}> source name 'D/1' contains '/'\n")
 
     def test_validate_names_a_wrapper_with_two_owners(self, loaded_ws, capsys):
-        # The catalog reads W1's least owner, D1, so the query still answers;
-        # V6 flags W1's attributes against D2, and V3 names W1 itself.
+        # The catalog reads W1's least owner, D1, so the query still answers,
+        # and V3 names W1. W1's attributes are prefixed by D1, the owner the
+        # catalog reads, so V6 holds.
         path = loaded_ws / "ontology.quads"
         with path.open("a", encoding="utf-8") as f:
             f.write(f"<{SOURCE_GRAPH}> <{source_iri('D2')}> <{S_HAS_WRAPPER}> <{wrapper_iri('W1')}>\n")
@@ -200,9 +206,7 @@ class TestWorkflow:
         capsys.readouterr()
         assert main(["-w", str(loaded_ws), "validate"]) == 2
         assert capsys.readouterr().out.splitlines() == [
-            f"RULEV3 <{wrapper_iri('W1')}> Wrapper has 2 hasWrapper links",
-            *(f"RULEV6 <{source_iri('D1')}/{attr}> attribute not prefixed by its source "
-              f"<{source_iri('D2')}>" for attr in ("VoDmonitorId", "lagRatio"))]
+            f"RULEV3 <{wrapper_iri('W1')}> Wrapper has 2 hasWrapper links"]
 
     # The W1 link dropped, or a second one to a graph with no quads, which
     # sorts before W1's own: either way the catalog reads no LAV graph for

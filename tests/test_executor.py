@@ -4,8 +4,10 @@ import csv
 import io
 import random
 import re
+import tempfile
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -130,11 +132,13 @@ class TestEvalWalk:
                        for _ in range(rng.randint(0, 8))]
             w3_rows = [(rng.choice(pool), rng.choice(pool), rng.choice(pool))
                        for _ in range(rng.randint(0, 8))]
-            write_csv(tmp_path / "w1.csv", ["VoDmonitorId", "lagRatio"], w1_rows)
-            write_csv(tmp_path / "w3.csv", ["TargetApp", "MonitorId", "FeedbackId"], w3_rows)
+            # A fresh directory per trial, as in ``chain_bindings``.
+            directory = Path(tempfile.mkdtemp(dir=tmp_path))
+            write_csv(directory / "w1.csv", ["VoDmonitorId", "lagRatio"], w1_rows)
+            write_csv(directory / "w3.csv", ["TargetApp", "MonitorId", "FeedbackId"], w3_rows)
             bindings = {
-                "W1": WrapperBinding(releases["W1"].wrapper, tmp_path / "w1.csv"),
-                "W3": WrapperBinding(releases["W3"].wrapper, tmp_path / "w3.csv"),
+                "W1": WrapperBinding(releases["W1"].wrapper, directory / "w1.csv"),
+                "W3": WrapperBinding(releases["W3"].wrapper, directory / "w3.csv"),
             }
             rel = eval_alone(joined_walk(), bindings, JOINED_ENDS)
             cols, expected = nested_loop_join(
@@ -247,9 +251,13 @@ def chain_tables(rng):
 
 
 def chain_bindings(tmp_path, tables):
+    # Each call writes into a directory of its own: replacing a file that
+    # already holds data can wait on a flush to disk, and the trials of one
+    # test call this many times.
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
     bindings = {}
     for name, rows in tables.items():
-        path = tmp_path / f"{name}.csv"
+        path = directory / f"{name}.csv"
         write_csv(path, list(CHAIN_SCHEMAS[name].attrs), rows)
         bindings[name] = WrapperBinding(CHAIN_SCHEMAS[name], path)
     return bindings

@@ -1,7 +1,14 @@
 """Vocabulary validation: each rule fires on its own violation generator."""
 
+import random
+
+import pytest
+
+from ontomed.errors import InvalidWalk, OntomedError
 from ontomed.quadstore import Dataset, Quad
 from ontomed.releases import apply_release
+from ontomed.rewriter import rewrite
+from ontomed.sources import wrapper_schemas
 from ontomed.terms import (
     G_HAS_FEATURE,
     GLOBAL_GRAPH,
@@ -12,6 +19,7 @@ from ontomed.terms import (
     S_DATA_SOURCE,
     S_HAS_ATTRIBUTE,
     S_HAS_WRAPPER,
+    S_WRAPPER,
     SOURCE_GRAPH,
     Iri,
     mapping_graph_iri,
@@ -21,6 +29,7 @@ from ontomed.terms import (
 from ontomed.vocab import Violation, validate_ontology
 
 from conftest import iri
+from generators import make_instance, make_wide_instance
 
 EX = "http://example.org/"
 
@@ -155,3 +164,31 @@ def test_release_sequences_stay_valid(global_ds, releases):
     for name in ("W2", "W1", "W4", "W3"):
         ds, _ = apply_release(ds, releases[name])
         assert validate_ontology(ds).ok
+
+
+@pytest.mark.parametrize("make", [make_instance, make_wide_instance], ids=lambda make: make.__name__)
+def test_one_quad_drops_validate_or_compile(make):
+    # Every store left by dropping one source-graph or mappings-graph quad:
+    # validate reports, the catalog skips what it cannot read instead of
+    # failing the query, and a clean report means it read every wrapper.
+    for seed in range(20):
+        ds, query = make(random.Random(seed))
+        quads = list(ds)
+        for drop in quads:
+            if drop.graph not in (SOURCE_GRAPH, MAPPINGS_GRAPH):
+                continue
+            dropped = Dataset(ds.prefixes)
+            for q in quads:
+                if q != drop:
+                    dropped._add(q)
+            report = validate_ontology(dropped)
+            try:
+                rewrite(query, dropped)
+            except InvalidWalk as exc:
+                raise AssertionError(f"seed {seed}, without {drop}: {exc}") from exc
+            except OntomedError:
+                pass
+            if report.ok:
+                typed = dropped.links(SOURCE_GRAPH, RDF_TYPE, inverse=True).get(S_WRAPPER, ())
+                assert {wrapper_iri(name) for name in wrapper_schemas(dropped)} == set(typed), \
+                    f"seed {seed}, without {drop}"
